@@ -10,16 +10,15 @@ recursions, bijections, overpartitions, and the parameter-space search.
 from .conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule,
                          condition_set, matches_at, parse_condition_set,
                          satisfies)
-from .counting import sum_series_brute, sum_series_dp
+from .counting import count_by_predicate, sum_series_brute, sum_series_dp
 from .errors import (CeilingExceeded, FlatpartError, InsufficientOrder,
                      InvalidSpecialization, NoFlatForm, NonUnitConstantTerm,
                      NotEnoughPatterns, NotInProductClass,
                      PreconditionViolated, UnknownFamily, UnknownRecursion)
 from .euler import (EulerFactorization, PeriodicVerdict, detect_period,
                     euler_exponents)
-from .families import (count_by_predicate, family_satisfies, flat_form_of,
-                       get_identity, get_refuted, refuted_names,
-                       registered_names)
+from .families import (family_satisfies, flat_form_of, get_identity,
+                       get_refuted, refuted_names, registered_names)
 from .partitions import (Partition, compare_flatter, conjugate,
                          count_flat_patterns, flat_patterns,
                          frequency_profile, kth_flattest, parse_partition,

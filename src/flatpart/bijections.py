@@ -20,10 +20,11 @@ a copy-replication step around the core bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import NotInProductClass, PreconditionViolated, UnknownFamily
+from .families import family1_row, family_row, get_identity
 from .partitions import frequency_profile, partitions_of
 
 SYLVESTER_CORE = "structural hook dissection"
@@ -188,47 +189,39 @@ def stockhofe_inverse(modulus: int, parts) -> tuple:
 
 @dataclass(frozen=True)
 class WrapperSpec:
-    """How one family dresses up the odd/distinct core: the residue class
-    of non-even parts (modulus, offset, sign giving parts M*m + sign*offset),
-    and how many copies each image part receives by index parity."""
+    """How one family dresses up the odd/distinct core: the product's odd
+    class (parts M*m + offset, m >= 0, map to the odd number 2m + 1), and
+    how many copies each image part receives by index parity: `offset`
+    copies at odd indices and M - offset at even ones."""
     family: str
     k: int
     modulus: int
     offset: int
-    sign: int
-    odd_copies: int
-    even_copies: int
+
+    @property
+    def odd_copies(self) -> int:
+        return self.offset
+
+    @property
+    def even_copies(self) -> int:
+        return self.modulus - self.offset
 
     def to_small_odd(self, part: int) -> int:
-        m, rem = divmod(part - self.sign * self.offset, self.modulus)
-        if rem or (self.sign < 0 and m < 1) or (self.sign > 0 and m < 0):
+        m, rem = divmod(part - self.offset, self.modulus)
+        if rem or m < 0:
             raise NotInProductClass(
                 "%d is not a legal odd-class part for %s k=%d"
                 % (part, self.family, self.k))
-        return 2 * m + self.sign
+        return 2 * m + 1
 
     def from_small_odd(self, odd: int) -> int:
-        m = (odd - self.sign) // 2
-        return self.modulus * m + self.sign * self.offset
-
-
-_WRAPPERS = {
-    "FAM2": lambda k: WrapperSpec("FAM2", k, 2 * k + 2, 1, -1, 2 * k + 1, 1),
-    "FAM3": lambda k: WrapperSpec("FAM3", k, 2 * k + 2, 1, +1, 1, 2 * k + 1),
-    "FAM4": lambda k: WrapperSpec("FAM4", k, 2 * k + 6, 3, +1, 3, 2 * k + 3),
-    "FAM5": lambda k: WrapperSpec("FAM5", k, 2 * k + 6, 3, -1, 2 * k + 3, 3),
-    "FAM6": lambda k: WrapperSpec("FAM6", k, 4 * k + 8, 2 * k + 5, +1,
-                                  2 * k + 5, 2 * k + 3),
-    "FAM7": lambda k: WrapperSpec("FAM7", k, 4 * k + 8, 2 * k + 3, +1,
-                                  2 * k + 3, 2 * k + 5),
-}
+        return self.modulus * (odd // 2) + self.offset
 
 
 def wrapper_spec(family: str, k: int) -> WrapperSpec:
-    try:
-        return _WRAPPERS[family.strip().upper()](k)
-    except KeyError:
-        raise UnknownFamily("no wrapper map for %r" % family) from None
+    """The wrapper of one of Families 2-7, read from its table row."""
+    row = family_row(family, k)
+    return WrapperSpec(family.strip().upper(), k, row.modulus, row.odd_residue)
 
 
 def wrapper_map(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> tuple:
@@ -303,6 +296,7 @@ def wrapper_inverse(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> t
 
 @dataclass(frozen=True)
 class _Fam1Data:
+    modulus: int
     offset_low: int    # parts M*m - offset_low map to 3m - 2
     offset_high: int   # parts M*m - offset_high map to 3m - 1
     copies: tuple      # replication for image index = 1, 2, 0 mod 3
@@ -311,20 +305,20 @@ class _Fam1Data:
 
 
 def _fam1_data(variant: int, k: int) -> _Fam1Data:
-    if variant == 1:
-        return _Fam1Data(3 * k + 1, 2, (2, 3 * k - 1, 2), 2, 1)
-    if variant == 2:
-        return _Fam1Data(4, 2, (3 * k - 1, 2, 2), 0, 2)
-    if variant == 3:
-        return _Fam1Data(3 * k + 1, 3 * k - 1, (2, 2, 3 * k - 1), 1, 0)
-    raise UnknownFamily("family 1 variant must be 1, 2, or 3")
+    row = family1_row(variant, k)
+    low, high = row.residues
+    copies, rho3, rho4 = {1: ((2, 3 * k - 1, 2), 2, 1),
+                          2: ((3 * k - 1, 2, 2), 0, 2),
+                          3: ((2, 2, 3 * k - 1), 1, 0)}[variant]
+    return _Fam1Data(row.modulus, row.modulus - low, row.modulus - high,
+                     copies, rho3, rho4)
 
 
 def family1_map(variant: int, k: int, parts,
                 trace: Optional[dict] = None) -> tuple:
     parts = _as_parts(parts)
     data = _fam1_data(variant, k)
-    modulus = 3 * k + 3
+    modulus = data.modulus
     triples, small = [], []
     for p in parts:
         if p % 3 == 0:
@@ -356,7 +350,7 @@ def family1_inverse(variant: int, k: int, parts,
                     trace: Optional[dict] = None) -> tuple:
     parts = _as_parts(parts)
     data = _fam1_data(variant, k)
-    modulus = 3 * k + 3
+    modulus = data.modulus
     profile = frequency_profile(parts)
 
     groups = {1: [], 2: [], 3: [], 4: [], 5: []}
@@ -434,24 +428,24 @@ class BijectionReport:
         return text
 
 
-def _bijection_setup(family: str, k: int):
-    from .families import get_identity
+_FAMILY1 = {"FAM1_1": 1, "FAM1_2": 2, "FAM1_3": 3}
+
+
+def family_maps(family: str, k: int):
+    """(forward, inverse, core) of the bijection behind a Family 1-7
+    identity: FAM1_1 .. FAM1_3 or FAM2 .. FAM7.  Both maps take
+    (parts, trace=None).  Raises UnknownFamily for any other family."""
     fam = family.strip().upper()
-    if fam.startswith("FAM1_"):
-        variant = int(fam.split("_")[1])
-        ident = get_identity("FAM1_%d_K%d" % (variant, k))
-        fwd = lambda p, t=None: family1_map(variant, k, p, trace=t)
-        inv = lambda p, t=None: family1_inverse(variant, k, p, trace=t)
-        core = stockhofe_core(3)
-    elif fam in _WRAPPERS:
-        ident = get_identity("%s_K%d" % (fam, k))
+    if fam in _FAMILY1:
+        variant = _FAMILY1[fam]
+        return (partial(family1_map, variant, k),
+                partial(family1_inverse, variant, k), stockhofe_core(3))
+    try:
         spec = wrapper_spec(fam, k)
-        fwd = lambda p, t=None: wrapper_map(spec, p, trace=t)
-        inv = lambda p, t=None: wrapper_inverse(spec, p, trace=t)
-        core = stockhofe_core(2)
-    else:
-        raise UnknownFamily("no bijective proof registered for %r" % family)
-    return ident, fwd, inv, core
+    except UnknownFamily:
+        raise UnknownFamily("no bijection for %r" % family) from None
+    return (partial(wrapper_map, spec), partial(wrapper_inverse, spec),
+            stockhofe_core(2))
 
 
 def verify_bijection(family: str, k: int, n_max: int) -> BijectionReport:
@@ -459,7 +453,8 @@ def verify_bijection(family: str, k: int, n_max: int) -> BijectionReport:
     forward lands in the conjugate class, weight is preserved, the round
     trip is the identity, and all three class sizes agree."""
     fam = family.strip().upper()
-    ident, fwd, inv, core = _bijection_setup(fam, k)
+    fwd, inv, core = family_maps(fam, k)
+    ident = get_identity("%s_K%d" % (fam, k))
     checked = 0
     for n in range(n_max + 1):
         prod_class, conj_class, sum_class = [], [], []

@@ -122,24 +122,13 @@ _TRACE_NAMES = (
 
 
 def cmd_bijection(args) -> int:
-    from .bijections import (family1_inverse, family1_map, wrapper_inverse,
-                             wrapper_map, wrapper_spec)
-    from .errors import UnknownFamily
+    from .bijections import family_maps
     from .partitions import parse_partition, render_partition
 
     parts = parse_partition(args.input)
-    fam = args.family.strip().upper()
     trace = {} if args.trace else None
-    if fam.startswith("FAM1_"):
-        variant = int(fam.split("_")[1])
-        fn = family1_inverse if args.inverse else family1_map
-        image = fn(variant, args.k, parts, trace=trace)
-    elif fam in ("FAM2", "FAM3", "FAM4", "FAM5", "FAM6", "FAM7"):
-        spec = wrapper_spec(fam, args.k)
-        fn = wrapper_inverse if args.inverse else wrapper_map
-        image = fn(spec, parts, trace=trace)
-    else:
-        raise UnknownFamily("no bijection for %r" % args.family)
+    fwd, inv, _core = family_maps(args.family, args.k)
+    image = (inv if args.inverse else fwd)(parts, trace=trace)
     if trace is not None:
         for key, label in _TRACE_NAMES:
             if key in trace:
@@ -167,6 +156,13 @@ def cmd_overpartition(args) -> int:
     return 0
 
 
+def _nonnegative(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            "must be a nonnegative integer, got %r" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatpart",
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--family", help="registered family name")
     p.add_argument("--zeros", type=int, default=0,
                    help="fictitious zeros after the smallest part")
-    p.add_argument("--order", type=int, default=40)
+    p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--brute", action="store_true",
                    help="force the enumeration route")
     p.add_argument("--out", help="series file (default stdout)")
@@ -193,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--classes", help="residue:exponent pairs, comma-joined")
     p.add_argument("--modulus", type=int,
                    help="required with --residues/--classes")
-    p.add_argument("--order", type=int, default=40)
+    p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--out", help="series file (default stdout)")
     p.set_defaults(fn=cmd_product)
 
@@ -217,13 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--family", help="registered family name")
     group.add_argument("--all", action="store_true",
                        help="count check for every registered identity")
-    p.add_argument("--nmax", type=int)
+    p.add_argument("--nmax", type=_nonnegative)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bijection", help="apply a family bijection")
     p.add_argument("--family", required=True,
-                   help="FAM1_1 .. FAM1_3 or FAM2 .. FAM7")
-    p.add_argument("--k", type=int, required=True)
+                   help="a family of Families 1-7, e.g. FAM1_2 or FAM6")
+    p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--input", required=True,
                    help="partition, e.g. '5,3,3,1' ('-' for empty)")
     p.add_argument("--inverse", action="store_true")
@@ -232,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bijection)
 
     p = sub.add_parser("overpartition", help="print the overline table")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=20)
-    p.add_argument("--mmax", type=int, default=6)
+    p.add_argument("--k", type=_nonnegative, required=True)
+    p.add_argument("--nmax", type=_nonnegative, default=20)
+    p.add_argument("--mmax", type=_nonnegative, default=6)
     p.add_argument("--specialize", metavar="S,T",
                    help="collapse a^m q^n to q^(T*n+S*m)")
     p.add_argument("--enumerate", action="store_true",

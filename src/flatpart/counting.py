@@ -18,7 +18,8 @@ well below 2**63 there) and object dtype with Python ints beyond.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -31,15 +32,19 @@ BRUTE_CEILING = 60
 _INT64_SAFE_ORDER = 300
 
 
-def sum_series_brute(cs: ConditionSet, order: int, ceiling: int = BRUTE_CEILING) -> IntSeries:
-    """Count satisfying partitions of 0..order by full enumeration."""
+def count_by_predicate(pred: Callable, order: int,
+                       ceiling: int = BRUTE_CEILING) -> IntSeries:
+    """Count the partitions of 0..order that pass `pred`, by enumeration."""
     if order > ceiling:
         raise CeilingExceeded(
             "brute enumeration capped at order %d, asked for %d" % (ceiling, order))
-    coeffs = []
-    for n in range(order + 1):
-        coeffs.append(sum(1 for p in partitions_of(n) if satisfies(cs, p)))
-    return IntSeries(coeffs)
+    return IntSeries(
+        [sum(1 for p in partitions_of(n) if pred(p)) for n in range(order + 1)])
+
+
+def sum_series_brute(cs: ConditionSet, order: int, ceiling: int = BRUTE_CEILING) -> IntSeries:
+    """Count satisfying partitions of 0..order by full enumeration."""
+    return count_by_predicate(partial(satisfies, cs), order, ceiling)
 
 
 def _pattern_spread(flatness_index: int, width: int) -> int:

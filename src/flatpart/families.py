@@ -7,6 +7,12 @@ exact window encoding (ConditionSet).  Many entries also carry a
 conjugate-side predicate: membership of the conjugate partition is
 governed by part frequencies and counts of strictly greater parts.
 
+Each of Families 1-7 is one table row, a function of k: the product's
+residue classes, the sum side's prose conditions, and, stated separately
+rather than derived from them, its window rules.  One builder per side
+reads every row (Family 1 has its own), and the bijections read their
+residue classes from the same rows.
+
 Names follow the pattern FAMILY_K<k>[_I<i>] for parametrized families;
 one-off classical identities have bare names (MACMAHON, SCHUR, ...).
 """
@@ -17,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .conditions import ConditionSet, condition_set
-from .counting import sum_series_brute, sum_series_dp
+from .counting import count_by_predicate, sum_series_dp
 from .errors import NoFlatForm, UnknownFamily
-from .partitions import frequency_profile, partitions_of
+from .partitions import frequency_profile
 from .series import IntSeries, ProductSpec
 
 SUM = "sum"
@@ -45,27 +51,17 @@ class RegisteredIdentity:
     def param(self, key, default=None):
         return dict(self.params).get(key, default)
 
-    def count_series(self, order: int, brute_ceiling: int = 60) -> IntSeries:
+    def count_series(self, order: int) -> IntSeries:
         """Sum-side counting series by the fastest exact route available."""
         if self.flat is not None:
             return sum_series_dp(self.flat, order)
         if self.dp_rules is not None:
             return sum_series_dp(self.dp_rules, order, min_part=self.dp_min_part)
-        return count_by_predicate(self.sum_pred, order, ceiling=brute_ceiling)
+        return count_by_predicate(self.sum_pred, order)
 
     def product_series(self, order: int) -> IntSeries:
         from .series import product_series
         return product_series(self.product, order)
-
-
-def count_by_predicate(pred: Callable, order: int, ceiling: int = 60) -> IntSeries:
-    from .errors import CeilingExceeded
-    if order > ceiling:
-        raise CeilingExceeded(
-            "predicate enumeration capped at order %d, asked for %d"
-            % (ceiling, order))
-    return IntSeries(
-        [sum(1 for p in partitions_of(n) if pred(p)) for n in range(order + 1)])
 
 
 def _adjacent(parts):
@@ -74,269 +70,186 @@ def _adjacent(parts):
 
 # ---------------------------------------------------------------- Family 1
 
-def _fam1_lists(k: int):
-    low = tuple(range(2, 3 * k - 3, 3))   # 2, 5, ..., 3k-4
-    high = tuple(range(4, 3 * k - 1, 3))  # 4, 7, ..., 3k-2
-    return low, high
+@dataclass(frozen=True)
+class Family1Row:
+    """One variant of Family 1 at one k.  Low differences are 2, 5, ...,
+    3k-4 and high differences 4, 7, ..., 3k-2 between adjacent parts."""
+    modulus: int
+    residues: tuple      # product classes off 0 mod 3: (2 mod 3, 1 mod 3)
+    low_residue: int     # smaller part's residue mod 3 banned at a low difference
+    high_residue: int    # smaller part's residue mod 3 required at a high difference
+    initial: frozenset   # part values that may not appear at all
 
-# residue data per variant: (smaller-part residues forbidden for the low
-# difference list, residue required for the high list, initial part values)
-_FAM1_DATA = {
-    1: ((2,), 1, lambda k: set(range(1, 3 * k - 1, 3))),
-    2: ((0,), 2, lambda k: set(range(1, 3 * k - 1, 3)) | set(range(2, 3 * k - 3, 3))),
-    3: ((1,), 0, lambda k: {1}),
+
+def _steps3(lo: int, hi: int) -> frozenset:
+    return frozenset(range(lo, hi + 1, 3))
+
+
+# variant: modulus, residues, low residue, high residue, initial parts
+_FAM1_ROWS = {
+    1: lambda k: Family1Row(3 * k + 3, (2, 3 * k + 1), 2, 1, _steps3(1, 3 * k - 2)),
+    2: lambda k: Family1Row(3 * k + 3, (3 * k - 1, 3 * k + 1), 0, 2,
+                            _steps3(1, 3 * k - 2) | _steps3(2, 3 * k - 4)),
+    3: lambda k: Family1Row(3 * k + 3, (2, 4), 1, 0, frozenset({1})),
 }
 
 
-def fam1_sum_pred(variant: int, k: int) -> Callable:
+def family1_row(variant: int, k: int) -> Family1Row:
+    make = _FAM1_ROWS.get(variant)
+    if make is None:
+        raise UnknownFamily("family 1 variant must be 1, 2, or 3")
+    return make(k)
+
+
+def _fam1_lists(k: int):
+    return _steps3(2, 3 * k - 4), _steps3(4, 3 * k - 2)
+
+
+def fam1_sum_pred(row: Family1Row, k: int) -> Callable:
     low, high = _fam1_lists(k)
-    forb_low, req_high, init_fn = _FAM1_DATA[variant]
-    init = init_fn(k)
 
     def pred(parts) -> bool:
-        if any(p in init for p in parts):
+        if any(p in row.initial for p in parts):
             return False
         for a, b in _adjacent(parts):
             d = a - b
             if d == 1:
                 return False
-            if d in low and (b % 3) in forb_low:
+            if d in low and b % 3 == row.low_residue:
                 return False
-            if d in high and (b % 3) != req_high:
+            if d in high and b % 3 != row.high_residue:
                 return False
         return True
 
     return pred
 
 
-def fam1_conj_pred(variant: int, k: int) -> Callable:
-    low_f = set(range(2, 3 * k - 3, 3))   # frequencies 2, 5, ..., 3k-4
-    high_f = set(range(4, 3 * k - 1, 3))  # frequencies 4, 7, ..., 3k-2
-    forb_low, req_high, _ = _FAM1_DATA[variant]
+def fam1_conj_pred(row: Family1Row, k: int) -> Callable:
+    low_f, high_f = _fam1_lists(k)   # the same lists, read as frequencies
 
     def pred(parts) -> bool:
         for _v, (f, g) in frequency_profile(parts).items():
             if f == 1:
                 return False
-            if f in low_f and (g % 3) in forb_low:
+            if f in low_f and g % 3 == row.low_residue:
                 return False
-            if f in high_f and (g % 3) != req_high:
+            if f in high_f and g % 3 != row.high_residue:
                 return False
         return True
 
     return pred
 
 
-def fam1_flat(variant: int, k: int) -> ConditionSet:
+def fam1_flat(row: Family1Row, k: int) -> ConditionSet:
+    low, high = _fam1_lists(k)
     rules = [(1, 2, 1, 2)]
-    forb_low, req_high, _ = _FAM1_DATA[variant]
-    for d in range(2, 3 * k - 3, 3):
-        for rho in forb_low:
-            t_res = (rho + d // 2) % 3
-            rules.append((d // 2 + 1, 2, (2 * t_res + d % 2) % 6, 6))
-    for d in range(4, 3 * k - 1, 3):
-        for rho in range(3):
-            if rho == req_high:
-                continue
-            t_res = (rho + d // 2) % 3
-            rules.append((d // 2 + 1, 2, (2 * t_res + d % 2) % 6, 6))
+    banned = [(d, row.low_residue) for d in low]
+    banned += [(d, rho) for d in high for rho in range(3)
+               if rho != row.high_residue]
+    for d, rho in banned:
+        t_res = (rho + d // 2) % 3
+        rules.append((d // 2 + 1, 2, (2 * t_res + d % 2) % 6, 6))
     return condition_set(rules, zeros=1)
-
-
-def fam1_product(variant: int, k: int) -> ProductSpec:
-    m = 3 * k + 3
-    residues = set(range(0, m, 3))
-    extra = {1: (2, m - 2), 2: (m - 4, m - 2), 3: (2, 4)}[variant]
-    residues.update(r % m for r in extra)
-    return ProductSpec.from_residues(m, residues)
 
 
 # ------------------------------------------------------------ Families 2-7
 #
-# Each of these pairs an even-or-one-residue product with conditions that
-# forbid certain part values near an even or odd part.  The table rows are
-# (modulus fn, special residue fn, sign of the residue form, the values
-# banned near a part, ...); see the per-family predicates below.
+# Each pairs a product of the even parts and one odd class with a sum side
+# that bans some smallest parts, some adjacent differences, and some
+# values lying a given odd distance below a part of a given parity.  The
+# window rules are a separate encoding of the same sum side; the test
+# suite checks the two against each other.
 
-def fam2_sum_pred(k: int) -> Callable:
-    small = set(range(1, 2 * k, 2))
+@dataclass(frozen=True)
+class FamilyRow:
+    """One of Families 2-7 at one k."""
+    modulus: int
+    odd_residue: int      # the product's one odd class
+    smallest: frozenset   # banned values of the smallest part
+    diffs: frozenset      # banned differences of adjacent parts
+    parity: int           # parity of the parts that trigger the distance ban
+    distances: frozenset  # banned distances below a triggering part
+    rules: tuple          # window rules (A, B, C, D) of the flat form
+    zeros: int
 
+
+def _odds(lo: int, hi: int) -> frozenset:
+    return frozenset(range(lo, hi + 1, 2))
+
+
+# family: modulus, odd residue; smallest, diffs, parity, distances
+# (the prose sum side); window rules, zeros (its flat form)
+_FAMILY_ROWS = {
+    "FAM2": lambda k: FamilyRow(
+        2 * k + 2, 2 * k + 1, _odds(1, 2 * k - 1), frozenset(), 1,
+        _odds(1, 2 * k - 1),
+        tuple((i + 1, 2, (1 - 2 * i) % 4, 4) for i in range(k)), 1),
+    "FAM3": lambda k: FamilyRow(
+        2 * k + 2, 1, frozenset(), frozenset(), 0, _odds(1, 2 * k - 1),
+        tuple((i + 1, 2, (-1 - 2 * i) % 4, 4) for i in range(k)), 0),
+    "FAM4": lambda k: FamilyRow(
+        2 * k + 6, 3, frozenset({1}), frozenset({1}), 0, _odds(3, 2 * k + 1),
+        ((1, 2, 1, 2),)
+        + tuple((i + 2, 2, (1 - 2 * i) % 4, 4) for i in range(k)), 1),
+    "FAM5": lambda k: FamilyRow(
+        2 * k + 6, 2 * k + 3, _odds(1, 2 * k + 1), frozenset({1}), 1,
+        _odds(3, 2 * k + 1),
+        ((1, 2, 1, 2),)
+        + tuple((i + 2, 2, (-1 - 2 * i) % 4, 4) for i in range(k)), 1),
+    "FAM6": lambda k: FamilyRow(
+        4 * k + 8, 2 * k + 5, _odds(1, 2 * k + 3), _odds(1, 2 * k + 1), 1,
+        frozenset({2 * k + 3}),
+        tuple((a, 2, 1, 2) for a in range(1, k + 2))
+        + ((k + 2, 2, (3 - 2 * k) % 4, 4),), 1),
+    "FAM7": lambda k: FamilyRow(
+        4 * k + 8, 2 * k + 3, _odds(1, 2 * k + 1), _odds(1, 2 * k + 1), 0,
+        frozenset({2 * k + 3}),
+        tuple((a, 2, 1, 2) for a in range(1, k + 2))
+        + ((k + 2, 2, (1 - 2 * k) % 4, 4),), 1),
+}
+
+
+def family_row(family: str, k: int) -> FamilyRow:
+    make = _FAMILY_ROWS.get(family.strip().upper())
+    if make is None:
+        raise UnknownFamily("%r is not one of Families 2-7" % family)
+    return make(k)
+
+
+def row_sum_pred(row: FamilyRow) -> Callable:
     def pred(parts) -> bool:
-        if parts and parts[-1] in small:
+        if parts and parts[-1] in row.smallest:
+            return False
+        if any(a - b in row.diffs for a, b in _adjacent(parts)):
             return False
         present = set(parts)
         for p in present:
-            if p % 2 == 1:
-                j = p // 2
-                if any((2 * j - 2 * i) in present for i in range(k)):
+            if p % 2 == row.parity:
+                if any((p - d) in present for d in row.distances):
                     return False
         return True
 
     return pred
 
 
-def fam3_sum_pred(k: int) -> Callable:
-    def pred(parts) -> bool:
-        present = set(parts)
-        for p in present:
-            if p % 2 == 0:
-                if any((p - 2 * i - 1) in present for i in range(k)):
-                    return False
-        return True
-
-    return pred
-
-
-def fam4_sum_pred(k: int) -> Callable:
-    def pred(parts) -> bool:
-        if parts and parts[-1] == 1:
-            return False
-        if any(a - b == 1 for a, b in _adjacent(parts)):
-            return False
-        present = set(parts)
-        for p in present:
-            if p % 2 == 0:
-                if any((p - 2 * i - 3) in present for i in range(k)):
-                    return False
-        return True
-
-    return pred
-
-
-def fam5_sum_pred(k: int) -> Callable:
-    small = set(range(1, 2 * k + 2, 2))
-
-    def pred(parts) -> bool:
-        if parts and parts[-1] in small:
-            return False
-        if any(a - b == 1 for a, b in _adjacent(parts)):
-            return False
-        present = set(parts)
-        for p in present:
-            if p % 2 == 1:
-                if any((p - 2 * i - 3) in present for i in range(k)):
-                    return False
-        return True
-
-    return pred
-
-
-def fam6_sum_pred(k: int) -> Callable:
-    small = set(range(1, 2 * k + 4, 2))
-    bad_diffs = set(range(1, 2 * k + 2, 2))
-
-    def pred(parts) -> bool:
-        if parts and parts[-1] in small:
-            return False
-        if any(a - b in bad_diffs for a, b in _adjacent(parts)):
-            return False
-        present = set(parts)
-        for p in present:
-            if p % 2 == 1 and (p - 2 * k - 3) in present:
-                return False
-        return True
-
-    return pred
-
-
-def fam7_sum_pred(k: int) -> Callable:
-    small = set(range(1, 2 * k + 2, 2))
-    bad_diffs = set(range(1, 2 * k + 2, 2))
-
-    def pred(parts) -> bool:
-        if parts and parts[-1] in small:
-            return False
-        if any(a - b in bad_diffs for a, b in _adjacent(parts)):
-            return False
-        present = set(parts)
-        for p in present:
-            if p % 2 == 0 and (p - 2 * k - 3) in present:
-                return False
-        return True
-
-    return pred
-
-
-def _conj_odd_small(freqs, parity):
-    """Parts appearing f times for odd f in `freqs` need the count of
-    strictly greater parts to have the given parity."""
+def row_conj_pred(row: FamilyRow) -> Callable:
+    """Conjugate side: a part may not appear f times for f among the banned
+    differences, and appearing f times for f among the banned distances
+    needs a count of strictly greater parts of the row's parity."""
     def pred(parts) -> bool:
         for _v, (f, g) in frequency_profile(parts).items():
-            if f in freqs and g % 2 != parity:
+            if f in row.diffs:
+                return False
+            if f in row.distances and g % 2 != row.parity:
                 return False
         return True
+
     return pred
 
 
-def fam2_conj_pred(k): return _conj_odd_small(set(range(1, 2 * k, 2)), 1)
-def fam3_conj_pred(k): return _conj_odd_small(set(range(1, 2 * k, 2)), 0)
-
-
-def _conj_no_single(freqs, parity, banned):
-    def pred(parts) -> bool:
-        for _v, (f, g) in frequency_profile(parts).items():
-            if f in banned:
-                return False
-            if f in freqs and g % 2 != parity:
-                return False
-        return True
-    return pred
-
-
-def fam4_conj_pred(k):
-    return _conj_no_single(set(range(3, 2 * k + 2, 2)), 0, {1})
-
-
-def fam5_conj_pred(k):
-    return _conj_no_single(set(range(3, 2 * k + 2, 2)), 1, {1})
-
-
-def fam6_conj_pred(k):
-    return _conj_no_single({2 * k + 3}, 1, set(range(1, 2 * k + 2, 2)))
-
-
-def fam7_conj_pred(k):
-    return _conj_no_single({2 * k + 3}, 0, set(range(1, 2 * k + 2, 2)))
-
-
-def fam2_flat(k):
-    return condition_set(
-        [(i + 1, 2, (1 - 2 * i) % 4, 4) for i in range(k)], zeros=1)
-
-
-def fam3_flat(k):
-    return condition_set(
-        [(i + 1, 2, (-1 - 2 * i) % 4, 4) for i in range(k)], zeros=0)
-
-
-def fam4_flat(k):
-    return condition_set(
-        [(1, 2, 1, 2)] + [(i + 2, 2, (1 - 2 * i) % 4, 4) for i in range(k)],
-        zeros=1)
-
-
-def fam5_flat(k):
-    return condition_set(
-        [(1, 2, 1, 2)] + [(i + 2, 2, (-1 - 2 * i) % 4, 4) for i in range(k)],
-        zeros=1)
-
-
-def fam6_flat(k):
-    return condition_set(
-        [(a, 2, 1, 2) for a in range(1, k + 2)]
-        + [(k + 2, 2, (3 - 2 * k) % 4, 4)], zeros=1)
-
-
-def fam7_flat(k):
-    return condition_set(
-        [(a, 2, 1, 2) for a in range(1, k + 2)]
-        + [(k + 2, 2, (1 - 2 * k) % 4, 4)], zeros=1)
-
-
-def _evens_plus(modulus: int, extras) -> ProductSpec:
-    residues = set(range(0, modulus, 2))
-    residues.update(e % modulus for e in extras)
-    return ProductSpec.from_residues(modulus, residues)
+def _multiples_plus(step: int, modulus: int, extras) -> ProductSpec:
+    return ProductSpec.from_residues(
+        modulus, set(range(0, modulus, step)) | set(extras))
 
 
 # ---------------------------------------------------------------- Family 8
@@ -557,41 +470,29 @@ def _build_registry():
     # Family 1, three variants, k up to 3 (k=1 collapses onto MacMahon)
     for variant in (1, 2, 3):
         for k in (1, 2, 3):
+            row = family1_row(variant, k)
             _register(RegisteredIdentity(
                 name="FAM1_%d_K%d" % (variant, k),
-                summary="Family 1.%d with modulus %d" % (variant, 3 * k + 3),
-                product=fam1_product(variant, k),
-                sum_pred=fam1_sum_pred(variant, k),
-                flat=fam1_flat(variant, k),
-                conj_pred=fam1_conj_pred(variant, k),
+                summary="Family 1.%d with modulus %d" % (variant, row.modulus),
+                product=_multiples_plus(3, row.modulus, row.residues),
+                sum_pred=fam1_sum_pred(row, k),
+                flat=fam1_flat(row, k),
+                conj_pred=fam1_conj_pred(row, k),
                 family="FAM1_%d" % variant,
                 params=(("k", k),),
             ))
 
-    fam_builders = {
-        2: (fam2_sum_pred, fam2_conj_pred, fam2_flat,
-            lambda k: _evens_plus(2 * k + 2, [2 * k + 1])),
-        3: (fam3_sum_pred, fam3_conj_pred, fam3_flat,
-            lambda k: _evens_plus(2 * k + 2, [1])),
-        4: (fam4_sum_pred, fam4_conj_pred, fam4_flat,
-            lambda k: _evens_plus(2 * k + 6, [3])),
-        5: (fam5_sum_pred, fam5_conj_pred, fam5_flat,
-            lambda k: _evens_plus(2 * k + 6, [2 * k + 3])),
-        6: (fam6_sum_pred, fam6_conj_pred, fam6_flat,
-            lambda k: _evens_plus(4 * k + 8, [2 * k + 5])),
-        7: (fam7_sum_pred, fam7_conj_pred, fam7_flat,
-            lambda k: _evens_plus(4 * k + 8, [2 * k + 3])),
-    }
-    for fam, (spred, cpred, flat, prod) in fam_builders.items():
+    for family in _FAMILY_ROWS:
         for k in (1, 2):
+            row = family_row(family, k)
             _register(RegisteredIdentity(
-                name="FAM%d_K%d" % (fam, k),
-                summary="Family %d with k=%d" % (fam, k),
-                product=prod(k),
-                sum_pred=spred(k),
-                flat=flat(k),
-                conj_pred=cpred(k),
-                family="FAM%d" % fam,
+                name="%s_K%d" % (family, k),
+                summary="Family %s with k=%d" % (family[3:], k),
+                product=_multiples_plus(2, row.modulus, [row.odd_residue]),
+                sum_pred=row_sum_pred(row),
+                flat=condition_set(row.rules, zeros=row.zeros),
+                conj_pred=row_conj_pred(row),
+                family=family,
                 params=(("k", k),),
             ))
 
@@ -809,9 +710,14 @@ def registered_names() -> list:
     return sorted(_REGISTRY)
 
 
-def get_identity(name: str) -> RegisteredIdentity:
+def canonical_name(name: str) -> str:
+    """The registry key a user-typed identity name stands for."""
     key = name.strip().upper()
-    key = _ALIASES.get(key, key)
+    return _ALIASES.get(key, key)
+
+
+def get_identity(name: str) -> RegisteredIdentity:
+    key = canonical_name(name)
     try:
         return _REGISTRY[key]
     except KeyError:

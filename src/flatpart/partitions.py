@@ -110,11 +110,6 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple:
     return tuple(_gen_partitions(n, cap))
 
 
-def partitions_with_length(n: int, length: int) -> list:
-    """Partitions of n with exactly the given number of (positive) parts."""
-    return [p for p in partitions_of(n) if len(p) == length]
-
-
 def compare_flatter(a: Sequence[int], b: Sequence[int]) -> int:
     """Negative if a is flatter than b, zero if equal, positive if steeper.
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .counting import sum_series_dp
 from .errors import UnknownRecursion
-from .families import get_identity
+from .families import canonical_name, get_identity
 from .series import IntSeries, geom, monomial, one
 
 # offset tables for the three cyclic mod-9 variants: for each residue of
@@ -94,14 +94,14 @@ def _fam8_step(shape: str, j: int, order: int) -> IntSeries:
     return head * tail
 
 
-def _fam8_values(shape: str, start: int, j_max: int, order: int):
-    def build(_name: str, jm: int, order: int) -> dict:
+def _fam8_values(shape: str, start: int):
+    def build(_name: str, j_max: int, order: int) -> dict:
         if start == 0:
             values = {0: one(order)}
         else:
             values = {1: IntSeries([1, 1, 1] + [0] * (order - 2))}
         j = start
-        while j + 3 <= jm:
+        while j + 3 <= j_max:
             j += 3
             values[j] = _fam8_step(shape, j, order) * values[j - 3]
         return values
@@ -159,18 +159,16 @@ class RecursionReport:
 
 
 _RECURSIONS = {
-    "FAM1_1_K2": (lambda n, j, o: _fam1_values("FAM1_1_K2", j, o), _fam1_1_bases),
-    "FAM1_2_K2": (lambda n, j, o: _fam1_values("FAM1_2_K2", j, o), _fam1_2_bases),
-    "FAM1_3_K2": (lambda n, j, o: _fam1_values("FAM1_3_K2", j, o), _fam1_3_bases),
+    "FAM1_1_K2": (_fam1_values, _fam1_1_bases),
+    "FAM1_2_K2": (_fam1_values, _fam1_2_bases),
+    "FAM1_3_K2": (_fam1_values, _fam1_3_bases),
     "FAM3_K1": (_not3mod4_values, _not3mod4_bases),
     "FAM2_K1": (_fam2k1_values, None),
-    "FAM8_MOD9_S04": (_fam8_values("low", 0, None, None), None),
-    "FAM8_MOD9_S05": (_fam8_values("high", 0, None, None), None),
-    "FAM8_MOD9_S37": (_fam8_values("low", 1, None, None), _triangle_base),
-    "FAM8_MOD9_S38": (_fam8_values("high", 1, None, None), _triangle_base),
+    "FAM8_MOD9_S04": (_fam8_values("low", 0), None),
+    "FAM8_MOD9_S05": (_fam8_values("high", 0), None),
+    "FAM8_MOD9_S37": (_fam8_values("low", 1), _triangle_base),
+    "FAM8_MOD9_S38": (_fam8_values("high", 1), _triangle_base),
 }
-
-_ALIASES = {"NOT3MOD4": "FAM3_K1"}
 
 
 def recursion_names() -> list:
@@ -178,8 +176,7 @@ def recursion_names() -> list:
 
 
 def _resolve(name: str) -> str:
-    key = name.strip().upper()
-    key = _ALIASES.get(key, key)
+    key = canonical_name(name)
     if key not in _RECURSIONS:
         raise UnknownRecursion("no recursion registered under %r" % name)
     return key

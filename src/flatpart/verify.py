@@ -9,7 +9,6 @@ counterexample reproduced instead, and the report says so plainly.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,12 +82,12 @@ def _recursion_check(name: str, order: int) -> Optional[CheckResult]:
                        detail)
 
 
-def _bijection_check(name: str, n_max: int) -> Optional[CheckResult]:
-    m = re.fullmatch(r"(FAM1_[123]|FAM[2-7])_K(\d+)", name)
-    if not m:
-        return None
+def _bijection_check(ident, n_max: int) -> Optional[CheckResult]:
     from .bijections import verify_bijection
-    report = verify_bijection(m.group(1), int(m.group(2)), n_max)
+    try:
+        report = verify_bijection(ident.family, ident.param("k"), n_max)
+    except UnknownFamily:
+        return None
     detail = ("%d partitions mapped to n=%d; core: %s"
               % (report.checked, report.n_max, report.core))
     if report.failure:
@@ -96,21 +95,18 @@ def _bijection_check(name: str, n_max: int) -> Optional[CheckResult]:
     return CheckResult("bijection round trip", report.passed, detail)
 
 
-def _specialization_check(name: str) -> Optional[CheckResult]:
-    m = re.fullmatch(r"FAM9_K(\d+)|AND1_K(\d+)|COR_K(\d+)_I(\d+)", name)
-    if not m:
+def _specialization_check(ident) -> Optional[CheckResult]:
+    k = ident.param("k")
+    if ident.family == "FAM9":
+        s = -1
+    elif ident.family == "AND1":
+        s = 2 * k - 3
+    elif ident.family == "COR":
+        s = 2 * ident.param("i") - 1
+    else:
         return None
     from .overpartitions import specialize
-    if m.group(1):
-        k, s = int(m.group(1)), -1
-    elif m.group(2):
-        k = int(m.group(2))
-        s = 2 * k - 3
-    else:
-        k, i = int(m.group(3)), int(m.group(4))
-        s = 2 * i - 1
     order = 30
-    ident = get_identity(name)
     series = specialize(k, s, 2, order)
     want = ident.count_series(order)
     for n in range(order + 1):
@@ -148,8 +144,8 @@ def verify_identity(name: str, nmax: Optional[int] = None,
     ident = get_identity(key)
     checks = [_count_check(ident, nmax)]
     for extra in (_recursion_check(ident.name, recursion_order),
-                  _bijection_check(ident.name, bijection_n),
-                  _specialization_check(ident.name)):
+                  _bijection_check(ident, bijection_n),
+                  _specialization_check(ident)):
         if extra is not None:
             checks.append(extra)
     return VerifyReport(ident.name, tuple(checks))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from flatpart.cli import main
 
 
@@ -146,3 +148,19 @@ def test_errors_go_to_stderr_with_exit_one(capsys):
     assert rc == 1
     assert out == ""
     assert "error:" in err
+
+
+def test_negative_sizes_are_rejected_before_any_work(capsys):
+    for args, option in (
+            (("count", "--rules", "1:2:1:2", "--order", "-3"), "--order"),
+            (("product", "--residues", "1,4", "--modulus", "5",
+              "--order", "-3"), "--order"),
+            (("verify", "--family", "RR1", "--nmax", "-1"), "--nmax"),
+            (("bijection", "--family", "FAM2", "--k", "-2",
+              "--input", "5"), "--k"),
+            (("overpartition", "--k", "2", "--mmax", "-1"), "--mmax")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s: must be a nonnegative integer" % option in err
