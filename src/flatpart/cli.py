@@ -242,7 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "product" and not args.family and args.modulus is None:
+        parser.error("argument --modulus: required with --residues/--classes")
     try:
         return args.fn(args)
     except BrokenPipeError:

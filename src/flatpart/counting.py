@@ -11,14 +11,22 @@ inside a span of nearby values (flat patterns have small spread), so
 the capped profile decides every rule exactly.  The DP is compared
 against the brute oracle in the test suite.
 
-Counts are held in numpy arrays: int64 when the order is at most 300
-(all intermediate counts are bounded by sums of partition numbers,
-well below 2**63 there) and object dtype with Python ints beyond.
+Counts are held as int64 residue lanes, one array of shape
+(lanes, order+1) per profile.  Lane 0 is plain int64 arithmetic, which
+numpy wraps modulo 2**64; each further lane holds residues modulo a
+prime below 2**31.  Every count the DP stores is a number of distinct
+partitions of its weight, so it lies in [0, p(order)], and the DP takes
+the fewest primes with 2**63 times their product above p(order).  While
+p(order) < 2**63 (order <= 405) lane 0 alone holds the counts
+themselves; beyond, each coefficient is rebuilt exactly from its
+residues by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import lru_cache, partial
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -26,10 +34,9 @@ import numpy as np
 from .conditions import ConditionSet, satisfies
 from .errors import CeilingExceeded, NotEnoughPatterns
 from .partitions import kth_flattest, partitions_of
-from .series import IntSeries
+from .series import IntSeries, ProductSpec, product_series
 
 BRUTE_CEILING = 60
-_INT64_SAFE_ORDER = 300
 
 
 def count_by_predicate(pred: Callable, order: int,
@@ -144,10 +151,41 @@ def _profile_ok(prof, eq, ge) -> bool:
 
 
 def _strided_cumsum(vec, stride: int):
-    out = vec.copy()
-    for r in range(stride):
-        out[r::stride] = np.cumsum(out[r::stride])
-    return out
+    """Running sums along each residue class of the column index mod
+    stride, lane by lane: out[:, n] = vec[:, n] + vec[:, n-stride] + ..."""
+    lanes, n = vec.shape
+    padded = np.zeros((lanes, -(-n // stride) * stride), dtype=np.int64)
+    padded[:, :n] = vec
+    grid = padded.reshape(lanes, -1, stride)
+    np.cumsum(grid, axis=1, out=grid)
+    return padded[:, :n]
+
+
+def _lane_primes(order: int) -> list:
+    """Moduli of the extra lanes: the fewest primes below 2**31, largest
+    first, whose product times 2**63 exceeds p(order)."""
+    bound = product_series(ProductSpec(1, {0: 1}), order)[order] >> 63
+    primes, product, n = [], 1, 2**31 - 1
+    while product <= bound:
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            primes.append(n)
+            product *= n
+        n -= 2
+    return primes
+
+
+def _from_lanes(lanes, primes) -> list:
+    """Each column rebuilt from its residues (lane 0 modulo 2**64, lane
+    i modulo primes[i-1]) by Garner's form of the Chinese remainder
+    theorem; exact for values below 2**64 times the primes' product."""
+    values = lanes[0].view(np.uint64).tolist()
+    modulus = 1 << 64
+    for residues, p in zip(lanes[1:].tolist(), primes):
+        inv = pow(modulus, -1, p)
+        values = [x + modulus * ((r - x) * inv % p)
+                  for x, r in zip(values, residues)]
+        modulus *= p
+    return values
 
 
 @lru_cache(maxsize=128)
@@ -164,17 +202,27 @@ def sum_series_dp(cs: ConditionSet, order: int,
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
 
     length = order + 1
-    dtype = np.int64 if order <= _INT64_SAFE_ORDER else object
     start = order if largest_part is None else min(order, largest_part)
+    # Every entry the DP stores or adds counts distinct partitions of its
+    # weight, so it lies in [0, p(order)], below 2**63 * prod(primes).
+    # Hence a profile whose lanes are all zero has a true count of zero
+    # and is dropped exactly.  Prime lanes are reduced once per stage;
+    # in between, a slot receives at most cap+2 vectors (one per value
+    # of the profile entry that falls off, or of mu when nothing falls
+    # off), each entry below (order+1) * 2**31 even after the geometric
+    # tail's running sum, so it stays below 2**63 for any feasible order.
+    primes = _lane_primes(order)
+    moduli = np.array(primes, dtype=np.int64)[:, None]
+    shape = (1 + len(primes), length)
 
     blank = (0,) * window_span
-    init = np.zeros(length, dtype=dtype)
-    init[0] = 1
+    init = np.zeros(shape, dtype=np.int64)
+    init[:, 0] = 1
     dp = {blank: init}
 
     for v in range(start, 0, -1):
         checks = _stage_checks(rules_info, v)
-        ndp = {}
+        ndp = defaultdict(partial(np.zeros, shape, dtype=np.int64))
         for prof, vec in dp.items():
             lowest = None  # smallest multiplicity of v that completes a window
             for c0, eq, ge in checks:
@@ -187,31 +235,27 @@ def sum_series_dp(cs: ConditionSet, order: int,
                 shift = mu * v
                 if shift >= length:
                     break
-                target = ((mu,) + prof)[:window_span]
-                slot = ndp.get(target)
-                if slot is None:
-                    slot = np.zeros(length, dtype=dtype)
-                    ndp[target] = slot
+                slot = ndp[((mu,) + prof)[:window_span]]
                 if shift:
-                    slot[shift:] += vec[:length - shift]
+                    slot[:, shift:] += vec[:, :length - shift]
                 else:
                     slot += vec
             if lowest is None and v >= min_part:
                 base = more * v
                 if base < length:
-                    tail = _strided_cumsum(vec, v)
-                    target = ((more,) + prof)[:window_span]
-                    slot = ndp.get(target)
-                    if slot is None:
-                        slot = np.zeros(length, dtype=dtype)
-                        ndp[target] = slot
-                    slot[base:] += tail[:length - base]
-        dp = {p: vec for p, vec in ndp.items() if np.any(vec)}
+                    slot = ndp[((more,) + prof)[:window_span]]
+                    slot[:, base:] += _strided_cumsum(vec[:, :length - base], v)
+        dp = {}
+        for prof, vec in ndp.items():
+            if primes:
+                np.remainder(vec[1:], moduli, out=vec[1:])
+            if vec.any():
+                dp[prof] = vec
 
     # fictitious zeros: one final batch of checks, no weight
     checks = _stage_checks(rules_info, 0)
     mu0 = min(cs.zeros, more)
-    out = np.zeros(length, dtype=dtype)
+    out = np.zeros(shape, dtype=np.int64)
     for prof, vec in dp.items():
         dead = False
         for c0, eq, ge in checks:
@@ -220,4 +264,5 @@ def sum_series_dp(cs: ConditionSet, order: int,
                 break
         if not dead:
             out += vec
-    return IntSeries([int(x) for x in out])
+    np.remainder(out[1:], moduli, out=out[1:])
+    return IntSeries(_from_lanes(out, primes))

@@ -51,6 +51,15 @@ def test_product_from_residues(capsys):
     assert out == rr
 
 
+def test_product_without_modulus_is_a_usage_error(capsys):
+    for option, value in (("--residues", "1,4"), ("--classes", "1:1,4:1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["product", option, value, "--order", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--modulus" in err and "NoneType" not in err
+
+
 def test_euler_subcommand(tmp_path, capsys):
     series_file = tmp_path / "f.txt"
     rc, out, _ = run(capsys, "count", "--family", "MACMAHON",

@@ -8,11 +8,14 @@ correctness evidence for both.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpart.conditions import condition_set, parse_condition_set, satisfies
-from flatpart.counting import sum_series_brute, sum_series_dp
+from flatpart.counting import _lane_primes, sum_series_brute, sum_series_dp
 from flatpart.errors import CeilingExceeded
+from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
+from flatpart.series import ProductSpec, product_series
 
 
 def random_condition_set(rng):
@@ -34,6 +37,39 @@ def test_dp_matches_brute_on_random_sets():
         cs = random_condition_set(rng)
         order = 28
         assert sum_series_dp(cs, order) == sum_series_brute(cs, order)
+
+
+@st.composite
+def small_condition_sets(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 6))
+        text = "%d:%d:%d:%d" % (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+                                draw(st.integers(0, d - 1)), d)
+        rules.append(text + ("" if draw(st.booleans()) else ":n"))
+    return parse_condition_set(";".join(rules), zeros=draw(st.integers(0, 2)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(small_condition_sets(), st.integers(0, 24))
+def test_dp_matches_brute_property(cs, order):
+    assert sum_series_dp(cs, order) == sum_series_brute(cs, order)
+
+
+def test_dp_is_exact_across_lane_boundaries():
+    # p(405) < 2**63 <= p(406): lane 0 alone through order 405, one prime
+    # lane from 406 to 600.  300/301 was the old int64/object switch.
+    assert _lane_primes(405) == [] and len(_lane_primes(406)) == 1
+    assert len(_lane_primes(600)) == 1
+    ident = get_identity("MACMAHON")
+    deep = sum_series_dp(ident.flat, 600)
+    assert deep == product_series(ident.product, 600)
+    for order in (300, 301, 405, 406):
+        assert deep.truncate(order) == sum_series_dp(ident.flat, order)
+    # no rules: the counts are p(n), and p(600) > 2**78 needs the CRT
+    free = sum_series_dp(condition_set([]), 600)
+    assert free == product_series(ProductSpec(1, {0: 1}), 600)
+    assert free[600] == 458004788008144308553622
 
 
 def test_dp_matches_direct_filter():

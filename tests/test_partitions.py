@@ -1,6 +1,7 @@
 """Partition primitives: enumeration, the flatness order, conjugation."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -36,6 +37,22 @@ def test_kth_flattest_runs_out():
         kth_flattest(7, 2, 10)   # only (5,5) .. (10,0)
     with pytest.raises(NotEnoughPatterns):
         kth_flattest(2, 1, 3)
+
+
+def test_kth_flattest_matches_sorted_enumeration():
+    # independent oracle: every weakly decreasing tuple, sorted, flattest first
+    for width in range(1, 5):
+        for total in range(15):
+            patterns = sorted(
+                tuple(reversed(c))
+                for c in combinations_with_replacement(range(total + 1), width)
+                if sum(c) == total)
+            for k in range(1, 6):
+                if k <= len(patterns):
+                    assert kth_flattest(k, width, total) == patterns[k - 1]
+                else:
+                    with pytest.raises(NotEnoughPatterns):
+                        kth_flattest(k, width, total)
 
 
 def test_flatter_means_longer_or_lex_smaller():
