@@ -15,13 +15,13 @@ import json
 import sys
 
 
-def _write_series(series, out):
-    text = "\n".join(str(c) for c in series) + "\n"
+def _emit(text: str, out) -> None:
+    """Write the text and a newline to the file `out`, else to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
 
 
 def _condition_set_from(args):
@@ -41,7 +41,7 @@ def cmd_count(args) -> int:
         else:
             from .counting import sum_series_dp
             series = sum_series_dp(cs, args.order)
-    _write_series(series, args.out)
+    _emit("\n".join(map(str, series)), args.out)
     return 0
 
 
@@ -57,7 +57,7 @@ def cmd_product(args) -> int:
         pairs = (tok.split(":") for tok in args.classes.split(","))
         spec = ProductSpec(args.modulus,
                            {int(r): int(e) for r, e in pairs})
-    _write_series(product_series(spec, args.order), args.out)
+    _emit("\n".join(map(str, product_series(spec, args.order))), args.out)
     return 0
 
 
@@ -65,12 +65,7 @@ def cmd_euler(args) -> int:
     from .euler import detect_period, euler_exponents
     from .series import load_series
     fac = euler_exponents(load_series(args.series))
-    lines = "\n".join(str(e) for e in fac.exponents)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lines + "\n")
-    else:
-        print(lines)
+    _emit("\n".join(map(str, fac.exponents)), args.out)
     verdict = detect_period(fac, args.dmax, args.emax)
     if verdict.periodic:
         classes = ",".join("%d:%d" % c for c in verdict.class_exponents)
@@ -87,12 +82,7 @@ def cmd_search(args) -> int:
     reports = search(bounds, nontrivial=not args.include_trivial)
     if args.verify:
         reports = [verify_candidate(r, args.verify) for r in reports]
-    text = reports_to_json(reports)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(reports_to_json(reports), args.out)
     return 0
 
 
@@ -141,18 +131,13 @@ def cmd_overpartition(args) -> int:
     from .overpartitions import count_A, product_biseries, specialize
     if args.specialize:
         s, t = (int(x) for x in args.specialize.split(","))
-        _write_series(specialize(args.k, s, t, args.nmax), args.out)
+        _emit("\n".join(map(str, specialize(args.k, s, t, args.nmax))), args.out)
         return 0
     if args.enumerate:
         table = count_A(args.k, args.nmax, args.mmax)
     else:
         table = product_biseries(args.k, args.nmax, args.mmax)
-    text = str(table)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(str(table), args.out)
     return 0
 
 

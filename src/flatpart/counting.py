@@ -6,10 +6,12 @@ window check; it is the reference oracle and refuses large orders.
 sum_series_dp walks part values from the largest allowed down to 1,
 choosing the multiplicity of each value, and keeps only as much state
 as the rules can see: the multiplicities of the last few values, each
-capped just above the widest window.  A forbidden window always lies
-inside a span of nearby values (flat patterns have small spread), so
-the capped profile decides every rule exactly.  The DP is compared
-against the brute oracle in the test suite.
+capped just above the widest window.  The forbidden windows are listed
+once per call from their totals (a rule's window of total t is its
+k-th flattest pattern of t), and the profile spans the widest of them
+among parts <= the largest part, so the capped profile decides every
+rule exactly.  The DP is compared against the brute oracle in the test
+suite.
 
 Counts are held as int64 residue lanes, one array of shape
 (lanes, order+1) per profile.  Lane 0 is plain int64 arithmetic, which
@@ -24,7 +26,7 @@ residues by the Chinese remainder theorem.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import lru_cache, partial
 from math import isqrt
 from typing import Callable
@@ -54,90 +56,39 @@ def sum_series_brute(cs: ConditionSet, order: int, ceiling: int = BRUTE_CEILING)
     return count_by_predicate(partial(satisfies, cs), order, ceiling)
 
 
-def _pattern_spread(flatness_index: int, width: int) -> int:
-    """Largest gap max-min over all k-th flattest patterns of this shape.
+def _window_table(rules, start: int):
+    """Every forbidden window among parts <= start, as checks grouped by
+    bottom value, and the widest spread w[0] - w[-1] among them.
 
-    Patterns of consecutive sums eventually repeat shifted by one (adding
-    1 to every entry of the first k patterns of sum m gives the first k
-    patterns of sum m+width, provided no zero-entry tuple can slip in
-    between; the margin check below is inductive, so once it holds on a
-    full window it holds for all larger sums).  Scan until that window
-    is reached and take the maximum spread seen.
-    """
-    if width == 1:
-        return 0
-    scan = width * (flatness_index + 6)
-    while True:
-        pats = {}
-        for m in range(scan + 1):
+    A window of rule A:B:C:D is fixed by its total t: it is
+    kth_flattest(A, B, t).  A window whose parts are all <= start has
+    t <= B*start, and the all-zero window (t = 0) is exempt, so walking
+    t = 1..B*start lists each window that can occur exactly once.  A
+    bottom value of 0 means the window ends in fictitious zeros.
+
+    A check (c0, eq, ge) with bottom value v says the window occurs iff
+    the multiplicity of v is >= c0, the profile slots in eq (slot i holds
+    the multiplicity of v+1+i) hold exactly the stated count, and the
+    slots in ge hold at least it."""
+    table = defaultdict(list)
+    span = 0
+    for rule in rules:
+        for t in range(1, rule.width * start + 1):
+            if not rule.sum_matches(t):
+                continue
             try:
-                pats[m] = kth_flattest(flatness_index, width, m)
+                w = kth_flattest(rule.flatness_index, rule.width, t)
             except NotEnoughPatterns:
                 continue
-        stable = True
-        for m in range(scan - 2 * width + 1, scan + 1):
-            prev = pats.get(m - width)
-            cur = pats.get(m)
-            if prev is None or cur is None:
-                stable = False
-                break
-            if cur != tuple(x + 1 for x in prev):
-                stable = False
-                break
-            if (width - 1) * (cur[0] + 1) >= m + width:
-                stable = False
-                break
-        if stable:
-            return max(p[0] - p[-1] for p in pats.values())
-        scan *= 2
-
-
-def _rule_offset_shapes(width: int, spread: int):
-    """Weakly decreasing nonnegative offset tuples, last entry 0, first
-    entry at most spread.  A window with bottom value v has shape v+O."""
-    if width == 1:
-        return [(0,)]
-    shapes = []
-
-    def rec(prefix, todo):
-        if todo == 0:
-            shapes.append(tuple(prefix) + (0,))
-            return
-        hi = prefix[-1] if prefix else spread
-        for o in range(hi, -1, -1):
-            rec(prefix + [o], todo - 1)
-
-    rec([], width - 1)
-    return shapes
-
-
-def _stage_checks(rules_info, v: int):
-    """Forbidden-window tests whose bottom value is v, as (c0, eq, ge):
-    the window occurs iff the multiplicity of v is >= c0, profile slots
-    in eq hold exactly the stated count, and slots in ge hold at least it."""
-    checks = []
-    for rule, shapes in rules_info:
-        b = rule.width
-        for off in shapes:
-            if v == 0 and off[0] == 0:
-                continue  # window of fictitious zeros only
-            total = b * v + sum(off)
-            if not rule.sum_matches(total):
+            if w[0] > start:
                 continue
-            window = tuple(v + o for o in off)
-            try:
-                if kth_flattest(rule.flatness_index, b, total) != window:
-                    continue
-            except NotEnoughPatterns:
-                continue
-            counts = {}
-            for o in off:
-                counts[o] = counts.get(o, 0) + 1
-            top = off[0]
-            eq = tuple((u - 1, counts.get(u, 0)) for u in range(1, top))
+            counts = Counter(x - w[-1] for x in w)
+            top = w[0] - w[-1]
+            eq = tuple((u - 1, counts[u]) for u in range(1, top))
             ge = ((top - 1, counts[top]),) if top > 0 else ()
-            checks.append((counts[0], eq, ge))
-    return checks
+            table[w[-1]].append((counts[0], eq, ge))
+            span = max(span, top)
+    return table, span
 
 
 def _profile_ok(prof, eq, ge) -> bool:
@@ -148,6 +99,16 @@ def _profile_ok(prof, eq, ge) -> bool:
         if prof[i] < val:
             return False
     return True
+
+
+def _lowest_completion(prof, checks, more: int) -> int:
+    """Smallest multiplicity of the bottom value that completes one of
+    these windows over the profile, or `more` when none does."""
+    lowest = more
+    for c0, eq, ge in checks:
+        if c0 < lowest and _profile_ok(prof, eq, ge):
+            lowest = c0
+    return lowest
 
 
 def _strided_cumsum(vec, stride: int):
@@ -196,13 +157,11 @@ def sum_series_dp(cs: ConditionSet, order: int,
     [min_part, largest_part] when bounds are given.  Handles orders well
     beyond the brute ceiling (hundreds)."""
     cap = max((r.width for r in cs.rules), default=1)
-    spreads = [(_pattern_spread(r.flatness_index, r.width), r) for r in cs.rules]
-    window_span = max((s for s, _ in spreads), default=0)
-    rules_info = [(r, _rule_offset_shapes(r.width, s)) for s, r in spreads]
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
+    start = order if largest_part is None else min(order, largest_part)
+    windows, window_span = _window_table(cs.rules, start)
 
     length = order + 1
-    start = order if largest_part is None else min(order, largest_part)
     # Every entry the DP stores or adds counts distinct partitions of its
     # weight, so it lies in [0, p(order)], below 2**63 * prod(primes).
     # Hence a profile whose lanes are all zero has a true count of zero
@@ -221,16 +180,11 @@ def sum_series_dp(cs: ConditionSet, order: int,
     dp = {blank: init}
 
     for v in range(start, 0, -1):
-        checks = _stage_checks(rules_info, v)
+        checks = windows.get(v, ())
         ndp = defaultdict(partial(np.zeros, shape, dtype=np.int64))
         for prof, vec in dp.items():
-            lowest = None  # smallest multiplicity of v that completes a window
-            for c0, eq, ge in checks:
-                if (lowest is None or c0 < lowest) and _profile_ok(prof, eq, ge):
-                    lowest = c0
-            hi = cap if lowest is None else min(cap, lowest - 1)
-            if v < min_part:
-                hi = 0
+            lowest = _lowest_completion(prof, checks, more)
+            hi = min(cap, lowest - 1) if v >= min_part else 0
             for mu in range(0, hi + 1):
                 shift = mu * v
                 if shift >= length:
@@ -240,7 +194,7 @@ def sum_series_dp(cs: ConditionSet, order: int,
                     slot[:, shift:] += vec[:, :length - shift]
                 else:
                     slot += vec
-            if lowest is None and v >= min_part:
+            if lowest == more and v >= min_part:
                 base = more * v
                 if base < length:
                     slot = ndp[((more,) + prof)[:window_span]]
@@ -252,17 +206,13 @@ def sum_series_dp(cs: ConditionSet, order: int,
             if vec.any():
                 dp[prof] = vec
 
-    # fictitious zeros: one final batch of checks, no weight
-    checks = _stage_checks(rules_info, 0)
-    mu0 = min(cs.zeros, more)
+    # fictitious zeros: one final batch of checks, no weight; every check
+    # needs at most cap zeros, so more zeros than that change nothing
+    checks = windows.get(0, ())
+    mu0 = min(cs.zeros, cap)
     out = np.zeros(shape, dtype=np.int64)
     for prof, vec in dp.items():
-        dead = False
-        for c0, eq, ge in checks:
-            if mu0 >= c0 and _profile_ok(prof, eq, ge):
-                dead = True
-                break
-        if not dead:
+        if _lowest_completion(prof, checks, more) > mu0:
             out += vec
     np.remainder(out[1:], moduli, out=out[1:])
     return IntSeries(_from_lanes(out, primes))

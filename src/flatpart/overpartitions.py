@@ -166,12 +166,9 @@ def count_A(k: int, n_max: int, m_max: int) -> BiSeries:
     """The overpartition table, by direct enumeration."""
     if k < 2:
         raise PreconditionViolated("k must be at least 2")
-    table = BiSeries([], n_max, m_max)
-    for n in range(n_max + 1):
-        for op in overpartitions_of(n):
-            if len(op.overlined) <= m_max and op.satisfies(k):
-                table.rows[len(op.overlined)][n] += 1
-    return table
+    # an overpartition of n <= n_max has every part <= n_max, so r_j's
+    # bounds at j = n_max + k - 1 exclude nothing
+    return r_enumeration(k, n_max + k - 1, n_max, m_max)
 
 
 def product_biseries(k: int, n_max: int, m_max: int) -> BiSeries:

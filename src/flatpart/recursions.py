@@ -20,7 +20,7 @@ from typing import Optional
 from .counting import sum_series_dp
 from .errors import UnknownRecursion
 from .families import canonical_name, get_identity
-from .series import IntSeries, geom, monomial, one
+from .series import IntSeries, first_difference, geom, monomial, one
 
 # offset tables for the three cyclic mod-9 variants: for each residue of
 # j mod 3 the terms (offset, sign) in
@@ -206,9 +206,8 @@ def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:
     for j in levels:
         via_dp = sum_series_dp(ident.flat, order, largest_part=j)
         got = values[j]
-        if got != via_dp:
-            n = next(i for i in range(order + 1)
-                     if got.coeffs[i] != via_dp.coeffs[i])
+        n = first_difference(got, via_dp)
+        if n is not None:
             return RecursionReport(key, ident.name, order, levels, False,
                                    (j, n, got.coeffs[n], via_dp.coeffs[n]),
                                    bases_ok)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Optional
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
 from .counting import sum_series_dp
 from .euler import PeriodicVerdict, detect_period, euler_exponents
-from .series import one, product_series
+from .series import first_difference, one, product_series
 
 DEFAULT_SCREEN_ORDER = 25
 DEFAULT_VERIFY_ORDER = 200
@@ -186,9 +186,9 @@ def verify_candidate(report: CandidateReport,
         expected = product_series(report.verdict.to_product_spec(), n_big)
     else:
         expected = one(n_big)       # empty product: only the empty partition
-    for n in range(n_big + 1):
-        if series[n] != expected[n]:
-            return replace(report, status="refuted-at-%d" % n,
-                           verified_to=n - 1, failed_at=n)
+    n = first_difference(series, expected)
+    if n is not None:
+        return replace(report, status="refuted-at-%d" % n,
+                       verified_to=n - 1, failed_at=n)
     return replace(report, status="verified-to-%d" % n_big,
                    verified_to=n_big, failed_at=None)

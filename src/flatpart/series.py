@@ -140,6 +140,15 @@ def one(order: int) -> IntSeries:
     return IntSeries((1,) + (0,) * order)
 
 
+def first_difference(a: IntSeries, b: IntSeries) -> int | None:
+    """First index where the coefficients differ, compared over the
+    shorter series; None when they agree there."""
+    for n, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return n
+    return None
+
+
 def monomial(k: int, order: int, coeff: int = 1) -> IntSeries:
     """coeff * q^k truncated at the given order."""
     c = [0] * (order + 1)

@@ -15,6 +15,7 @@ from typing import Optional
 from .errors import UnknownFamily, UnknownRecursion
 from . import recursions
 from .families import get_identity, get_refuted, refuted_names, registered_names
+from .series import first_difference, product_series
 
 PREDICATE_CAP = 40
 
@@ -55,12 +56,12 @@ def _count_check(ident, nmax: Optional[int]) -> CheckResult:
         note = ", enumeration capped at %d" % PREDICATE_CAP
     got = ident.count_series(order)
     want = ident.product_series(order)
-    for n in range(order + 1):
-        if got[n] != want[n]:
-            return CheckResult(
-                "count vs product", False,
-                "first mismatch at n=%d: sum %d, product %d"
-                % (n, got[n], want[n]))
+    n = first_difference(got, want)
+    if n is not None:
+        return CheckResult(
+            "count vs product", False,
+            "first mismatch at n=%d: sum %d, product %d"
+            % (n, got[n], want[n]))
     return CheckResult("count vs product", True,
                        "exact to n=%d%s" % (order, note))
 
@@ -109,19 +110,18 @@ def _specialization_check(ident) -> Optional[CheckResult]:
     order = 30
     series = specialize(k, s, 2, order)
     want = ident.count_series(order)
-    for n in range(order + 1):
-        if series[n] != want[n]:
-            return CheckResult(
-                "overline specialization", False,
-                "a->q^%d, q->q^2 diverges at n=%d: %d vs %d"
-                % (s, n, series[n], want[n]))
+    n = first_difference(series, want)
+    if n is not None:
+        return CheckResult(
+            "overline specialization", False,
+            "a->q^%d, q->q^2 diverges at n=%d: %d vs %d"
+            % (s, n, series[n], want[n]))
     return CheckResult("overline specialization", True,
                        "a->q^%d, q->q^2 matches counts to n=%d" % (s, order))
 
 
 def _refuted_report(name: str) -> VerifyReport:
     from .counting import sum_series_dp
-    from .series import product_series
     entry = get_refuted(name)
     n = entry.counterexample_n
     got = sum_series_dp(entry.flat(), n)[n]

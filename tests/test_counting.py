@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpart.conditions import condition_set, parse_condition_set, satisfies
-from flatpart.counting import _lane_primes, sum_series_brute, sum_series_dp
+from flatpart.counting import (_lane_primes, count_by_predicate,
+                               sum_series_brute, sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
@@ -54,6 +55,30 @@ def small_condition_sets(draw):
 @given(small_condition_sets(), st.integers(0, 24))
 def test_dp_matches_brute_property(cs, order):
     assert sum_series_dp(cs, order) == sum_series_brute(cs, order)
+
+
+@st.composite
+def wide_condition_sets(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 6))
+        text = "%d:%d:%d:%d" % (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                                draw(st.integers(0, d - 1)), d)
+        rules.append(text + ("" if draw(st.booleans()) else ":n"))
+    return parse_condition_set(";".join(rules), zeros=draw(st.integers(0, 5)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(wide_condition_sets(), st.integers(0, 24),
+       st.none() | st.integers(0, 24), st.integers(1, 3))
+def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
+    top = order if largest_part is None else largest_part
+
+    def pred(p):
+        return all(min_part <= x <= top for x in p) and satisfies(cs, p)
+
+    assert (sum_series_dp(cs, order, largest_part, min_part)
+            == count_by_predicate(pred, order))
 
 
 def test_dp_is_exact_across_lane_boundaries():

@@ -6,10 +6,10 @@ import pytest
 
 from flatpart.errors import NonUnitConstantTerm
 from flatpart.partitions import partitions_of
-from flatpart.series import (IntSeries, ProductSpec, geom, load_series,
-                             monomial, one, product_from_exponents,
-                             product_series, save_series, series_div,
-                             series_mul, zero)
+from flatpart.series import (IntSeries, ProductSpec, first_difference, geom,
+                             load_series, monomial, one,
+                             product_from_exponents, product_series,
+                             save_series, series_div, series_mul, zero)
 
 
 def test_arithmetic_basics():
@@ -29,6 +29,14 @@ def test_mixed_orders_truncate_to_the_shorter():
     g = IntSeries((1, 2, 3))
     assert (f + g).coeffs == (2, 4)
     assert (f * g).order == 1
+
+
+def test_first_difference_scans_the_shorter_series():
+    f = IntSeries((1, 2))
+    g = IntSeries((1, 2, 3))
+    assert first_difference(f, g) is None
+    assert first_difference(g, IntSeries((1, 2, 4))) == 2
+    assert first_difference(IntSeries((0, 2)), g) == 0
 
 
 def test_constructors():
