@@ -11,7 +11,6 @@ and `overpartition` prints the two-variable overline table.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 
@@ -187,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="sweep a bounds box for candidates")
     p.add_argument("--bounds", required=True, help="JSON bounds file")
-    p.add_argument("--verify", type=int, metavar="N",
+    p.add_argument("--verify", type=_nonnegative, metavar="N",
                    help="re-check survivors to order N")
     p.add_argument("--include-trivial", action="store_true")
     p.add_argument("--out", help="JSON report file (default stdout)")

@@ -122,7 +122,8 @@ def _strided_cumsum(vec, stride: int):
     return padded[:, :n]
 
 
-def _lane_primes(order: int) -> list:
+@lru_cache(maxsize=16)
+def _lane_primes(order: int) -> tuple:
     """Moduli of the extra lanes: the fewest primes below 2**31, largest
     first, whose product times 2**63 exceeds p(order)."""
     bound = product_series(ProductSpec(1, {0: 1}), order)[order] >> 63
@@ -132,7 +133,7 @@ def _lane_primes(order: int) -> list:
             primes.append(n)
             product *= n
         n -= 2
-    return primes
+    return tuple(primes)
 
 
 def _from_lanes(lanes, primes) -> list:
@@ -156,7 +157,7 @@ def sum_series_dp(cs: ConditionSet, order: int,
     """Exact counting series of satisfying partitions, parts restricted to
     [min_part, largest_part] when bounds are given.  Handles orders well
     beyond the brute ceiling (hundreds)."""
-    cap = max((r.width for r in cs.rules), default=1)
+    cap = cs.max_width()
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
     start = order if largest_part is None else min(order, largest_part)
     windows, window_span = _window_table(cs.rules, start)

@@ -19,7 +19,7 @@ one-off classical identities have bare names (MACMAHON, SCHUR, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .conditions import ConditionSet, condition_set
@@ -284,6 +284,10 @@ def fam8_product(residues, modulus: int) -> ProductSpec:
 
 
 # -------------------------------------- Family 9 and its Andrews companion
+#
+# FAM9_K<k> and AND1_K<k> are the corollary's ends, COR_K<k>_I0 and
+# COR_K<k>_I<k-1>, and take its products.  They keep their own sum
+# predicates: the counts go by enumeration, and these are the faster.
 
 def fam9_sum_pred(k: int) -> Callable:
     def pred(parts) -> bool:
@@ -295,13 +299,6 @@ def fam9_sum_pred(k: int) -> Callable:
         return True
 
     return pred
-
-
-def fam9_product(k: int) -> ProductSpec:
-    m = 4 * k
-    residues = [r for r in range(0, m, 2) if r != 2]
-    residues += [1, 2 * k + 1]
-    return ProductSpec.from_residues(m, residues)
 
 
 def and1_sum_pred(k: int) -> Callable:
@@ -318,13 +315,6 @@ def and1_sum_pred(k: int) -> Callable:
         return True
 
     return pred
-
-
-def and1_product(k: int) -> ProductSpec:
-    m = 4 * k
-    residues = [r for r in range(0, m, 2) if r != m - 2]
-    residues += [2 * k - 1, 4 * k - 1]
-    return ProductSpec.from_residues(m, residues)
 
 
 def cor_sum_pred(k: int, i: int) -> Callable:
@@ -353,32 +343,6 @@ def cor_product(k: int, i: int) -> ProductSpec:
 
 
 # ------------------------------------------------------------- classical
-
-def rr_sum_pred(min_part: int) -> Callable:
-    def pred(parts) -> bool:
-        if parts and parts[-1] < min_part:
-            return False
-        return all(a - b >= 2 for a, b in _adjacent(parts))
-    return pred
-
-
-def macmahon_sum_pred(parts) -> bool:
-    if parts and parts[-1] == 1:
-        return False
-    return all(a - b != 1 for a, b in _adjacent(parts))
-
-
-def macmahon_conj_pred(parts) -> bool:
-    return all(f != 1 for f, _g in frequency_profile(parts).values())
-
-
-def andrews236_sum_pred(parts) -> bool:
-    if parts and parts[-1] == 1:
-        return False
-    if any(a - b == 1 for a, b in _adjacent(parts)):
-        return False
-    return all(f <= 2 for f, _g in frequency_profile(parts).values())
-
 
 def schur_sum_pred(parts) -> bool:
     for a, b in _adjacent(parts):
@@ -434,6 +398,12 @@ def bressoud_sum_pred(k: int, i: int) -> Callable:
         return True
 
     return pred
+
+
+def _avoiding(m: int, i: int) -> ProductSpec:
+    """Parts not congruent to 0 or +-i mod m."""
+    return ProductSpec.from_residues(
+        m, [r for r in range(m) if r not in (0, i % m, (m - i) % m)])
 
 
 def mod9_sum_pred(min_part: int) -> Callable:
@@ -531,7 +501,7 @@ def _build_registry():
         _register(RegisteredIdentity(
             name="FAM9_K%d" % k,
             summary="Odd parts isolated above, modulus %d" % (4 * k),
-            product=fam9_product(k),
+            product=cor_product(k, 0),
             sum_pred=fam9_sum_pred(k),
             flat=None,
             family="FAM9", params=(("k", k),),
@@ -539,7 +509,7 @@ def _build_registry():
         _register(RegisteredIdentity(
             name="AND1_K%d" % k,
             summary="Odd parts isolated below, modulus %d" % (4 * k),
-            product=and1_product(k),
+            product=cor_product(k, k - 1),
             sum_pred=and1_sum_pred(k),
             flat=None,
             family="AND1", params=(("k", k),),
@@ -554,31 +524,23 @@ def _build_registry():
                 family="COR", params=(("k", k), ("i", i)),
             ))
 
-    # classical regressions
-    _register(RegisteredIdentity(
-        name="RR1", summary="Difference at least 2",
-        product=ProductSpec.from_residues(5, [1, 4]),
-        sum_pred=rr_sum_pred(1),
-        flat=condition_set([(1, 2, 0, 1)]),
-        family="RR", params=(("i", 1),)))
-    _register(RegisteredIdentity(
-        name="RR2", summary="Difference at least 2, parts at least 2",
-        product=ProductSpec.from_residues(5, [2, 3]),
-        sum_pred=rr_sum_pred(2),
-        flat=condition_set([(1, 2, 0, 1)], zeros=1),
-        family="RR", params=(("i", 2),)))
-    _register(RegisteredIdentity(
-        name="MACMAHON", summary="No consecutive integers, no ones",
-        product=ProductSpec.from_residues(6, [0, 2, 3, 4]),
-        sum_pred=macmahon_sum_pred,
-        flat=condition_set([(1, 2, 1, 2)], zeros=1),
-        conj_pred=macmahon_conj_pred,
-        family="MACMAHON"))
+    # classical regressions; the Rogers-Ramanujan pair is Gordon at k=2,
+    # MacMahon is Family 1 at k=1, and Andrews' mod-6 identity is Bressoud
+    # at k=3, i=1 with a second window encoding
+    _register(replace(_gordon(2, 2), name="RR1",
+                      summary="Difference at least 2",
+                      family="RR", params=(("i", 1),)))
+    _register(replace(_gordon(2, 1), name="RR2",
+                      summary="Difference at least 2, parts at least 2",
+                      family="RR", params=(("i", 2),)))
+    _register(replace(_REGISTRY["FAM1_1_K1"], name="MACMAHON",
+                      summary="No consecutive integers, no ones",
+                      family="MACMAHON", params=()))
     _register(RegisteredIdentity(
         name="ANDREWS_236",
         summary="No consecutive integers, no ones, no part three times",
-        product=ProductSpec.from_residues(6, [2, 3, 4]),
-        sum_pred=andrews236_sum_pred,
+        product=_avoiding(6, 1),
+        sum_pred=bressoud_sum_pred(3, 1),
         flat=condition_set([(1, 2, 1, 2), (1, 3, 0, 3)], zeros=1),
         family="ANDREWS_236"))
     _register(RegisteredIdentity(
@@ -607,23 +569,12 @@ def _build_registry():
         family="CAPPARELLI"))
     for k in (2, 3, 4):
         for i in range(1, k + 1):
-            m = 2 * k + 1
-            _register(RegisteredIdentity(
-                name="GORDON_K%d_I%d" % (k, i),
-                summary="Gordon-style gap condition at distance %d" % (k - 1),
-                product=ProductSpec.from_residues(
-                    m, [r for r in range(m) if r % m not in (0, i % m, (m - i) % m)]),
-                sum_pred=gordon_sum_pred(k, i),
-                flat=condition_set([(1, k, 0, 1)], zeros=k - i),
-                family="GORDON", params=(("k", k), ("i", i)),
-            ))
+            _register(_gordon(k, i))
         for i in range(1, k):
-            m = 2 * k
             _register(RegisteredIdentity(
                 name="BRESSOUD_K%d_I%d" % (k, i),
                 summary="Even-modulus gap condition with a parity constraint",
-                product=ProductSpec.from_residues(
-                    m, [r for r in range(m) if r not in (0, i % m, (m - i) % m)]),
+                product=_avoiding(2 * k, i),
                 sum_pred=bressoud_sum_pred(k, i),
                 flat=condition_set([(1, k, 0, 1), (1, k - 1, i % 2, 2)],
                                    zeros=k - i),
@@ -638,6 +589,17 @@ def _build_registry():
             sum_pred=mod9_sum_pred(idx),
             flat=condition_set(_MOD9_FLAT_RULES, zeros=idx - 1),
             family="MOD9", params=(("i", idx),)))
+
+
+def _gordon(k: int, i: int) -> RegisteredIdentity:
+    return RegisteredIdentity(
+        name="GORDON_K%d_I%d" % (k, i),
+        summary="Gordon-style gap condition at distance %d" % (k - 1),
+        product=_avoiding(2 * k + 1, i),
+        sum_pred=gordon_sum_pred(k, i),
+        flat=condition_set([(1, k, 0, 1)], zeros=k - i),
+        family="GORDON", params=(("k", k), ("i", i)),
+    )
 
 
 def _fam8_entry(name, residues, modulus, width, zeros) -> RegisteredIdentity:

@@ -138,9 +138,6 @@ class BiSeries:
                         + src[:max(0, self.n_max + 1 - e)])
         return BiSeries(rows, self.n_max, self.m_max)
 
-    def row_series(self, m: int) -> IntSeries:
-        return IntSeries(self.rows[m])
-
     def specialized(self, s: int, t: int, order: int) -> IntSeries:
         """Collapse a^m q^n to q^(t*n + s*m)."""
         coeffs = [0] * (order + 1)

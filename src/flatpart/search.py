@@ -14,9 +14,8 @@ semantically is a harder problem than finding them.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Iterator, List, Optional
 
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
@@ -70,29 +69,22 @@ class SearchBounds:
     @classmethod
     def from_json(cls, text: str) -> "SearchBounds":
         raw = json.loads(text)
-        known = {"max_rules", "a_range", "b_range", "d_range", "zeros_range",
-                 "n_check", "d_max", "e_max", "allow_neq"}
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError("unknown bounds keys: %s" % ", ".join(sorted(extra)))
         return cls(**{k: tuple(v) if k.endswith("_range") else v
                       for k, v in raw.items()})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "max_rules": self.max_rules,
-            "a_range": list(self.a_range), "b_range": list(self.b_range),
-            "d_range": list(self.d_range),
-            "zeros_range": list(self.zeros_range),
-            "n_check": self.n_check, "d_max": self.d_max,
-            "e_max": self.e_max, "allow_neq": self.allow_neq,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def enumerate_condition_sets(bounds: SearchBounds) -> Iterator[ConditionSet]:
     """Every deduplicated rule set in the box, in canonical order: rules
     by (width, modulus, residue, flatness index, mode), sets
-    lexicographically."""
+    lexicographically.  Sets stream out depth first over the sorted
+    rules: a prefix sorts before its extensions, and the zero count is
+    the last key."""
     modes = (CONGRUENT, NOT_CONGRUENT) if bounds.allow_neq else (CONGRUENT,)
     rules = sorted(
         (FlatRule(a, b, c, d, mode)
@@ -102,13 +94,17 @@ def enumerate_condition_sets(bounds: SearchBounds) -> Iterator[ConditionSet]:
          for a in range(bounds.a_range[0], bounds.a_range[1] + 1)
          for mode in modes),
         key=FlatRule.sort_key)
-    sets = []
-    for size in range(1, bounds.max_rules + 1):
-        for combo in itertools.combinations(rules, size):
-            for z in range(bounds.zeros_range[0], bounds.zeros_range[1] + 1):
-                sets.append(ConditionSet(combo, z))
-    sets.sort(key=ConditionSet.sort_key)
-    return iter(sets)
+    zeros = range(bounds.zeros_range[0], bounds.zeros_range[1] + 1)
+
+    def extend(prefix, start):
+        for i in range(start, len(rules)):
+            combo = prefix + (rules[i],)
+            for z in zeros:
+                yield ConditionSet(combo, z)
+            if len(combo) < bounds.max_rules:
+                yield from extend(combo, i + 1)
+
+    return extend((), 0)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,7 @@ def test_negative_sizes_are_rejected_before_any_work(capsys):
             (("product", "--residues", "1,4", "--modulus", "5",
               "--order", "-3"), "--order"),
             (("verify", "--family", "RR1", "--nmax", "-1"), "--nmax"),
+            (("search", "--bounds", "b.json", "--verify", "-5"), "--verify"),
             (("bijection", "--family", "FAM2", "--k", "-2",
               "--input", "5"), "--k"),
             (("overpartition", "--k", "2", "--mmax", "-1"), "--mmax")):

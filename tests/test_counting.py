@@ -84,7 +84,7 @@ def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
 def test_dp_is_exact_across_lane_boundaries():
     # p(405) < 2**63 <= p(406): lane 0 alone through order 405, one prime
     # lane from 406 to 600.  300/301 was the old int64/object switch.
-    assert _lane_primes(405) == [] and len(_lane_primes(406)) == 1
+    assert _lane_primes(405) == () and len(_lane_primes(406)) == 1
     assert len(_lane_primes(600)) == 1
     ident = get_identity("MACMAHON")
     deep = sum_series_dp(ident.flat, 600)

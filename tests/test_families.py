@@ -5,7 +5,8 @@ import pytest
 from flatpart.conditions import satisfies
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import UnknownFamily
-from flatpart.families import (family_satisfies, flat_form_of, get_identity,
+from flatpart.families import (and1_sum_pred, cor_sum_pred, fam9_sum_pred,
+                               family_satisfies, flat_form_of, get_identity,
                                get_refuted, refuted_names, registered_names)
 from flatpart.partitions import partitions_of
 from flatpart.series import product_series
@@ -73,6 +74,17 @@ def test_predicate_and_flat_routes_agree_on_a_sample():
             brute[n] = sum(1 for p in partitions_of(n)
                            if family_satisfies(name, p))
         assert tuple(brute) == ident.count_series(25).coeffs
+
+
+def test_family9_and_andrews_companion_are_the_corollary_ends():
+    # FAM9_K and AND1_K keep their own predicates but take COR's products
+    for k in (2, 3):
+        ends = ((fam9_sum_pred(k), cor_sum_pred(k, 0)),
+                (and1_sum_pred(k), cor_sum_pred(k, k - 1)))
+        for n in range(25):
+            for p in partitions_of(n):
+                for own, cor in ends:
+                    assert own(p) == cor(p), (k, p)
 
 
 def test_flat_form_of_unknown_or_predicate_only():
