@@ -13,8 +13,10 @@ statistic survives the map: the number of odd parts equals the
 alternating sum of the image.
 
 On top of that sit the modulus-m regular/restricted map (stockhofe_map)
-and the per-family wrapper maps, which splice an affine residue map and
-a copy-replication step around the core bijection.
+and one wrapper that serves all of Families 1-7, at m = 3 for Family 1
+and m = 2 for the rest: it splits the parts divisible by m, sends each
+product residue class to a class of m-regular parts, runs the core map,
+and copies each image part a number of times fixed by its index mod m.
 """
 
 from __future__ import annotations
@@ -185,225 +187,131 @@ def stockhofe_inverse(modulus: int, parts) -> tuple:
     return domain[key][rank]
 
 
-# ------------------------------------------------- families 2-7 wrappers
+# ------------------------------------------------ families 1-7 wrapper
 
 @dataclass(frozen=True)
 class WrapperSpec:
-    """How one family dresses up the odd/distinct core: the product's odd
-    class (parts M*m + offset, m >= 0, map to the odd number 2m + 1), and
-    how many copies each image part receives by index parity: `offset`
-    copies at odd indices and M - offset at even ones."""
+    """How one family dresses up the modulus-`core` regular/distinct core.
+    A product part modulus*j + residues[r-1] maps to core*j + r, parts
+    divisible by `core` split into `core` equal parts, and image part
+    number i gets copies[i % core] copies.  Every copy count is congruent
+    to one unit mod `core`.  `marked` is the index class that splits the
+    inverse's piles (see wrapper_inverse)."""
     family: str
     k: int
+    core: int
     modulus: int
-    offset: int
+    residues: tuple
+    copies: tuple
+    marked: int
 
-    @property
-    def odd_copies(self) -> int:
-        return self.offset
-
-    @property
-    def even_copies(self) -> int:
-        return self.modulus - self.offset
-
-    def to_small_odd(self, part: int) -> int:
-        m, rem = divmod(part - self.offset, self.modulus)
-        if rem or m < 0:
+    def to_core(self, part: int) -> int:
+        j, rem = divmod(part, self.modulus)
+        if rem not in self.residues:
             raise NotInProductClass(
-                "%d is not a legal odd-class part for %s k=%d"
+                "%d is not in the product class of %s k=%d"
                 % (part, self.family, self.k))
-        return 2 * m + 1
+        return self.core * j + self.residues.index(rem) + 1
 
-    def from_small_odd(self, odd: int) -> int:
-        return self.modulus * (odd // 2) + self.offset
+    def from_core(self, part: int) -> int:
+        j, r = divmod(part, self.core)
+        return self.modulus * j + self.residues[r - 1]
+
+
+_FAMILY1 = {"FAM1_1": 1, "FAM1_2": 2, "FAM1_3": 3}
+
+# trace names per core modulus: the split parts and the residue-mapped
+# parts forward, and the piles whose share of mu the inverse reports
+_TRACE_NAMES = {2: ("evens_halved", "odd_mapped", (2, 3)),
+                3: ("triples", "affine_mapped", ())}
 
 
 def wrapper_spec(family: str, k: int) -> WrapperSpec:
-    """The wrapper of one of Families 2-7, read from its table row."""
-    row = family_row(family, k)
-    return WrapperSpec(family.strip().upper(), k, row.modulus, row.odd_residue)
+    """The wrapper of FAM1_1 .. FAM1_3 or FAM2 .. FAM7, from its table row."""
+    fam = family.strip().upper()
+    variant = _FAMILY1.get(fam)
+    row = family_row(fam, k) if variant is None else family1_row(variant, k)
+    if k < 1:
+        raise PreconditionViolated("%s needs k >= 1, got k=%d" % (fam, k))
+    if variant is None:
+        return WrapperSpec(fam, k, 2, row.modulus, (row.odd_residue,),
+                           (row.modulus - row.odd_residue, row.odd_residue), 1)
+    marked = -row.high_residue % 3
+    copies = tuple(3 * k - 1 if r == marked else 2 for r in range(3))
+    return WrapperSpec(fam, k, 3, row.modulus, row.residues, copies, marked)
 
 
 def wrapper_map(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> tuple:
     parts = _as_parts(parts)
-    halved, odd_class = [], []
+    m = spec.core
+    split, small = [], []
     for p in parts:
-        if p % 2 == 0:
-            halved.extend((p // 2, p // 2))
+        if p % m == 0:
+            split.extend([p // m] * m)
         else:
-            odd_class.append(p)
-    small = tuple(sorted((spec.to_small_odd(p) for p in odd_class),
-                         reverse=True))
-    mu = sylvester_map(small)
+            small.append(spec.to_core(p))
+    small = tuple(sorted(small, reverse=True))
+    mu = stockhofe_map(m, small)
     replicated = []
-    for idx, m in enumerate(mu, start=1):
-        copies = spec.odd_copies if idx % 2 == 1 else spec.even_copies
-        replicated.extend([m] * copies)
-    image = tuple(sorted(halved + replicated, reverse=True))
+    for idx, v in enumerate(mu, start=1):
+        replicated.extend([v] * spec.copies[idx % m])
+    image = tuple(sorted(split + replicated, reverse=True))
     if trace is not None:
-        trace.update(evens_halved=tuple(sorted(halved, reverse=True)),
-                     odd_mapped=small, mu=mu,
-                     replicated=tuple(sorted(replicated, reverse=True)))
+        split_name, mapped_name, _piles = _TRACE_NAMES[m]
+        trace.update({split_name: tuple(sorted(split, reverse=True)),
+                      mapped_name: small, "mu": mu,
+                      "replicated": tuple(sorted(replicated, reverse=True))})
     return image
 
 
 def wrapper_inverse(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> tuple:
+    """Undo wrapper_map.  A part with frequency f and g greater parts
+    occurs e = f/c times in mu from index class 1 + g/c on (c any copy
+    count, division mod core).  It lands in pile pi_1 if e = 0, else in
+    pi_{2e+1} if those e classes include the marked one, else in pi_{2e}."""
     parts = _as_parts(parts)
-    profile = frequency_profile(parts)
-    pi1, pi2, pi3 = [], [], []
-    for v, (f, g) in sorted(profile.items(), reverse=True):
-        if f % 2 == 0:
-            pi1.extend([v] * f)
-        elif g % 2 == 1:
-            pi2.extend([v] * f)
-        else:
-            pi3.extend([v] * f)
-    # retain an odd number of copies of each odd-frequency part, spilling
-    # the even-sized excess into the halving pile
-    pi1_p, pi2_p, pi3_p = list(pi1), [], []
-    for v, (f, _g) in sorted(profile.items(), reverse=True):
-        if f % 2 == 0:
-            continue
-        retained = spec.even_copies if (v in set(pi2)) else spec.odd_copies
+    m = spec.core
+    inv = pow(spec.copies[0], -1, m)
+    piles = {j: [] for j in range(1, 2 * m)}
+    kept = {j: [] for j in range(1, 2 * m)}      # each pile's share of mu
+    spilled = []
+    for v, (f, g) in sorted(frequency_profile(parts).items(), reverse=True):
+        e = f * inv % m
+        classes = [(1 + g * inv + t) % m for t in range(e)]
+        retained = sum(spec.copies[c] for c in classes)
         if f < retained:
             raise PreconditionViolated(
-                "part %d appears %d times, fewer than the %d the family "
-                "wrapper requires" % (v, f, retained))
-        pi1_p.extend([v] * (f - retained))
-        (pi2_p if v in set(pi2) else pi3_p).append(v)
-    pi1_p.sort(reverse=True)
-    mu = tuple(sorted(pi2_p + pi3_p, reverse=True))
-    if len(set(mu)) != len(mu):
-        raise PreconditionViolated("odd-frequency parts are not distinct")
-    small = sylvester_inverse(mu)
-    unmapped = tuple(sorted((spec.from_small_odd(o) for o in small),
-                            reverse=True))
-    merged_evens = [2 * v for v in pi1_p[0::2]]
-    if pi1_p[0::2] != pi1_p[1::2]:
-        raise PreconditionViolated("leftover parts do not pair up evenly")
-    result = tuple(sorted(merged_evens + list(unmapped), reverse=True))
+                "part %d appears %d times, fewer than the %d %s k=%d "
+                "requires" % (v, f, retained, spec.family, spec.k))
+        pile = 2 * e + (spec.marked in classes) if e else 1
+        piles[pile].extend([v] * f)
+        kept[pile].extend([v] * e)
+        spilled.extend([v] * (f - retained))
+    mu = tuple(sorted((v for share in kept.values() for v in share),
+                      reverse=True))
+    small = stockhofe_inverse(m, mu)
+    unmapped = tuple(sorted((spec.from_core(o) for o in small), reverse=True))
+    # f and the retained count agree mod m, so each spilled run merges whole
+    merged = [m * v for v in spilled[0::m]]
+    result = tuple(sorted(merged + list(unmapped), reverse=True))
     if trace is not None:
-        trace.update(
-            pi_1=tuple(pi1), pi_2=tuple(pi2), pi_3=tuple(pi3),
-            pi_1_prime=tuple(pi1_p), pi_2_prime=tuple(pi2_p),
-            pi_3_prime=tuple(pi3_p),
-            pi_1_double_prime=tuple(sorted(merged_evens, reverse=True)),
-            mu=mu, mu_prime=small, mu_double_prime=unmapped)
+        trace.update(("pi_%d" % j, tuple(pile)) for j, pile in piles.items())
+        trace["pi_1_prime"] = tuple(spilled)
+        trace.update(("pi_%d_prime" % j, tuple(kept[j]))
+                     for j in _TRACE_NAMES[m][2])
+        trace.update(pi_1_double_prime=tuple(merged), mu=mu,
+                     mu_prime=small, mu_double_prime=unmapped)
     return result
-
-
-# --------------------------------------------------- family 1 (three maps)
-
-@dataclass(frozen=True)
-class _Fam1Data:
-    modulus: int
-    offset_low: int    # parts M*m - offset_low map to 3m - 2
-    offset_high: int   # parts M*m - offset_high map to 3m - 1
-    copies: tuple      # replication for image index = 1, 2, 0 mod 3
-    rho3: int          # greater-count residue marking the long retention
-    rho4: int          # greater-count residue marking the short double
-
-
-def _fam1_data(variant: int, k: int) -> _Fam1Data:
-    row = family1_row(variant, k)
-    low, high = row.residues
-    copies, rho3, rho4 = {1: ((2, 3 * k - 1, 2), 2, 1),
-                          2: ((3 * k - 1, 2, 2), 0, 2),
-                          3: ((2, 2, 3 * k - 1), 1, 0)}[variant]
-    return _Fam1Data(row.modulus, row.modulus - low, row.modulus - high,
-                     copies, rho3, rho4)
 
 
 def family1_map(variant: int, k: int, parts,
                 trace: Optional[dict] = None) -> tuple:
-    parts = _as_parts(parts)
-    data = _fam1_data(variant, k)
-    modulus = data.modulus
-    triples, small = [], []
-    for p in parts:
-        if p % 3 == 0:
-            triples.extend([p // 3] * 3)
-        elif (p + data.offset_low) % modulus == 0:
-            m = (p + data.offset_low) // modulus
-            small.append(3 * m - 2)
-        elif (p + data.offset_high) % modulus == 0:
-            m = (p + data.offset_high) // modulus
-            small.append(3 * m - 1)
-        else:
-            raise NotInProductClass(
-                "%d is not in the product class of family 1.%d, k=%d"
-                % (p, variant, k))
-    small = tuple(sorted(small, reverse=True))
-    mu = stockhofe_map(3, small)
-    replicated = []
-    for idx, m in enumerate(mu, start=1):
-        replicated.extend([m] * data.copies[[2, 0, 1][idx % 3]])
-    image = tuple(sorted(triples + replicated, reverse=True))
-    if trace is not None:
-        trace.update(triples=tuple(sorted(triples, reverse=True)),
-                     affine_mapped=small, mu=mu,
-                     replicated=tuple(sorted(replicated, reverse=True)))
-    return image
+    return wrapper_map(wrapper_spec("FAM1_%d" % variant, k), parts, trace)
 
 
 def family1_inverse(variant: int, k: int, parts,
                     trace: Optional[dict] = None) -> tuple:
-    parts = _as_parts(parts)
-    data = _fam1_data(variant, k)
-    modulus = data.modulus
-    profile = frequency_profile(parts)
-
-    groups = {1: [], 2: [], 3: [], 4: [], 5: []}
-    retention = {}
-    for v, (f, g) in sorted(profile.items(), reverse=True):
-        if f % 3 == 0:
-            groups[1].extend([v] * f)
-            continue
-        if f % 3 == 2:
-            which = 3 if g % 3 == data.rho3 else 2
-            retention[v] = 3 * k - 1 if which == 3 else 2
-        else:
-            which = 4 if g % 3 == data.rho4 else 5
-            retention[v] = 4 if which == 4 else 3 * k + 1
-        groups[which].extend([v] * f)
-
-    pi1_p = list(groups[1])
-    mu_parts = []
-    for which, keep in ((2, 1), (3, 1), (4, 2), (5, 2)):
-        for v in sorted(set(groups[which]), reverse=True):
-            f = profile[v][0]
-            if f < retention[v]:
-                raise PreconditionViolated(
-                    "part %d appears %d times, fewer than the %d required"
-                    % (v, f, retention[v]))
-            pi1_p.extend([v] * (f - retention[v]))
-            mu_parts.extend([v] * keep)
-    pi1_p.sort(reverse=True)
-    mu = tuple(sorted(mu_parts, reverse=True))
-
-    small = stockhofe_inverse(3, mu)
-    unmapped = []
-    for o in small:
-        m = (o + 2) // 3
-        if o % 3 == 1:
-            unmapped.append(modulus * m - data.offset_low)
-        else:
-            unmapped.append(modulus * m - data.offset_high)
-    if len(pi1_p) % 3:
-        raise PreconditionViolated("leftover parts do not come in triples")
-    coalesced = [3 * v for v in pi1_p[0::3]]
-    if pi1_p[0::3] != pi1_p[1::3] or pi1_p[0::3] != pi1_p[2::3]:
-        raise PreconditionViolated("leftover parts do not come in triples")
-    result = tuple(sorted(coalesced + unmapped, reverse=True))
-    if trace is not None:
-        trace.update(
-            pi_1=tuple(groups[1]), pi_2=tuple(groups[2]),
-            pi_3=tuple(groups[3]), pi_4=tuple(groups[4]),
-            pi_5=tuple(groups[5]), pi_1_prime=tuple(pi1_p),
-            pi_1_double_prime=tuple(sorted(coalesced, reverse=True)),
-            mu=mu, mu_prime=small,
-            mu_double_prime=tuple(sorted(unmapped, reverse=True)))
-    return result
+    return wrapper_inverse(wrapper_spec("FAM1_%d" % variant, k), parts, trace)
 
 
 # ---------------------------------------------------------------- harness
@@ -428,24 +336,16 @@ class BijectionReport:
         return text
 
 
-_FAMILY1 = {"FAM1_1": 1, "FAM1_2": 2, "FAM1_3": 3}
-
-
 def family_maps(family: str, k: int):
     """(forward, inverse, core) of the bijection behind a Family 1-7
     identity: FAM1_1 .. FAM1_3 or FAM2 .. FAM7.  Both maps take
     (parts, trace=None).  Raises UnknownFamily for any other family."""
-    fam = family.strip().upper()
-    if fam in _FAMILY1:
-        variant = _FAMILY1[fam]
-        return (partial(family1_map, variant, k),
-                partial(family1_inverse, variant, k), stockhofe_core(3))
     try:
-        spec = wrapper_spec(fam, k)
+        spec = wrapper_spec(family, k)
     except UnknownFamily:
         raise UnknownFamily("no bijection for %r" % family) from None
     return (partial(wrapper_map, spec), partial(wrapper_inverse, spec),
-            stockhofe_core(2))
+            stockhofe_core(spec.core))
 
 
 def verify_bijection(family: str, k: int, n_max: int) -> BijectionReport:

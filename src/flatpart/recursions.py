@@ -22,10 +22,10 @@ from .errors import UnknownRecursion
 from .families import canonical_name, get_identity
 from .series import IntSeries, first_difference, geom, monomial, one
 
-# offset tables for the three cyclic mod-9 variants: for each residue of
-# j mod 3 the terms (offset, sign) in
+# offset tables: for each residue of j mod the table's length the terms
+# (offset, sign) in
 #   P_j = P_{j-1} + q^j/(1-q^j) * sum(sign * P_{j-offset})
-_FAM1_OFFSETS = {
+_OFFSETS = {
     "FAM1_1_K2": {0: ((2, 1), (4, -1), (5, 1)),
                   1: ((3, 1), (4, -1), (5, 1)),
                   2: ((2, 1),)},
@@ -35,6 +35,7 @@ _FAM1_OFFSETS = {
     "FAM1_3_K2": {0: ((3, 1), (4, -1), (5, 1)),
                   1: ((2, 1),),
                   2: ((2, 1), (4, -1), (5, 1))},
+    "FAM3_K1": {0: ((2, 1),), 1: ((1, 1),)},
 }
 
 
@@ -43,29 +44,16 @@ def _q_over(j: int, order: int) -> IntSeries:
     return geom(j, order).shift(j)
 
 
-def _fam1_values(name: str, j_max: int, order: int) -> dict:
-    table = _FAM1_OFFSETS[name]
+def _offset_values(name: str, j_max: int, order: int) -> dict:
+    table = _OFFSETS[name]
     zero_s = IntSeries([0] * (order + 1))
     values = {0: one(order)}
     for j in range(1, j_max + 1):
         acc = zero_s
-        for off, sign in table[j % 3]:
+        for off, sign in table[j % len(table)]:
             prev = values.get(j - off, zero_s)
             acc = acc + prev if sign > 0 else acc - prev
         values[j] = values[j - 1] + _q_over(j, order) * acc
-    return values
-
-
-def _not3mod4_values(_name: str, j_max: int, order: int) -> dict:
-    values = {0: one(order)}
-    j = 0
-    while j + 1 <= j_max:
-        j += 1
-        if j % 2 == 1:
-            values[j] = geom(j, order) * values[j - 1]
-        else:
-            values[j] = (geom(j, order) * values[j - 2] - values[j - 2]
-                         + values[j - 1])
     return values
 
 
@@ -159,10 +147,10 @@ class RecursionReport:
 
 
 _RECURSIONS = {
-    "FAM1_1_K2": (_fam1_values, _fam1_1_bases),
-    "FAM1_2_K2": (_fam1_values, _fam1_2_bases),
-    "FAM1_3_K2": (_fam1_values, _fam1_3_bases),
-    "FAM3_K1": (_not3mod4_values, _not3mod4_bases),
+    "FAM1_1_K2": (_offset_values, _fam1_1_bases),
+    "FAM1_2_K2": (_offset_values, _fam1_2_bases),
+    "FAM1_3_K2": (_offset_values, _fam1_3_bases),
+    "FAM3_K1": (_offset_values, _not3mod4_bases),
     "FAM2_K1": (_fam2k1_values, None),
     "FAM8_MOD9_S04": (_fam8_values("low", 0), None),
     "FAM8_MOD9_S05": (_fam8_values("high", 0), None),

@@ -252,13 +252,8 @@ class ProductSpec:
 
 def product_series(spec: ProductSpec, order: int) -> IntSeries:
     """Expand the product exactly to the given order."""
-    coeffs = [0] * (order + 1)
-    coeffs[0] = 1
-    for m in range(1, order + 1):
-        e = spec.exponent(m)
-        for _ in range(e):
-            div_one_minus_qm(coeffs, m)
-    return IntSeries(coeffs)
+    return product_from_exponents(
+        [spec.exponent(m) for m in range(1, order + 1)], order)
 
 
 def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:

@@ -6,6 +6,8 @@ anywhere in the pipeline shows up as a changed line rather than a silent
 recount.
 """
 
+import math
+
 import pytest
 
 from flatpart.bijections import (RANK_CORE, SYLVESTER_CORE, TypedPartition,
@@ -15,6 +17,7 @@ from flatpart.bijections import (RANK_CORE, SYLVESTER_CORE, TypedPartition,
                                  sylvester_inverse, sylvester_map,
                                  verify_bijection, wrapper_inverse,
                                  wrapper_map, wrapper_spec)
+from flatpart.cli import main
 from flatpart.errors import (NotInProductClass, PreconditionViolated,
                              UnknownFamily)
 from flatpart.partitions import partitions_of
@@ -22,6 +25,8 @@ from flatpart.partitions import partitions_of
 F2_ODD = (40, 23, 14, 14, 12, 11, 6, 6, 6, 5, 5)
 F2_IMAGE = (20, 20, 7, 7, 7, 7, 7, 7, 7, 7, 7, 6, 6, 4,
             3, 3, 3, 3, 3, 3, 1, 1, 1, 1, 1)
+F1_SOURCE = (16, 12, 11, 11, 2)           # family 1.1, k=2: parts mod 9
+F1_IMAGE = (5, 5, 4, 4, 4, 3, 3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1)
 
 
 # ----- hook dissection -----
@@ -179,6 +184,67 @@ def test_family1_map_has_trace_and_inverts():
                 continue
             assert sum(q) == n
             assert family1_inverse(2, 1, q) == p
+
+
+def test_family1_worked_example_forward():
+    trace = {}
+    assert family1_map(1, 2, F1_SOURCE, trace=trace) == F1_IMAGE
+    assert trace == {
+        "triples": (4, 4, 4),
+        "affine_mapped": (5, 4, 4, 1),
+        "mu": (5, 3, 2, 2, 1, 1),
+        "replicated": (5, 5, 3, 3, 3, 3, 3, 2, 2, 2, 2,
+                       1, 1, 1, 1, 1, 1, 1),
+    }
+
+
+def test_family1_worked_example_inverse():
+    # every one of the five piles is occupied
+    trace = {}
+    assert family1_inverse(1, 2, F1_IMAGE, trace=trace) == F1_SOURCE
+    assert trace == {
+        "pi_1": (4, 4, 4),
+        "pi_2": (5, 5),
+        "pi_3": (3, 3, 3, 3, 3),
+        "pi_4": (2, 2, 2, 2),
+        "pi_5": (1, 1, 1, 1, 1, 1, 1),
+        "pi_1_prime": (4, 4, 4),
+        "pi_1_double_prime": (12,),
+        "mu": (5, 3, 2, 2, 1, 1),
+        "mu_prime": (5, 4, 4, 1),
+        "mu_double_prime": (16, 11, 11, 2),
+    }
+
+
+FAMILIES = ("FAM1_1", "FAM1_2", "FAM1_3", "FAM2", "FAM3", "FAM4",
+            "FAM5", "FAM6", "FAM7")
+
+
+def test_wrapper_spec_invariant():
+    for family in FAMILIES:
+        for k in (1, 2, 3, 4):
+            spec = wrapper_spec(family, k)
+            m = spec.core
+            units = {c % m for c in spec.copies}
+            assert len(units) == 1 and math.gcd(units.pop(), m) == 1, spec
+            for p in range(1, 5 * spec.modulus + 1):
+                if p % spec.modulus in spec.residues:
+                    assert spec.from_core(spec.to_core(p)) == p, (spec, p)
+
+
+def test_wrapper_spec_rejects_k_below_one(capsys):
+    # k=0 would ask for 3k-1 = -1 copies, silently read as none
+    for family in ("FAM1_1", "FAM2"):
+        with pytest.raises(PreconditionViolated, match="k=0"):
+            wrapper_spec(family, 0)
+    with pytest.raises(PreconditionViolated, match="k=0"):
+        family1_map(1, 0, (5, 1))
+    rc = main(["bijection", "--family", "FAM1_1", "--k", "0",
+               "--input", "5,1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error:" in captured.err and "k=0" in captured.err
 
 
 def test_bijection_reports_unknown_family():
