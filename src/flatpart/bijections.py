@@ -16,7 +16,8 @@ On top of that sit the modulus-m regular/restricted map (stockhofe_map)
 and one wrapper that serves all of Families 1-7, at m = 3 for Family 1
 and m = 2 for the rest: it splits the parts divisible by m, sends each
 product residue class to a class of m-regular parts, runs the core map,
-and copies each image part a number of times fixed by its index mod m.
+and copies each image part a number of times fixed by its index mod m;
+the copy counts are the gaps between successive product classes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import NotInProductClass, PreconditionViolated, UnknownFamily
-from .families import family1_row, family_row, get_identity
+from .families import family_row, get_identity
 from .partitions import frequency_profile, partitions_of
 
 SYLVESTER_CORE = "structural hook dissection"
@@ -218,8 +219,6 @@ class WrapperSpec:
         return self.modulus * j + self.residues[r - 1]
 
 
-_FAMILY1 = {"FAM1_1": 1, "FAM1_2": 2, "FAM1_3": 3}
-
 # trace names per core modulus: the split parts and the residue-mapped
 # parts forward, and the piles whose share of mu the inverse reports
 _TRACE_NAMES = {2: ("evens_halved", "odd_mapped", (2, 3)),
@@ -227,18 +226,18 @@ _TRACE_NAMES = {2: ("evens_halved", "odd_mapped", (2, 3)),
 
 
 def wrapper_spec(family: str, k: int) -> WrapperSpec:
-    """The wrapper of FAM1_1 .. FAM1_3 or FAM2 .. FAM7, from its table row."""
+    """The wrapper of FAM1_1 .. FAM1_3 or FAM2 .. FAM7, from its table row.
+    With r = (0, residues..., modulus), copies[i % core] = r_i - r_(i-1):
+    the copy counts are the gaps between successive product classes."""
     fam = family.strip().upper()
-    variant = _FAMILY1.get(fam)
-    row = family_row(fam, k) if variant is None else family1_row(variant, k)
+    row = family_row(fam, k)
     if k < 1:
         raise PreconditionViolated("%s needs k >= 1, got k=%d" % (fam, k))
-    if variant is None:
-        return WrapperSpec(fam, k, 2, row.modulus, (row.odd_residue,),
-                           (row.modulus - row.odd_residue, row.odd_residue), 1)
-    marked = -row.high_residue % 3
-    copies = tuple(3 * k - 1 if r == marked else 2 for r in range(3))
-    return WrapperSpec(fam, k, 3, row.modulus, row.residues, copies, marked)
+    r = (0,) + row.residues + (row.modulus,)
+    gaps = tuple(b - a for a, b in zip(r, r[1:]))
+    marked = -row.high_residue % 3 if row.core == 3 else 1
+    return WrapperSpec(fam, k, row.core, row.modulus, row.residues,
+                       gaps[-1:] + gaps[:-1], marked)
 
 
 def wrapper_map(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> tuple:

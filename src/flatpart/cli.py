@@ -64,8 +64,8 @@ def cmd_euler(args) -> int:
     from .euler import detect_period, euler_exponents
     from .series import load_series
     fac = euler_exponents(load_series(args.series))
-    _emit("\n".join(map(str, fac.exponents)), args.out)
     verdict = detect_period(fac, args.dmax, args.emax)
+    _emit("\n".join(map(str, fac.exponents)), args.out)
     if verdict.periodic:
         classes = ",".join("%d:%d" % c for c in verdict.class_exponents)
         print("period=%d classes=%s" % (verdict.period, classes))
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rules", help="window rules, e.g. '1:2:1:2;1:3:0:3'")
     group.add_argument("--family", help="registered family name")
-    p.add_argument("--zeros", type=int, default=0,
+    p.add_argument("--zeros", type=_nonnegative, default=0,
                    help="fictitious zeros after the smallest part")
     p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--brute", action="store_true",
@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("euler", help="factor a series file into (1-q^m) powers")
     p.add_argument("series", help="series file, one coefficient per line")
-    p.add_argument("--dmax", type=int, default=8)
-    p.add_argument("--emax", type=int, default=4)
+    p.add_argument("--dmax", type=_nonnegative, default=8)
+    p.add_argument("--emax", type=_nonnegative, default=4)
     p.add_argument("--out", help="write exponents here instead of stdout")
     p.set_defaults(fn=cmd_euler)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotEnoughPatterns
+from .errors import NotEnoughPatterns, PreconditionViolated
 from .partitions import kth_flattest
 
 CONGRUENT = "congruent"
@@ -37,13 +37,13 @@ class FlatRule:
 
     def __post_init__(self):
         if self.flatness_index < 1:
-            raise ValueError("flatness index must be >= 1")
+            raise PreconditionViolated("flatness index must be >= 1")
         if self.width < 1:
-            raise ValueError("window width must be >= 1")
+            raise PreconditionViolated("window width must be >= 1")
         if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise PreconditionViolated("modulus must be >= 1")
         if self.mode not in (CONGRUENT, NOT_CONGRUENT):
-            raise ValueError("bad mode %r" % (self.mode,))
+            raise PreconditionViolated("bad mode %r" % (self.mode,))
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
     def sum_matches(self, total: int) -> bool:
@@ -70,7 +70,8 @@ def parse_rule(text: str) -> FlatRule:
     elif len(fields) == 4:
         mode = CONGRUENT
     else:
-        raise ValueError("rule must look like A:B:C:D or A:B:C:D:n, got %r" % text)
+        raise PreconditionViolated(
+            "rule must look like A:B:C:D or A:B:C:D:n, got %r" % text)
     a, b, c, d = (int(f) for f in fields)
     return FlatRule(a, b, c, d, mode)
 
@@ -101,7 +102,7 @@ class ConditionSet:
 
     def __post_init__(self):
         if self.zeros < 0:
-            raise ValueError("zeros must be >= 0")
+            raise PreconditionViolated("zeros must be >= 0")
         seen = []
         for r in self.rules:
             if not isinstance(r, FlatRule):

@@ -37,7 +37,7 @@ class NotInProductClass(FlatpartError):
     """A bijection input lies outside the map's domain."""
 
 
-class PreconditionViolated(FlatpartError):
+class PreconditionViolated(FlatpartError, ValueError):
     """An input violates a documented precondition."""
 
 

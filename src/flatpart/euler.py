@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InsufficientOrder, NonUnitConstantTerm
+from .errors import (InsufficientOrder, NonUnitConstantTerm,
+                     PreconditionViolated)
 from .series import (IntSeries, ProductSpec, div_one_minus_qm,
                      mul_one_minus_qm)
 
@@ -39,7 +40,8 @@ class PeriodicVerdict:
 
     def to_product_spec(self) -> ProductSpec:
         if not self.periodic:
-            raise ValueError("no product spec for an aperiodic factorization")
+            raise PreconditionViolated(
+                "no product spec for an aperiodic factorization")
         return ProductSpec(self.period, {r: e for r, e in self.class_exponents})
 
 
@@ -66,6 +68,10 @@ def detect_period(fac: EulerFactorization, d_max: int, e_max: int = 4) -> Period
     """Smallest period d <= d_max with c_m depending only on m mod d and
     |c_m| <= e_max throughout.  Requires order >= 3*d_max so that any
     reported period is seen at least three times."""
+    if d_max < 1 or e_max < 0:
+        raise PreconditionViolated(
+            "period bounds need d_max >= 1 and e_max >= 0, got %d and %d"
+            % (d_max, e_max))
     n = fac.source_order
     if n < 3 * d_max:
         raise InsufficientOrder(

@@ -7,11 +7,10 @@ exact window encoding (ConditionSet).  Many entries also carry a
 conjugate-side predicate: membership of the conjugate partition is
 governed by part frequencies and counts of strictly greater parts.
 
-Each of Families 1-7 is one table row, a function of k: the product's
-residue classes, the sum side's prose conditions, and, stated separately
-rather than derived from them, its window rules.  One builder per side
-reads every row (Family 1 has its own), and the bijections read their
-residue classes from the same rows.
+Each of Families 1-7 is one table row, a function of k, that states the
+product classes and the sum side's prose conditions.  The window form,
+the conjugate side, the product and the bijections' copy counts are all
+derived from the row's one table of banned differences.
 
 Names follow the pattern FAMILY_K<k>[_I<i>] for parametrized families;
 one-off classical identities have bare names (MACMAHON, SCHUR, ...).
@@ -24,7 +23,7 @@ from typing import Callable, Optional
 
 from .conditions import ConditionSet, condition_set
 from .counting import count_by_predicate, sum_series_dp
-from .errors import NoFlatForm, UnknownFamily
+from .errors import NoFlatForm, PreconditionViolated, UnknownFamily
 from .partitions import frequency_profile
 from .series import IntSeries, ProductSpec
 
@@ -68,188 +67,176 @@ def _adjacent(parts):
     return zip(parts, parts[1:])
 
 
-# ---------------------------------------------------------------- Family 1
-
-@dataclass(frozen=True)
-class Family1Row:
-    """One variant of Family 1 at one k.  Low differences are 2, 5, ...,
-    3k-4 and high differences 4, 7, ..., 3k-2 between adjacent parts."""
-    modulus: int
-    residues: tuple      # product classes off 0 mod 3: (2 mod 3, 1 mod 3)
-    low_residue: int     # smaller part's residue mod 3 banned at a low difference
-    high_residue: int    # smaller part's residue mod 3 required at a high difference
-    initial: frozenset   # part values that may not appear at all
-
+# ----------------------------------------------------------- Families 1-7
+#
+# Each pairs the multiples of a core modulus (3 for Family 1, 2 for the
+# rest) and a few other classes with a sum side that bans flat 2-windows
+# (b+d, b) by the class of b mod core.  bans() reads a row's prose as
+# {banned difference d: banned classes of b}, with b = 0 for a fictitious
+# zero below the smallest part.  The prose predicate is kept as written,
+# and the test suite checks every derived form against it.
 
 def _steps3(lo: int, hi: int) -> frozenset:
     return frozenset(range(lo, hi + 1, 3))
-
-
-# variant: modulus, residues, low residue, high residue, initial parts
-_FAM1_ROWS = {
-    1: lambda k: Family1Row(3 * k + 3, (2, 3 * k + 1), 2, 1, _steps3(1, 3 * k - 2)),
-    2: lambda k: Family1Row(3 * k + 3, (3 * k - 1, 3 * k + 1), 0, 2,
-                            _steps3(1, 3 * k - 2) | _steps3(2, 3 * k - 4)),
-    3: lambda k: Family1Row(3 * k + 3, (2, 4), 1, 0, frozenset({1})),
-}
-
-
-def family1_row(variant: int, k: int) -> Family1Row:
-    make = _FAM1_ROWS.get(variant)
-    if make is None:
-        raise UnknownFamily("family 1 variant must be 1, 2, or 3")
-    return make(k)
-
-
-def _fam1_lists(k: int):
-    return _steps3(2, 3 * k - 4), _steps3(4, 3 * k - 2)
-
-
-def fam1_sum_pred(row: Family1Row, k: int) -> Callable:
-    low, high = _fam1_lists(k)
-
-    def pred(parts) -> bool:
-        if any(p in row.initial for p in parts):
-            return False
-        for a, b in _adjacent(parts):
-            d = a - b
-            if d == 1:
-                return False
-            if d in low and b % 3 == row.low_residue:
-                return False
-            if d in high and b % 3 != row.high_residue:
-                return False
-        return True
-
-    return pred
-
-
-def fam1_conj_pred(row: Family1Row, k: int) -> Callable:
-    low_f, high_f = _fam1_lists(k)   # the same lists, read as frequencies
-
-    def pred(parts) -> bool:
-        for _v, (f, g) in frequency_profile(parts).items():
-            if f == 1:
-                return False
-            if f in low_f and g % 3 == row.low_residue:
-                return False
-            if f in high_f and g % 3 != row.high_residue:
-                return False
-        return True
-
-    return pred
-
-
-def fam1_flat(row: Family1Row, k: int) -> ConditionSet:
-    low, high = _fam1_lists(k)
-    rules = [(1, 2, 1, 2)]
-    banned = [(d, row.low_residue) for d in low]
-    banned += [(d, rho) for d in high for rho in range(3)
-               if rho != row.high_residue]
-    for d, rho in banned:
-        t_res = (rho + d // 2) % 3
-        rules.append((d // 2 + 1, 2, (2 * t_res + d % 2) % 6, 6))
-    return condition_set(rules, zeros=1)
-
-
-# ------------------------------------------------------------ Families 2-7
-#
-# Each pairs a product of the even parts and one odd class with a sum side
-# that bans some smallest parts, some adjacent differences, and some
-# values lying a given odd distance below a part of a given parity.  The
-# window rules are a separate encoding of the same sum side; the test
-# suite checks the two against each other.
-
-@dataclass(frozen=True)
-class FamilyRow:
-    """One of Families 2-7 at one k."""
-    modulus: int
-    odd_residue: int      # the product's one odd class
-    smallest: frozenset   # banned values of the smallest part
-    diffs: frozenset      # banned differences of adjacent parts
-    parity: int           # parity of the parts that trigger the distance ban
-    distances: frozenset  # banned distances below a triggering part
-    rules: tuple          # window rules (A, B, C, D) of the flat form
-    zeros: int
 
 
 def _odds(lo: int, hi: int) -> frozenset:
     return frozenset(range(lo, hi + 1, 2))
 
 
-# family: modulus, odd residue; smallest, diffs, parity, distances
-# (the prose sum side); window rules, zeros (its flat form)
+@dataclass(frozen=True)
+class Family1Row:
+    """One variant of Family 1 at one k, modulus 3k+3: low differences
+    2, 5, ..., 3k-4 and high differences 4, 7, ..., 3k-2 of adjacent parts."""
+    core = 3
+    k: int
+    residues: tuple      # product classes off 0 mod 3: (2 mod 3, 1 mod 3)
+    low_residue: int     # smaller part's residue mod 3 banned at a low difference
+    high_residue: int    # smaller part's residue mod 3 required at a high difference
+    initial: frozenset   # part values that may not appear at all
+
+    @property
+    def modulus(self) -> int:
+        return 3 * self.k + 3
+
+    @property
+    def low(self) -> frozenset:
+        return _steps3(2, 3 * self.k - 4)
+
+    @property
+    def high(self) -> frozenset:
+        return _steps3(4, 3 * self.k - 2)
+
+    def sum_pred(self) -> Callable:
+        low, high = self.low, self.high
+
+        def pred(parts) -> bool:
+            if any(p in self.initial for p in parts):
+                return False
+            for a, b in _adjacent(parts):
+                d = a - b
+                if d == 1:
+                    return False
+                if d in low and b % 3 == self.low_residue:
+                    return False
+                if d in high and b % 3 != self.high_residue:
+                    return False
+            return True
+
+        return pred
+
+    def bans(self) -> dict:
+        every = frozenset(range(3))
+        bans = {1: every}
+        bans.update(dict.fromkeys(self.low, frozenset({self.low_residue})))
+        bans.update(dict.fromkeys(self.high, every - {self.high_residue}))
+        return bans
+
+
+@dataclass(frozen=True)
+class FamilyRow:
+    """One of Families 2-7 at one k: the product's one odd class, and a sum
+    side that bans some smallest parts, some adjacent differences, and some
+    values lying a given odd distance below a part of a given parity."""
+    core = 2
+    modulus: int
+    residues: tuple       # the product's one odd class
+    smallest: frozenset   # banned values of the smallest part
+    diffs: frozenset      # banned differences of adjacent parts
+    parity: int           # parity of the parts that trigger the distance ban
+    distances: frozenset  # banned distances below a triggering part
+
+    def sum_pred(self) -> Callable:
+        def pred(parts) -> bool:
+            if parts and parts[-1] in self.smallest:
+                return False
+            if any(a - b in self.diffs for a, b in _adjacent(parts)):
+                return False
+            present = set(parts)
+            for p in present:
+                if p % 2 == self.parity:
+                    if any((p - d) in present for d in self.distances):
+                        return False
+            return True
+
+        return pred
+
+    def bans(self) -> dict:
+        # distances are odd, so the part one distance below a trigger has
+        # the other parity; a banned difference bans both parities
+        bans = dict.fromkeys(self.distances, frozenset({1 - self.parity}))
+        bans.update(dict.fromkeys(self.diffs, frozenset(range(2))))
+        return bans
+
+
+# family: k -> row.  Family 1: k, residues, low and high residue, initial
+# parts.  Families 2-7: modulus, odd class; smallest, diffs, parity, distances.
 _FAMILY_ROWS = {
+    "FAM1_1": lambda k: Family1Row(k, (2, 3 * k + 1), 2, 1, _steps3(1, 3 * k - 2)),
+    "FAM1_2": lambda k: Family1Row(k, (3 * k - 1, 3 * k + 1), 0, 2,
+                                   _steps3(1, 3 * k - 2) | _steps3(2, 3 * k - 4)),
+    "FAM1_3": lambda k: Family1Row(k, (2, 4), 1, 0, frozenset({1})),
     "FAM2": lambda k: FamilyRow(
-        2 * k + 2, 2 * k + 1, _odds(1, 2 * k - 1), frozenset(), 1,
-        _odds(1, 2 * k - 1),
-        tuple((i + 1, 2, (1 - 2 * i) % 4, 4) for i in range(k)), 1),
+        2 * k + 2, (2 * k + 1,), _odds(1, 2 * k - 1), frozenset(), 1,
+        _odds(1, 2 * k - 1)),
     "FAM3": lambda k: FamilyRow(
-        2 * k + 2, 1, frozenset(), frozenset(), 0, _odds(1, 2 * k - 1),
-        tuple((i + 1, 2, (-1 - 2 * i) % 4, 4) for i in range(k)), 0),
+        2 * k + 2, (1,), frozenset(), frozenset(), 0, _odds(1, 2 * k - 1)),
     "FAM4": lambda k: FamilyRow(
-        2 * k + 6, 3, frozenset({1}), frozenset({1}), 0, _odds(3, 2 * k + 1),
-        ((1, 2, 1, 2),)
-        + tuple((i + 2, 2, (1 - 2 * i) % 4, 4) for i in range(k)), 1),
+        2 * k + 6, (3,), frozenset({1}), frozenset({1}), 0, _odds(3, 2 * k + 1)),
     "FAM5": lambda k: FamilyRow(
-        2 * k + 6, 2 * k + 3, _odds(1, 2 * k + 1), frozenset({1}), 1,
-        _odds(3, 2 * k + 1),
-        ((1, 2, 1, 2),)
-        + tuple((i + 2, 2, (-1 - 2 * i) % 4, 4) for i in range(k)), 1),
+        2 * k + 6, (2 * k + 3,), _odds(1, 2 * k + 1), frozenset({1}), 1,
+        _odds(3, 2 * k + 1)),
     "FAM6": lambda k: FamilyRow(
-        4 * k + 8, 2 * k + 5, _odds(1, 2 * k + 3), _odds(1, 2 * k + 1), 1,
-        frozenset({2 * k + 3}),
-        tuple((a, 2, 1, 2) for a in range(1, k + 2))
-        + ((k + 2, 2, (3 - 2 * k) % 4, 4),), 1),
+        4 * k + 8, (2 * k + 5,), _odds(1, 2 * k + 3), _odds(1, 2 * k + 1), 1,
+        frozenset({2 * k + 3})),
     "FAM7": lambda k: FamilyRow(
-        4 * k + 8, 2 * k + 3, _odds(1, 2 * k + 1), _odds(1, 2 * k + 1), 0,
-        frozenset({2 * k + 3}),
-        tuple((a, 2, 1, 2) for a in range(1, k + 2))
-        + ((k + 2, 2, (1 - 2 * k) % 4, 4),), 1),
+        4 * k + 8, (2 * k + 3,), _odds(1, 2 * k + 1), _odds(1, 2 * k + 1), 0,
+        frozenset({2 * k + 3})),
 }
 
 
-def family_row(family: str, k: int) -> FamilyRow:
+def family_row(family: str, k: int):
+    """The row of FAM1_1 .. FAM1_3 or FAM2 .. FAM7 at k."""
     make = _FAMILY_ROWS.get(family.strip().upper())
     if make is None:
-        raise UnknownFamily("%r is not one of Families 2-7" % family)
+        raise UnknownFamily("%r is not one of Families 1-7" % family)
     return make(k)
 
 
-def row_sum_pred(row: FamilyRow) -> Callable:
-    def pred(parts) -> bool:
-        if parts and parts[-1] in row.smallest:
-            return False
-        if any(a - b in row.diffs for a, b in _adjacent(parts)):
-            return False
-        present = set(parts)
-        for p in present:
-            if p % 2 == row.parity:
-                if any((p - d) in present for d in row.distances):
-                    return False
-        return True
-
-    return pred
+def row_product(row) -> ProductSpec:
+    return ProductSpec.from_residues(
+        row.modulus, set(range(0, row.modulus, row.core)) | set(row.residues))
 
 
-def row_conj_pred(row: FamilyRow) -> Callable:
-    """Conjugate side: a part may not appear f times for f among the banned
-    differences, and appearing f times for f among the banned distances
-    needs a count of strictly greater parts of the row's parity."""
+def row_flat(row) -> ConditionSet:
+    """The window form.  The window (b+d, b) is the (d//2 + 1)-th flattest
+    2-window of its total 2b + d, so banning b = rho mod core at difference
+    d forbids it on totals 2rho + d mod 2core, and a difference banned for
+    every class forbids it on totals of d's parity.  One fictitious zero
+    covers the banned smallest parts (b = 0)."""
+    bans = row.bans()
+    m = 2 * row.core
+    rules = []
+    for d, classes in bans.items():
+        if len(classes) == row.core:
+            rules.append((d // 2 + 1, 2, d % 2, 2))
+        else:
+            rules.extend((d // 2 + 1, 2, (2 * rho + d) % m, m) for rho in classes)
+    return condition_set(rules, zeros=int(any(0 in c for c in bans.values())))
+
+
+def row_conj_pred(row) -> Callable:
+    """Conjugate side: a part with frequency f and g strictly greater parts
+    is banned when g mod core is a class the row bans at difference f."""
+    bans = row.bans()
+
     def pred(parts) -> bool:
         for _v, (f, g) in frequency_profile(parts).items():
-            if f in row.diffs:
-                return False
-            if f in row.distances and g % 2 != row.parity:
+            if g % row.core in bans.get(f, ()):
                 return False
         return True
 
     return pred
-
-
-def _multiples_plus(step: int, modulus: int, extras) -> ProductSpec:
-    return ProductSpec.from_residues(
-        modulus, set(range(0, modulus, step)) | set(extras))
 
 
 # ---------------------------------------------------------------- Family 8
@@ -437,30 +424,18 @@ def _register(ident: RegisteredIdentity):
 
 
 def _build_registry():
-    # Family 1, three variants, k up to 3 (k=1 collapses onto MacMahon)
-    for variant in (1, 2, 3):
-        for k in (1, 2, 3):
-            row = family1_row(variant, k)
-            _register(RegisteredIdentity(
-                name="FAM1_%d_K%d" % (variant, k),
-                summary="Family 1.%d with modulus %d" % (variant, row.modulus),
-                product=_multiples_plus(3, row.modulus, row.residues),
-                sum_pred=fam1_sum_pred(row, k),
-                flat=fam1_flat(row, k),
-                conj_pred=fam1_conj_pred(row, k),
-                family="FAM1_%d" % variant,
-                params=(("k", k),),
-            ))
-
-    for family in _FAMILY_ROWS:
-        for k in (1, 2):
-            row = family_row(family, k)
+    # Families 1-7; Family 1 up to k=3 (k=1 collapses onto MacMahon)
+    for family, make in _FAMILY_ROWS.items():
+        fam1 = family.startswith("FAM1")
+        for k in (1, 2, 3) if fam1 else (1, 2):
+            row = make(k)
             _register(RegisteredIdentity(
                 name="%s_K%d" % (family, k),
-                summary="Family %s with k=%d" % (family[3:], k),
-                product=_multiples_plus(2, row.modulus, [row.odd_residue]),
-                sum_pred=row_sum_pred(row),
-                flat=condition_set(row.rules, zeros=row.zeros),
+                summary=("Family 1.%s with modulus %d" % (family[5:], row.modulus)
+                         if fam1 else "Family %s with k=%d" % (family[3:], k)),
+                product=row_product(row),
+                sum_pred=row.sum_pred(),
+                flat=row_flat(row),
                 conj_pred=row_conj_pred(row),
                 family=family,
                 params=(("k", k),),
@@ -700,7 +675,7 @@ def family_satisfies(name: str, parts, form: str = SUM) -> bool:
         return bool(ident.conj_pred(parts))
     if form == PRODUCT:
         return all(ident.product.allows_part(p) for p in parts)
-    raise ValueError("form must be sum, conjugate, or product")
+    raise PreconditionViolated("form must be sum, conjugate, or product")
 
 
 def flat_form_of(name: str) -> ConditionSet:

@@ -118,7 +118,7 @@ class BiSeries:
 
     def __add__(self, other):
         if (self.n_max, self.m_max) != (other.n_max, other.m_max):
-            raise ValueError("mismatched truncations")
+            raise PreconditionViolated("mismatched truncations")
         return BiSeries([[x + y for x, y in zip(r, s)]
                          for r, s in zip(self.rows, other.rows)],
                         self.n_max, self.m_max)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import NotEnoughPatterns
+from .errors import NotEnoughPatterns, PreconditionViolated
 
 
 class Partition:
@@ -26,9 +26,10 @@ class Partition:
     def __init__(self, parts: Sequence[int] = ()):
         parts = tuple(int(p) for p in parts)
         if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive: %r" % (parts,))
+            raise PreconditionViolated("parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing: %r" % (parts,))
+            raise PreconditionViolated(
+                "parts must be weakly decreasing: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "weight", sum(parts))
 
@@ -79,9 +80,9 @@ def parse_partition(text: str) -> tuple:
         return ()
     parts = tuple(int(tok) for tok in text.split(","))
     if any(p <= 0 for p in parts):
-        raise ValueError("parts must be positive: %r" % text)
+        raise PreconditionViolated("parts must be positive: %r" % text)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("parts must be weakly decreasing: %r" % text)
+        raise PreconditionViolated("parts must be weakly decreasing: %r" % text)
     return parts
 
 
@@ -150,7 +151,7 @@ def kth_flattest(k: int, length: int, total: int) -> tuple:
     Raises NotEnoughPatterns when fewer than k such tuples exist.
     """
     if k < 1:
-        raise ValueError("k is 1-indexed, got %d" % k)
+        raise PreconditionViolated("k is 1-indexed, got %d" % k)
     got = list(islice(flat_patterns(length, total), k))
     if len(got) < k:
         raise NotEnoughPatterns(

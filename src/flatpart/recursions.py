@@ -7,7 +7,7 @@ series arithmetic; verify_recursion replays them and compares every
 computed P_j against the window-condition DP with the same largest-part
 bound, reporting the first (j, n) disagreement.
 
-Three of the mod-9 family recursions advance j by 3; the rest advance
+Four of the mod-9 family recursions advance j by 3; the rest advance
 by 1 or 2.  Values of j the recursion never defines are simply skipped
 in the comparison.
 """

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
 from .counting import sum_series_dp
+from .errors import PreconditionViolated
 from .euler import PeriodicVerdict, detect_period, euler_exponents
 from .series import first_difference, one, product_series
 
@@ -30,7 +31,7 @@ DEFAULT_VERIFY_ORDER = 200
 def _pair(value, name):
     lo, hi = (int(value[0]), int(value[1]))
     if lo > hi:
-        raise ValueError("%s is empty: (%d, %d)" % (name, lo, hi))
+        raise PreconditionViolated("%s is empty: (%d, %d)" % (name, lo, hi))
     return lo, hi
 
 
@@ -55,13 +56,15 @@ class SearchBounds:
         object.__setattr__(self, "zeros_range",
                            _pair(self.zeros_range, "zeros_range"))
         if self.max_rules < 1:
-            raise ValueError("max_rules must be at least 1")
+            raise PreconditionViolated("max_rules must be at least 1")
         if min(self.a_range[0], self.b_range[0], self.d_range[0]) < 1:
-            raise ValueError("A, B, D ranges must start at 1 or higher")
+            raise PreconditionViolated("A, B, D ranges must start at 1 or higher")
         if self.zeros_range[0] < 0:
-            raise ValueError("zeros cannot be negative")
+            raise PreconditionViolated("zeros cannot be negative")
+        if self.d_max < 1 or self.e_max < 0:
+            raise PreconditionViolated("d_max must be at least 1, e_max at least 0")
         if self.n_check < 3 * self.d_max:
-            raise ValueError(
+            raise PreconditionViolated(
                 "screening order %d cannot support period detection up to "
                 "%d (need at least three repetitions)"
                 % (self.n_check, self.d_max))
@@ -71,7 +74,8 @@ class SearchBounds:
         raw = json.loads(text)
         extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
-            raise ValueError("unknown bounds keys: %s" % ", ".join(sorted(extra)))
+            raise PreconditionViolated(
+                "unknown bounds keys: %s" % ", ".join(sorted(extra)))
         return cls(**{k: tuple(v) if k.endswith("_range") else v
                       for k, v in raw.items()})
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NonUnitConstantTerm
+from .errors import NonUnitConstantTerm, PreconditionViolated
 
 
 class IntSeries:
@@ -25,7 +25,7 @@ class IntSeries:
 
     def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
-            raise ValueError("a series needs at least the q^0 coefficient")
+            raise PreconditionViolated("a series needs at least the q^0 coefficient")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
 
     def __setattr__(self, name, value):
@@ -68,7 +68,7 @@ class IntSeries:
         if k == 0:
             return self
         if k < 0:
-            raise ValueError("shift must be nonnegative")
+            raise PreconditionViolated("shift must be nonnegative")
         n = len(self.coeffs)
         return IntSeries(((0,) * min(k, n) + self.coeffs)[:n])
 
@@ -183,7 +183,7 @@ def series_div(a: IntSeries, b: IntSeries) -> IntSeries:
 def geom(m: int, order: int) -> IntSeries:
     """1/(1 - q^m): the generating series for parts equal to m."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise PreconditionViolated("m must be >= 1")
     c = [0] * (order + 1)
     for i in range(0, order + 1, m):
         c[i] = 1
@@ -211,7 +211,7 @@ class ProductSpec:
 
     def __init__(self, modulus: int, residue_exponents):
         if modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise PreconditionViolated("modulus must be >= 1")
         if isinstance(residue_exponents, dict):
             items = residue_exponents.items()
         else:
@@ -220,11 +220,12 @@ class ProductSpec:
         for r, e in items:
             r, e = int(r) % modulus, int(e)
             if e < 0:
-                raise ValueError("exponents must be nonnegative")
+                raise PreconditionViolated("exponents must be nonnegative")
             if e:
                 norm[r] = norm.get(r, 0) + e
         if not norm:
-            raise ValueError("at least one residue class must have a nonzero exponent")
+            raise PreconditionViolated(
+                "at least one residue class must have a nonzero exponent")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residue_exponents",
                            tuple(sorted(norm.items())))

@@ -174,3 +174,33 @@ def test_negative_sizes_are_rejected_before_any_work(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument %s: must be a nonnegative integer" % option in err
+
+
+def test_invalid_period_bounds_are_rejected(tmp_path, capsys):
+    from flatpart.errors import PreconditionViolated
+    from flatpart.euler import detect_period, euler_exponents
+    from flatpart.search import SearchBounds
+    from flatpart.series import load_series
+    series_file = tmp_path / "s.txt"
+    rc, _, _ = run(capsys, "product", "--residues", "1,4", "--modulus", "5",
+                   "--order", "30", "--out", str(series_file))
+    assert rc == 0
+    rc, out, _ = run(capsys, "euler", str(series_file))
+    assert rc == 0 and out.splitlines()[-1].startswith("period=5 ")
+    for args in (("euler", str(series_file), "--dmax", "-2"),
+                 ("euler", str(series_file), "--emax", "-1"),
+                 ("count", "--rules", "1:2:1:2", "--zeros", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2
+        assert "nonnegative" in capsys.readouterr().err
+    rc, out, err = run(capsys, "euler", str(series_file), "--dmax", "0")
+    assert rc == 1 and out == "" and "error:" in err
+
+    fac = euler_exponents(load_series(str(series_file)))
+    assert detect_period(fac, 5, e_max=0).periodic is False
+    for d_max, e_max in ((0, 4), (-2, 4), (5, -1)):
+        with pytest.raises(PreconditionViolated):
+            detect_period(fac, d_max, e_max)
+        with pytest.raises(PreconditionViolated):
+            SearchBounds(1, (1, 1), (2, 2), (2, 2), d_max=d_max, e_max=e_max)

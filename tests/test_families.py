@@ -6,9 +6,11 @@ from flatpart.conditions import satisfies
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import UnknownFamily
 from flatpart.families import (and1_sum_pred, cor_sum_pred, fam9_sum_pred,
-                               family_satisfies, flat_form_of, get_identity,
-                               get_refuted, refuted_names, registered_names)
-from flatpart.partitions import partitions_of
+                               family_row, family_satisfies, flat_form_of,
+                               get_identity, get_refuted, refuted_names,
+                               registered_names, row_conj_pred, row_flat,
+                               row_product)
+from flatpart.partitions import conjugate, partitions_of
 from flatpart.series import product_series
 
 
@@ -141,3 +143,57 @@ def test_param_accessors():
     ident = get_identity("GORDON_K3_I2")
     assert ident.param("k") == 3
     assert ident.param("i") == 2
+
+
+# The Families 1-7 window forms, recorded from hand-typed rules: an
+# encoding independent of the bans() tables the registry derives them from.
+FAMILY_FORMS = {
+    "FAM1_1_K1": "1:2:1:2 +1z",
+    "FAM1_1_K2": "1:2:1:2;2:2:0:6;3:2:2:6;3:2:4:6 +1z",
+    "FAM1_1_K3": "1:2:1:2;2:2:0:6;4:2:1:6;3:2:2:6;3:2:3:6;3:2:4:6;4:2:5:6 +1z",
+    "FAM1_2_K1": "1:2:1:2 +1z",
+    "FAM1_2_K2": "1:2:1:2;3:2:0:6;2:2:2:6;3:2:4:6 +1z",
+    "FAM1_2_K3": "1:2:1:2;3:2:0:6;4:2:1:6;2:2:2:6;4:2:3:6;3:2:4:6;3:2:5:6 +1z",
+    "FAM1_3_K1": "1:2:1:2 +1z",
+    "FAM1_3_K2": "1:2:1:2;3:2:0:6;3:2:2:6;2:2:4:6 +1z",
+    "FAM1_3_K3": "1:2:1:2;3:2:0:6;3:2:1:6;3:2:2:6;4:2:3:6;2:2:4:6;4:2:5:6 +1z",
+    "FAM2_K1": "1:2:1:4 +1z",
+    "FAM2_K2": "1:2:1:4;2:2:3:4 +1z",
+    "FAM3_K1": "1:2:3:4",
+    "FAM3_K2": "2:2:1:4;1:2:3:4",
+    "FAM4_K1": "1:2:1:2;2:2:1:4 +1z",
+    "FAM4_K2": "1:2:1:2;2:2:1:4;3:2:3:4 +1z",
+    "FAM5_K1": "1:2:1:2;2:2:3:4 +1z",
+    "FAM5_K2": "1:2:1:2;3:2:1:4;2:2:3:4 +1z",
+    "FAM6_K1": "1:2:1:2;2:2:1:2;3:2:1:4 +1z",
+    "FAM6_K2": "1:2:1:2;2:2:1:2;3:2:1:2;4:2:3:4 +1z",
+    "FAM7_K1": "1:2:1:2;2:2:1:2;3:2:3:4 +1z",
+    "FAM7_K2": "1:2:1:2;2:2:1:2;3:2:1:2;4:2:1:4 +1z",
+}
+
+FAMILIES = ("FAM1_1", "FAM1_2", "FAM1_3", "FAM2", "FAM3", "FAM4",
+            "FAM5", "FAM6", "FAM7")
+
+
+def test_family_window_forms_match_the_printed_table():
+    registered = [n for n in registered_names()
+                  if get_identity(n).family in FAMILIES]
+    assert sorted(FAMILY_FORMS) == registered
+    for name, form in FAMILY_FORMS.items():
+        assert str(flat_form_of(name)) == form, name
+
+
+def test_family_rows_beyond_the_registry():
+    # no entry builds k=4; every derived side must still hold there
+    parts = [p for n in range(19) for p in partitions_of(n)]
+    for family in FAMILIES:
+        row = family_row(family, 4)
+        flat, prose, conj = row_flat(row), row.sum_pred(), row_conj_pred(row)
+        assert (sum_series_dp(flat, 60)
+                == product_series(row_product(row), 60)), family
+        sum_class = set()
+        for p in parts:
+            assert satisfies(flat, p) == prose(p), (family, p)
+            if prose(p):
+                sum_class.add(conjugate(p))
+        assert sum_class == {p for p in parts if conj(p)}, family
