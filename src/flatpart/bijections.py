@@ -231,8 +231,6 @@ def wrapper_spec(family: str, k: int) -> WrapperSpec:
     the copy counts are the gaps between successive product classes."""
     fam = family.strip().upper()
     row = family_row(fam, k)
-    if k < 1:
-        raise PreconditionViolated("%s needs k >= 1, got k=%d" % (fam, k))
     r = (0,) + row.residues + (row.modulus,)
     gaps = tuple(b - a for a, b in zip(r, r[1:]))
     marked = -row.high_residue % 3 if row.core == 3 else 1

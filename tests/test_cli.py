@@ -86,6 +86,17 @@ def test_euler_aperiodic(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "aperiodic"
 
 
+def test_euler_on_a_series_with_huge_exponents(tmp_path, capsys):
+    # its exponents reach 10**8 by m = 40; a pass per unit of |c_m| hangs
+    series_file = tmp_path / "h.txt"
+    rc, _, _ = run(capsys, "count", "--rules", "2:2:0:2;1:2:2:3", "--zeros",
+                   "1", "--order", "60", "--out", str(series_file))
+    assert rc == 0
+    rc, out, _ = run(capsys, "euler", str(series_file), "--dmax", "8")
+    assert rc == 0
+    assert out.strip().splitlines()[-1] == "aperiodic"
+
+
 def test_search_subcommand(tmp_path, capsys):
     bounds = {"max_rules": 1, "a_range": [1, 1], "b_range": [2, 2],
               "d_range": [1, 6], "zeros_range": [0, 1], "n_check": 25}

@@ -10,8 +10,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpart.conditions import condition_set, parse_condition_set, satisfies
-from flatpart.counting import (_lane_primes, count_by_predicate,
+from flatpart.conditions import (ConditionSet, condition_set,
+                                 parse_condition_set, satisfies)
+from flatpart.counting import (_lane_primes, _walk, count_by_predicate,
                                sum_series_brute, sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
@@ -79,6 +80,36 @@ def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
 
     assert (sum_series_dp(cs, order, largest_part, min_part)
             == count_by_predicate(pred, order))
+
+
+def test_zero_counts_share_one_walk():
+    # every zero count after the first reads the walk of the first; the
+    # uncached sum_series_dp reaches the walk cache on every call
+    assert _walk.cache_info().maxsize is not None
+    count = sum_series_dp.__wrapped__
+    rng = random.Random(808)
+    for _ in range(12):
+        rules = []
+        for _ in range(rng.randrange(1, 4)):
+            d = rng.randrange(1, 7)
+            rules.append("%d:%d:%d:%d" % (rng.randrange(1, 4), rng.randrange(1, 4),
+                                          rng.randrange(d), d))
+        rules = parse_condition_set(";".join(rules)).rules
+        cap = max(r.width for r in rules)
+        order = 20
+        largest_part, min_part = rng.randrange(3, 12), rng.randrange(1, 4)
+        hits = _walk.cache_info().hits
+        for zeros in range(cap + 3):
+            cs = ConditionSet(rules, zeros)
+            assert count(cs, order) == sum_series_brute(cs, order), cs
+
+            def pred(p, cs=cs):
+                return (all(min_part <= x <= largest_part for x in p)
+                        and satisfies(cs, p))
+
+            assert (count(cs, order, largest_part, min_part)
+                    == count_by_predicate(pred, order)), (cs, largest_part, min_part)
+        assert _walk.cache_info().hits - hits >= 2 * (cap + 2)
 
 
 def test_dp_is_exact_across_lane_boundaries():

@@ -3,12 +3,37 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatpart.conditions import parse_condition_set
+from flatpart.counting import sum_series_dp
 from flatpart.errors import InsufficientOrder
 from flatpart.euler import detect_period, euler_exponents
-from flatpart.series import (IntSeries, ProductSpec, geom, one,
-                             product_from_exponents, product_series,
-                             series_div, series_mul)
+from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm, geom,
+                             mul_one_minus_qm, one, product_from_exponents,
+                             product_series, series_div, series_mul)
+
+# A sum side far from any product: max |c_m| is 546,172 at order 30 and
+# 104,008,536 at order 40, and has 142 digits at order 600.
+NOT_A_PRODUCT = parse_condition_set("2:2:0:2;1:2:2:3", zeros=1)
+
+
+def exponents_by_passes(series):
+    """Euler's algorithm step by step: c_m is the residual's q^m
+    coefficient, cleared by |c_m| multiplications or divisions by
+    (1 - q^m).  Independent of euler_exponents, and usable only where
+    the exponents are small."""
+    residual = list(series.coeffs)
+    exps = []
+    for m in range(1, series.order + 1):
+        c = residual[m]
+        exps.append(c)
+        for _ in range(abs(c)):
+            if c > 0:
+                mul_one_minus_qm(residual, m)
+            else:
+                div_one_minus_qm(residual, m)
+    return tuple(exps)
 
 
 def test_single_geometric_factor():
@@ -85,3 +110,24 @@ def test_verdict_converts_to_product_spec():
 def test_too_short_series_raises():
     with pytest.raises(InsufficientOrder):
         detect_period(euler_exponents(one(4)), d_max=8)
+
+
+def test_large_exponents_match_the_step_by_step_route():
+    series = sum_series_dp(NOT_A_PRODUCT, 25)
+    assert euler_exponents(series).exponents == exponents_by_passes(series)
+
+
+def test_large_exponents_cost_nothing_extra():
+    # the step-by-step route makes |c_m| passes per m: 142 s at order 40
+    short = euler_exponents(sum_series_dp(NOT_A_PRODUCT, 40)).exponents
+    assert max(abs(c) for c in short) == 104008536
+    long = euler_exponents(sum_series_dp(NOT_A_PRODUCT, 600)).exponents
+    assert len(long) == 600 and long[:40] == short
+    assert len(str(max(abs(c) for c in long))) == 142
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=40))
+def test_exponents_round_trip_through_the_product(exps):
+    n = len(exps)
+    assert euler_exponents(product_from_exponents(exps, n)).exponents == tuple(exps)

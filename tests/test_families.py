@@ -4,7 +4,7 @@ import pytest
 
 from flatpart.conditions import satisfies
 from flatpart.counting import sum_series_brute, sum_series_dp
-from flatpart.errors import UnknownFamily
+from flatpart.errors import PreconditionViolated, UnknownFamily
 from flatpart.families import (and1_sum_pred, cor_sum_pred, fam9_sum_pred,
                                family_row, family_satisfies, flat_form_of,
                                get_identity, get_refuted, refuted_names,
@@ -197,3 +197,11 @@ def test_family_rows_beyond_the_registry():
             if prose(p):
                 sum_class.add(conjugate(p))
         assert sum_class == {p for p in parts if conj(p)}, family
+
+
+def test_family_rows_need_k_at_least_one():
+    # FAM2 at k=-1 would have modulus 0, FAM1_1 at k=0 residues (2, 1)
+    with pytest.raises(PreconditionViolated, match="FAM2 needs k >= 1, got k=-1"):
+        family_row("FAM2", -1)
+    with pytest.raises(PreconditionViolated, match="FAM1_1 needs k >= 1, got k=0"):
+        family_row("fam1_1", 0)
