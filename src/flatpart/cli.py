@@ -29,17 +29,15 @@ def _condition_set_from(args):
 
 
 def cmd_count(args) -> int:
+    from .counting import count_by_predicate, sum_series_brute, sum_series_dp
     from .families import get_identity
     if args.family:
-        series = get_identity(args.family).count_series(args.order)
+        ident = get_identity(args.family)
+        series = (count_by_predicate(ident.sum_pred, args.order) if args.brute
+                  else ident.count_series(args.order))
     else:
-        cs = _condition_set_from(args)
-        if args.brute:
-            from .counting import sum_series_brute
-            series = sum_series_brute(cs, args.order)
-        else:
-            from .counting import sum_series_dp
-            series = sum_series_dp(cs, args.order)
+        count = sum_series_brute if args.brute else sum_series_dp
+        series = count(_condition_set_from(args), args.order)
     _emit("\n".join(map(str, series)), args.out)
     return 0
 
@@ -162,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fictitious zeros after the smallest part")
     p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--brute", action="store_true",
-                   help="force the enumeration route")
+                   help="count by enumeration: the prose predicate with --family")
     p.add_argument("--out", help="series file (default stdout)")
     p.set_defaults(fn=cmd_count)
 

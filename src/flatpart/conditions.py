@@ -72,7 +72,11 @@ def parse_rule(text: str) -> FlatRule:
     else:
         raise PreconditionViolated(
             "rule must look like A:B:C:D or A:B:C:D:n, got %r" % text)
-    a, b, c, d = (int(f) for f in fields)
+    try:
+        a, b, c, d = (int(f) for f in fields)
+    except ValueError:
+        raise PreconditionViolated(
+            "rule fields A, B, C, D must be integers, got %r" % text) from None
     return FlatRule(a, b, c, d, mode)
 
 

@@ -10,7 +10,9 @@ governed by part frequencies and counts of strictly greater parts.
 Each of Families 1-7 is one table row, a function of k, that states the
 product classes and the sum side's prose conditions.  The window form,
 the conjugate side, the product and the bijections' copy counts are all
-derived from the row's one table of banned differences.
+derived from the row's one table of banned differences.  The corollary
+linking Family 9 to Andrews' companion has rows of the same kind, from
+which its window forms are derived, so every entry counts by the DP.
 
 Names follow the pattern FAMILY_K<k>[_I<i>] for parametrized families;
 one-off classical identities have bare names (MACMAHON, SCHUR, ...).
@@ -22,9 +24,11 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .conditions import ConditionSet, condition_set
-from .counting import count_by_predicate, sum_series_dp
+# count_by_predicate is re-exported as the enumeration route for any
+# entry's sum_pred; count_series itself always takes the DP
+from .counting import count_by_predicate, sum_series_dp  # noqa: F401
 from .errors import NoFlatForm, PreconditionViolated, UnknownFamily
-from .partitions import frequency_profile
+from .partitions import Partition, frequency_profile
 from .series import IntSeries, ProductSpec
 
 SUM = "sum"
@@ -51,12 +55,10 @@ class RegisteredIdentity:
         return dict(self.params).get(key, default)
 
     def count_series(self, order: int) -> IntSeries:
-        """Sum-side counting series by the fastest exact route available."""
+        """Sum-side counting series by the DP over the window rules."""
         if self.flat is not None:
             return sum_series_dp(self.flat, order)
-        if self.dp_rules is not None:
-            return sum_series_dp(self.dp_rules, order, min_part=self.dp_min_part)
-        return count_by_predicate(self.sum_pred, order)
+        return sum_series_dp(self.dp_rules, order, min_part=self.dp_min_part)
 
     def product_series(self, order: int) -> IntSeries:
         from .series import product_series
@@ -275,54 +277,50 @@ def fam8_product(residues, modulus: int) -> ProductSpec:
 
 # -------------------------------------- Family 9 and its Andrews companion
 #
-# FAM9_K<k> and AND1_K<k> are the corollary's ends, COR_K<k>_I0 and
-# COR_K<k>_I<k-1>, and take its products.  They keep their own sum
-# predicates: the counts go by enumeration, and these are the faster.
+# The corollary at k interpolates, through i = 0 .. k-1, between Family 9
+# (i = 0) and Andrews' companion (i = k-1); FAM9_K<k> and AND1_K<k> are
+# its ends.  Every condition bans a pair of parts by the smaller part's
+# parity, and a part lying between a banned pair forms a banned pair with
+# one of its ends, so adjacent pairs suffice and row_flat reads the row
+# like those of Families 2-7.
 
-def fam9_sum_pred(k: int) -> Callable:
-    def pred(parts) -> bool:
-        for i, p in enumerate(parts):
-            if p % 2 == 1:
-                for j, q in enumerate(parts):
-                    if j != i and p <= q <= p + 2 * k - 2:
+@dataclass(frozen=True)
+class CorRow:
+    """The corollary at k and 0 <= i < k, modulus 4k: an odd part p is at
+    least 2i+1, and no other part q has p <= q <= p+2k-2 if q is odd, or
+    p+1-2i <= q <= p+2k-2i-3 if q is even."""
+    core = 2
+    k: int
+    i: int
+
+    def sum_pred(self) -> Callable:
+        k, i = self.k, self.i
+
+        def pred(parts) -> bool:
+            for a, p in enumerate(parts):
+                if p % 2 == 1:
+                    if p < 2 * i + 1:
                         return False
-        return True
+                    for b, q in enumerate(parts):
+                        if b == a:
+                            continue
+                        if q % 2 == 0 and p + 1 - 2 * i <= q <= p + 2 * k - 2 * i - 3:
+                            return False
+                        if q % 2 == 1 and p <= q <= p + 2 * k - 2:
+                            return False
+            return True
 
-    return pred
+        return pred
 
-
-def and1_sum_pred(k: int) -> Callable:
-    small = set(range(1, 2 * k - 2, 2))
-
-    def pred(parts) -> bool:
-        if parts and parts[-1] in small:
-            return False
-        for i, p in enumerate(parts):
-            if p % 2 == 1:
-                for j, q in enumerate(parts):
-                    if j != i and p - 2 * k + 2 <= q <= p:
-                        return False
-        return True
-
-    return pred
-
-
-def cor_sum_pred(k: int, i: int) -> Callable:
-    def pred(parts) -> bool:
-        for a, p in enumerate(parts):
-            if p % 2 == 1:
-                if p < 2 * i + 1:
-                    return False
-                for b, q in enumerate(parts):
-                    if b == a:
-                        continue
-                    if q % 2 == 0 and p + 1 - 2 * i <= q <= p + 2 * k - 2 * i - 3:
-                        return False
-                    if q % 2 == 1 and p <= q <= p + 2 * k - 2:
-                        return False
-        return True
-
-    return pred
+    def bans(self) -> dict:
+        # two odd parts at an even distance; an odd part below an even one
+        # (class 1) or above one (class 0, the zero standing for p < 2i+1)
+        below = _odds(1, 2 * self.k - 2 * self.i - 3)
+        above = _odds(1, 2 * self.i - 1)
+        bans = dict.fromkeys(range(0, 2 * self.k - 1, 2), frozenset({1}))
+        for d in below | above:
+            bans[d] = frozenset(c for c, ds in ((0, above), (1, below)) if d in ds)
+        return bans
 
 
 def cor_product(k: int, i: int) -> ProductSpec:
@@ -474,33 +472,24 @@ def _build_registry():
     _refute((6, 10), 11, 50)
     _refute((2, 9), 11, 55, zeros=1)
 
-    # Family 9, its Andrews-style companion, and the interpolating corollary
+    # the interpolating corollary, then Family 9 and its Andrews-style
+    # companion as its ends
     for k in (2, 3):
-        _register(RegisteredIdentity(
-            name="FAM9_K%d" % k,
-            summary="Odd parts isolated above, modulus %d" % (4 * k),
-            product=cor_product(k, 0),
-            sum_pred=fam9_sum_pred(k),
-            flat=None,
-            family="FAM9", params=(("k", k),),
-        ))
-        _register(RegisteredIdentity(
-            name="AND1_K%d" % k,
-            summary="Odd parts isolated below, modulus %d" % (4 * k),
-            product=cor_product(k, k - 1),
-            sum_pred=and1_sum_pred(k),
-            flat=None,
-            family="AND1", params=(("k", k),),
-        ))
         for i in range(k):
+            row = CorRow(k, i)
             _register(RegisteredIdentity(
                 name="COR_K%d_I%d" % (k, i),
                 summary="Interpolated odd-isolation identity (k=%d, i=%d)" % (k, i),
                 product=cor_product(k, i),
-                sum_pred=cor_sum_pred(k, i),
-                flat=None,
+                sum_pred=row.sum_pred(),
+                flat=row_flat(row),
                 family="COR", params=(("k", k), ("i", i)),
             ))
+        for family, i, side in (("FAM9", 0, "above"), ("AND1", k - 1, "below")):
+            _register(replace(
+                _REGISTRY["COR_K%d_I%d" % (k, i)], name="%s_K%d" % (family, k),
+                summary="Odd parts isolated %s, modulus %d" % (side, 4 * k),
+                family=family))
 
     # classical regressions; the Rogers-Ramanujan pair is Gordon at k=2,
     # MacMahon is Family 1 at k=1, and Andrews' mod-6 identity is Bressoud
@@ -665,11 +654,10 @@ def get_identity(name: str) -> RegisteredIdentity:
 
 
 def family_satisfies(name: str, parts, form: str = SUM) -> bool:
-    """Membership test for one side of a registered identity."""
+    """Membership test for one side of a registered identity; the parts
+    must form a partition (positive, weakly decreasing)."""
     ident = get_identity(name)
-    if hasattr(parts, "parts"):
-        parts = parts.parts
-    parts = tuple(parts)
+    parts = Partition(parts).parts
     if form == SUM:
         return bool(ident.sum_pred(parts))
     if form == CONJUGATE:

@@ -29,7 +29,11 @@ DEFAULT_VERIFY_ORDER = 200
 
 
 def _pair(value, name):
-    lo, hi = (int(value[0]), int(value[1]))
+    try:
+        lo, hi = (int(x) for x in value)
+    except (TypeError, ValueError):
+        raise PreconditionViolated(
+            "%s must be a pair of integers, got %r" % (name, value)) from None
     if lo > hi:
         raise PreconditionViolated("%s is empty: (%d, %d)" % (name, lo, hi))
     return lo, hi
@@ -76,8 +80,7 @@ class SearchBounds:
         if extra:
             raise PreconditionViolated(
                 "unknown bounds keys: %s" % ", ".join(sorted(extra)))
-        return cls(**{k: tuple(v) if k.endswith("_range") else v
-                      for k, v in raw.items()})
+        return cls(**raw)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

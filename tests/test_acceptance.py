@@ -68,10 +68,8 @@ def test_criterion_2_every_registered_instance(capsys):
     t0 = time.monotonic()
     for name in registered_names():
         ident = get_identity(name)
-        order = 200 if (ident.flat is not None or
-                        ident.dp_rules is not None) else 40
-        if ident.count_series(order) != ident.product_series(order):
-            failures.append("%s disagrees by n=%d" % (name, order))
+        if ident.count_series(200) != ident.product_series(200):
+            failures.append("%s disagrees by n=200" % name)
     elapsed = time.monotonic() - t0
     if elapsed >= 60:
         failures.append("sweep took %.1fs" % elapsed)

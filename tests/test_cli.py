@@ -36,6 +36,17 @@ def test_count_brute_route_agrees(capsys):
     assert fast == slow
 
 
+@pytest.mark.parametrize("source", [("--family", "RR1"),
+                                    ("--rules", "1:2:0:1")])
+def test_count_brute_route_stops_at_its_ceiling(capsys, source):
+    # the enumeration route, by prose predicate or by window rules, stops
+    # above order 60 where the DP would not
+    rc, out, err = run(capsys, "count", *source, "--order", "61", "--brute")
+    assert rc == 1
+    assert out == ""
+    assert "capped at order 60" in err
+
+
 def test_product_output(capsys):
     rc, out, _ = run(capsys, "product", "--family", "MACMAHON",
                      "--order", "6")

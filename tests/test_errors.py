@@ -16,8 +16,12 @@ def test_bad_input_raises_a_flatpart_error():
              lambda: kth_flattest(0, 2, 4),
              lambda: FlatRule(0, 2, 0, 1),
              lambda: parse_rule("1:2"),
+             lambda: parse_rule("1:2:x:2"),
              lambda: SearchBounds(max_rules=0, a_range=(1, 1),
-                                  b_range=(2, 2), d_range=(2, 2)))
+                                  b_range=(2, 2), d_range=(2, 2)),
+             lambda: SearchBounds.from_json(
+                 '{"max_rules": 1, "a_range": 3, "b_range": [2, 2], '
+                 '"d_range": [2, 2]}'))
     for call in calls:
         with pytest.raises(FlatpartError) as exc:
             call()

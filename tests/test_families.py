@@ -5,12 +5,11 @@ import pytest
 from flatpart.conditions import satisfies
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import PreconditionViolated, UnknownFamily
-from flatpart.families import (and1_sum_pred, cor_sum_pred, fam9_sum_pred,
-                               family_row, family_satisfies, flat_form_of,
-                               get_identity, get_refuted, refuted_names,
-                               registered_names, row_conj_pred, row_flat,
-                               row_product)
-from flatpart.partitions import conjugate, partitions_of
+from flatpart.families import (CorRow, cor_product, family_row,
+                               family_satisfies, flat_form_of, get_identity,
+                               get_refuted, refuted_names, registered_names,
+                               row_conj_pred, row_flat, row_product)
+from flatpart.partitions import Partition, conjugate, partitions_of
 from flatpart.series import product_series
 
 
@@ -78,11 +77,41 @@ def test_predicate_and_flat_routes_agree_on_a_sample():
         assert tuple(brute) == ident.count_series(25).coeffs
 
 
+# Family 9 and Andrews' companion as their own papers state them: an
+# encoding independent of the corollary's predicate that the registry uses.
+def fam9_sum_pred(k):
+    def pred(parts):
+        for i, p in enumerate(parts):
+            if p % 2 == 1:
+                for j, q in enumerate(parts):
+                    if j != i and p <= q <= p + 2 * k - 2:
+                        return False
+        return True
+
+    return pred
+
+
+def and1_sum_pred(k):
+    small = set(range(1, 2 * k - 2, 2))
+
+    def pred(parts):
+        if parts and parts[-1] in small:
+            return False
+        for i, p in enumerate(parts):
+            if p % 2 == 1:
+                for j, q in enumerate(parts):
+                    if j != i and p - 2 * k + 2 <= q <= p:
+                        return False
+        return True
+
+    return pred
+
+
 def test_family9_and_andrews_companion_are_the_corollary_ends():
-    # FAM9_K and AND1_K keep their own predicates but take COR's products
+    # FAM9_K and AND1_K are registered as COR_K_I0 and COR_K_I(k-1)
     for k in (2, 3):
-        ends = ((fam9_sum_pred(k), cor_sum_pred(k, 0)),
-                (and1_sum_pred(k), cor_sum_pred(k, k - 1)))
+        ends = ((fam9_sum_pred(k), get_identity("FAM9_K%d" % k).sum_pred),
+                (and1_sum_pred(k), get_identity("AND1_K%d" % k).sum_pred))
         for n in range(25):
             for p in partitions_of(n):
                 for own, cor in ends:
@@ -94,7 +123,15 @@ def test_flat_form_of_unknown_or_predicate_only():
         flat_form_of("NOPE")
     from flatpart.errors import NoFlatForm
     with pytest.raises(NoFlatForm):
-        flat_form_of("FAM9_K2")
+        flat_form_of("CAPPARELLI1")
+
+
+def test_family_satisfies_needs_a_partition():
+    assert family_satisfies("RR1", (3, 1))
+    assert family_satisfies("RR1", Partition((3, 1)))
+    for parts in ((1, 3), (3, 0)):
+        with pytest.raises(PreconditionViolated):
+            family_satisfies("RR1", parts)
 
 
 def test_conjugate_forms_where_registered():
@@ -205,3 +242,38 @@ def test_family_rows_need_k_at_least_one():
         family_row("FAM2", -1)
     with pytest.raises(PreconditionViolated, match="FAM1_1 needs k >= 1, got k=0"):
         family_row("fam1_1", 0)
+
+
+# The corollary's window forms, recorded as row_flat renders them from
+# CorRow.bans(); FAM9_K<k> and AND1_K<k> share their ends' forms.
+COR_FORMS = {
+    "COR_K2_I0": "2:2:0:4;1:2:2:4;1:2:3:4",
+    "COR_K2_I1": "2:2:0:4;1:2:1:4;1:2:2:4 +1z",
+    "COR_K3_I0": "2:2:0:4;2:2:1:4;1:2:2:4;3:2:2:4;1:2:3:4",
+    "COR_K3_I1": "1:2:1:2;2:2:0:4;1:2:2:4;3:2:2:4 +1z",
+    "COR_K3_I2": "2:2:0:4;1:2:1:4;1:2:2:4;3:2:2:4;2:2:3:4 +1z",
+    "FAM9_K2": "2:2:0:4;1:2:2:4;1:2:3:4",
+    "FAM9_K3": "2:2:0:4;2:2:1:4;1:2:2:4;3:2:2:4;1:2:3:4",
+    "AND1_K2": "2:2:0:4;1:2:1:4;1:2:2:4 +1z",
+    "AND1_K3": "2:2:0:4;1:2:1:4;1:2:2:4;3:2:2:4;2:2:3:4 +1z",
+}
+
+
+def test_corollary_window_forms_match_the_printed_table():
+    registered = [n for n in registered_names()
+                  if get_identity(n).family in ("FAM9", "AND1", "COR")]
+    assert sorted(COR_FORMS) == registered
+    for name, form in COR_FORMS.items():
+        assert str(flat_form_of(name)) == form, name
+
+
+def test_corollary_row_beyond_the_registry():
+    # no entry builds k=4; its form must still count the product and
+    # read the prose exactly
+    parts = [p for n in range(19) for p in partitions_of(n)]
+    for i in range(4):
+        row = CorRow(4, i)
+        flat, prose = row_flat(row), row.sum_pred()
+        assert sum_series_dp(flat, 60) == product_series(cor_product(4, i), 60), i
+        for p in parts:
+            assert satisfies(flat, p) == prose(p), (i, p)
