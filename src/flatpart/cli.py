@@ -25,7 +25,7 @@ def _emit(text: str, out) -> None:
 
 def _condition_set_from(args):
     from .conditions import parse_condition_set
-    return parse_condition_set(args.rules, zeros=args.zeros)
+    return parse_condition_set(args.rules, zeros=args.zeros or 0)
 
 
 def cmd_count(args) -> int:
@@ -96,16 +96,15 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-_TRACE_NAMES = (
-    ("pi_1", "pi_1"), ("pi_2", "pi_2"), ("pi_3", "pi_3"),
-    ("pi_4", "pi_4"), ("pi_5", "pi_5"),
-    ("pi_1_prime", "pi_1'"), ("pi_2_prime", "pi_2'"),
-    ("pi_3_prime", "pi_3'"), ("pi_1_double_prime", "pi_1''"),
-    ("triples", "triples"), ("evens_halved", "halved evens"),
-    ("affine_mapped", "residue-mapped"), ("odd_mapped", "residue-mapped"),
-    ("mu", "mu"), ("mu_prime", "mu'"), ("mu_double_prime", "mu''"),
-    ("replicated", "replicated"),
-)
+_TRACE_RENAMES = {"evens_halved": "halved evens",
+                  "affine_mapped": "residue-mapped",
+                  "odd_mapped": "residue-mapped"}
+
+
+def _trace_label(key: str) -> str:
+    """The printed name of a trace key: pi_1_double_prime is pi_1''."""
+    return _TRACE_RENAMES.get(
+        key, key.replace("_double_prime", "''").replace("_prime", "'"))
 
 
 def cmd_bijection(args) -> int:
@@ -117,9 +116,8 @@ def cmd_bijection(args) -> int:
     fwd, inv, _core = family_maps(args.family, args.k)
     image = (inv if args.inverse else fwd)(parts, trace=trace)
     if trace is not None:
-        for key, label in _TRACE_NAMES:
-            if key in trace:
-                print("%s = %s" % (label, render_partition(trace[key])))
+        for key, value in trace.items():
+            print("%s = %s" % (_trace_label(key), render_partition(value)))
     print(render_partition(image))
     return 0
 
@@ -156,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rules", help="window rules, e.g. '1:2:1:2;1:3:0:3'")
     group.add_argument("--family", help="registered family name")
-    p.add_argument("--zeros", type=_nonnegative, default=0,
-                   help="fictitious zeros after the smallest part")
+    p.add_argument("--zeros", type=_nonnegative,
+                   help="fictitious zeros after the smallest part (with --rules)")
     p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--brute", action="store_true",
                    help="count by enumeration: the prose predicate with --family")
@@ -228,6 +226,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "product" and not args.family and args.modulus is None:
         parser.error("argument --modulus: required with --residues/--classes")
+    if args.command == "count" and args.family and args.zeros is not None:
+        parser.error("argument --zeros: not allowed with --family")
     try:
         return args.fn(args)
     except BrokenPipeError:

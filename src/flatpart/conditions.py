@@ -6,7 +6,9 @@ whenever m is congruent to C mod D.  A rule may instead fire on sums
 *not* congruent to C mod D.  A ConditionSet bundles several rules with
 a count of fictitious zeros appended to the right of the smallest part,
 which is how identities state their initial conditions.  Windows made
-entirely of fictitious zeros never match.
+entirely of fictitious zeros never match.  A set may also bound its
+smallest part (min_part): Capparelli's first identity has an initial
+condition that no window rule, with any zero count, can state.
 
 Rules have a one-line text form "A:B:C:D" (append ":n" for the negated
 congruence), and condition sets join rules with ";".
@@ -98,15 +100,18 @@ def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class ConditionSet:
-    """A deduplicated, canonically ordered set of rules plus a zero count."""
+    """A deduplicated, canonically ordered set of rules plus a zero count
+    and a smallest-part bound."""
 
     rules: tuple
     zeros: int = 0
-    label: str = ""
+    min_part: int = 1
 
     def __post_init__(self):
         if self.zeros < 0:
             raise PreconditionViolated("zeros must be >= 0")
+        if self.min_part < 1:
+            raise PreconditionViolated("min_part must be >= 1")
         seen = []
         for r in self.rules:
             if not isinstance(r, FlatRule):
@@ -129,10 +134,12 @@ class ConditionSet:
         text = self.render() or "(no rules)"
         if self.zeros:
             text += " +%dz" % self.zeros
+        if self.min_part > 1:
+            text += " parts>=%d" % self.min_part
         return text
 
 
-def condition_set(rules: Iterable, zeros: int = 0, label: str = "") -> ConditionSet:
+def condition_set(rules: Iterable, zeros: int = 0, min_part: int = 1) -> ConditionSet:
     """Build a ConditionSet from FlatRules, tuples (A, B, C, D[, mode]), or
     rule text."""
     built = []
@@ -143,20 +150,23 @@ def condition_set(rules: Iterable, zeros: int = 0, label: str = "") -> Condition
             built.append(parse_rule(r))
         else:
             built.append(FlatRule(*r))
-    return ConditionSet(tuple(built), zeros, label)
+    return ConditionSet(tuple(built), zeros, min_part)
 
 
-def parse_condition_set(text: str, zeros: int = 0, label: str = "") -> ConditionSet:
+def parse_condition_set(text: str, zeros: int = 0) -> ConditionSet:
     """Parse "A:B:C:D;A:B:C:D:n;..." into a ConditionSet."""
     text = text.strip()
     rules = [parse_rule(tok) for tok in text.split(";") if tok.strip()] if text else []
-    return ConditionSet(tuple(rules), zeros, label)
+    return ConditionSet(tuple(rules), zeros)
 
 
 def satisfies(cs: ConditionSet, parts: Sequence[int]) -> bool:
-    """True when no window of the zero-padded partition matches any rule."""
+    """True when the smallest part is at least cs.min_part and no window
+    of the zero-padded partition matches any rule."""
     if hasattr(parts, "parts"):
         parts = parts.parts
+    if parts and parts[-1] < cs.min_part:
+        return False
     extended = tuple(parts) + (0,) * cs.zeros
     n = len(extended)
     for rule in cs.rules:

@@ -10,8 +10,9 @@ capped just above the widest window.  The forbidden windows are listed
 once per call from their totals (a rule's window of total t is its
 k-th flattest pattern of t), and the profile spans the widest of them
 among parts <= the largest part, so the capped profile decides every
-rule exactly.  The DP is compared against the brute oracle in the test
-suite.
+rule exactly.  A smallest-part bound adds one check per value below it,
+which any copy of the value completes.  The DP is compared against the
+brute oracle in the test suite.
 
 Only the last step, the fictitious zeros below the smallest part, reads
 the zero count.  So the walk itself (_walk) is cached by the rules, the
@@ -170,6 +171,8 @@ def _walk(rules: tuple, order: int, largest_part: int | None,
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
     start = order if largest_part is None else min(order, largest_part)
     windows, window_span = _window_table(rules, start)
+    for v in range(1, min(min_part, start + 1)):
+        windows[v].append((1, (), ()))  # any copy of v is one too many
 
     length = order + 1
     # Every entry the DP stores or adds counts distinct partitions of its
@@ -194,7 +197,7 @@ def _walk(rules: tuple, order: int, largest_part: int | None,
         ndp = defaultdict(partial(np.zeros, shape, dtype=np.int64))
         for prof, vec in dp.items():
             lowest = _lowest_completion(prof, checks, more)
-            hi = min(cap, lowest - 1) if v >= min_part else 0
+            hi = min(cap, lowest - 1)
             for mu in range(0, hi + 1):
                 shift = mu * v
                 if shift >= length:
@@ -204,7 +207,7 @@ def _walk(rules: tuple, order: int, largest_part: int | None,
                     slot[:, shift:] += vec[:, :length - shift]
                 else:
                     slot += vec
-            if lowest == more and v >= min_part:
+            if lowest == more:
                 base = more * v
                 if base < length:
                     slot = ndp[((more,) + prof)[:window_span]]
@@ -234,11 +237,10 @@ def _walk(rules: tuple, order: int, largest_part: int | None,
 
 @lru_cache(maxsize=128)
 def sum_series_dp(cs: ConditionSet, order: int,
-                  largest_part: int | None = None,
-                  min_part: int = 1) -> IntSeries:
-    """Exact counting series of satisfying partitions, parts restricted to
-    [min_part, largest_part] when bounds are given.  Handles orders well
-    beyond the brute ceiling (hundreds)."""
-    rows = _walk(cs.rules, order, largest_part, min_part)
+                  largest_part: int | None = None) -> IntSeries:
+    """Exact counting series of satisfying partitions, parts at most
+    largest_part when that is given.  Handles orders well beyond the
+    brute ceiling (hundreds)."""
+    rows = _walk(cs.rules, order, largest_part, cs.min_part)
     return IntSeries(_from_lanes(rows[min(cs.zeros, len(rows) - 1)],
                                  _lane_primes(order)))

@@ -29,10 +29,6 @@ class UnknownRecursion(FlatpartError):
     """No registered recursion under the requested name."""
 
 
-class NoFlatForm(FlatpartError):
-    """The identity has no exact encoding as a window condition set."""
-
-
 class NotInProductClass(FlatpartError):
     """A bijection input lies outside the map's domain."""
 

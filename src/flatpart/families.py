@@ -2,9 +2,9 @@
 
 Each entry pairs a product side (parts restricted to residue classes,
 as a ProductSpec) with a sum side (a predicate on partitions written
-straight from the identity's prose statement) and, where one exists, an
-exact window encoding (ConditionSet).  Many entries also carry a
-conjugate-side predicate: membership of the conjugate partition is
+straight from the identity's prose statement) and its exact window
+encoding (ConditionSet), by which it counts.  Many entries also carry
+a conjugate-side predicate: membership of the conjugate partition is
 governed by part frequencies and counts of strictly greater parts.
 
 Each of Families 1-7 is one table row, a function of k, that states the
@@ -12,7 +12,8 @@ product classes and the sum side's prose conditions.  The window form,
 the conjugate side, the product and the bijections' copy counts are all
 derived from the row's one table of banned differences.  The corollary
 linking Family 9 to Andrews' companion has rows of the same kind, from
-which its window forms are derived, so every entry counts by the DP.
+which its window forms are derived.  Capparelli's first identity adds
+a smallest-part bound to its window rules; every entry counts by the DP.
 
 Names follow the pattern FAMILY_K<k>[_I<i>] for parametrized families;
 one-off classical identities have bare names (MACMAHON, SCHUR, ...).
@@ -27,7 +28,7 @@ from .conditions import ConditionSet, condition_set
 # count_by_predicate is re-exported as the enumeration route for any
 # entry's sum_pred; count_series itself always takes the DP
 from .counting import count_by_predicate, sum_series_dp  # noqa: F401
-from .errors import NoFlatForm, PreconditionViolated, UnknownFamily
+from .errors import PreconditionViolated, UnknownFamily
 from .partitions import Partition, frequency_profile
 from .series import IntSeries, ProductSpec
 
@@ -42,12 +43,8 @@ class RegisteredIdentity:
     summary: str
     product: ProductSpec
     sum_pred: Callable
-    flat: Optional[ConditionSet]
+    flat: ConditionSet
     conj_pred: Optional[Callable] = None
-    # Window rules that capture the difference conditions but not the
-    # initial conditions; pair with min_part for an exact fast count.
-    dp_rules: Optional[ConditionSet] = None
-    dp_min_part: int = 1
     family: str = ""
     params: tuple = ()
 
@@ -55,10 +52,8 @@ class RegisteredIdentity:
         return dict(self.params).get(key, default)
 
     def count_series(self, order: int) -> IntSeries:
-        """Sum-side counting series by the DP over the window rules."""
-        if self.flat is not None:
-            return sum_series_dp(self.flat, order)
-        return sum_series_dp(self.dp_rules, order, min_part=self.dp_min_part)
+        """Sum-side counting series by the DP over the window form."""
+        return sum_series_dp(self.flat, order)
 
     def product_series(self, order: int) -> IntSeries:
         from .series import product_series
@@ -530,9 +525,8 @@ def _build_registry():
         summary="Gap 2, gaps of 2 or 3 need sums divisible by 3, no ones",
         product=ProductSpec.from_residues(12, [2, 3, 9, 10]),
         sum_pred=capparelli_sum_pred,
-        flat=None,
-        dp_rules=condition_set([(1, 2, 0, 1), (2, 2, 1, 3), (2, 2, 2, 3)]),
-        dp_min_part=2,
+        flat=condition_set([(1, 2, 0, 1), (2, 2, 1, 3), (2, 2, 2, 3)],
+                           min_part=2),
         family="CAPPARELLI"))
     for k in (2, 3, 4):
         for i in range(1, k + 1):
@@ -667,10 +661,3 @@ def family_satisfies(name: str, parts, form: str = SUM) -> bool:
     if form == PRODUCT:
         return all(ident.product.allows_part(p) for p in parts)
     raise PreconditionViolated("form must be sum, conjugate, or product")
-
-
-def flat_form_of(name: str) -> ConditionSet:
-    ident = get_identity(name)
-    if ident.flat is None:
-        raise NoFlatForm("%s has no exact window encoding" % ident.name)
-    return ident.flat

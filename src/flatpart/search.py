@@ -29,11 +29,11 @@ DEFAULT_VERIFY_ORDER = 200
 
 
 def _pair(value, name):
-    try:
-        lo, hi = (int(x) for x in value)
-    except (TypeError, ValueError):
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(x) is int for x in value)):
         raise PreconditionViolated(
-            "%s must be a pair of integers, got %r" % (name, value)) from None
+            "%s must be a pair of integers, got %r" % (name, value))
+    lo, hi = value
     if lo > hi:
         raise PreconditionViolated("%s is empty: (%d, %d)" % (name, lo, hi))
     return lo, hi

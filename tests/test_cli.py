@@ -71,6 +71,15 @@ def test_product_without_modulus_is_a_usage_error(capsys):
         assert "--modulus" in err and "NoneType" not in err
 
 
+def test_count_by_family_rejects_zeros(capsys):
+    # an entry's window form fixes its zeros; padding it would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--family", "RR1", "--zeros", "3", "--order", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--zeros" in captured.err and captured.out == ""
+
+
 def test_euler_subcommand(tmp_path, capsys):
     series_file = tmp_path / "f.txt"
     rc, out, _ = run(capsys, "count", "--family", "MACMAHON",

@@ -28,7 +28,7 @@ def test_rule_parser_reduces_residues():
 
 
 def test_condition_set_text_round_trip():
-    cs = parse_condition_set("1:2:1:2;2:3:0:4:n", zeros=2, label="demo")
+    cs = parse_condition_set("1:2:1:2;2:3:0:4:n", zeros=2)
     assert cs.render() == "1:2:1:2;2:3:0:4:n"
     assert cs.zeros == 2
     again = parse_condition_set(cs.render(), zeros=cs.zeros)
@@ -90,3 +90,15 @@ def test_set_sort_key_is_by_rule_then_zeros():
 def test_condition_set_validates_zeros():
     with pytest.raises(ValueError):
         condition_set([parse_rule("1:2:1:2")], zeros=-1)
+
+
+def test_smallest_part_bound():
+    with pytest.raises(ValueError):
+        ConditionSet((parse_rule("1:2:1:2"),), min_part=0)
+    cs = condition_set(["1:2:1:2"], zeros=1, min_part=3)
+    assert str(cs) == "1:2:1:2 +1z parts>=3"
+    assert cs.render() == "1:2:1:2"             # rules only, as search prints
+    assert not satisfies(cs, (5, 2))            # smallest part below the bound
+    assert satisfies(cs, (5, 3))
+    assert satisfies(cs, ())
+    assert not satisfies(cs, (4, 3))            # the rule still applies

@@ -6,6 +6,7 @@ correctness evidence for both.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,7 +79,7 @@ def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
     def pred(p):
         return all(min_part <= x <= top for x in p) and satisfies(cs, p)
 
-    assert (sum_series_dp(cs, order, largest_part, min_part)
+    assert (sum_series_dp(replace(cs, min_part=min_part), order, largest_part)
             == count_by_predicate(pred, order))
 
 
@@ -107,7 +108,7 @@ def test_zero_counts_share_one_walk():
                 return (all(min_part <= x <= largest_part for x in p)
                         and satisfies(cs, p))
 
-            assert (count(cs, order, largest_part, min_part)
+            assert (count(ConditionSet(rules, zeros, min_part), order, largest_part)
                     == count_by_predicate(pred, order)), (cs, largest_part, min_part)
         assert _walk.cache_info().hits - hits >= 2 * (cap + 2)
 
@@ -156,11 +157,18 @@ def test_largest_part_bound():
 
 def test_min_part_bound():
     cs = parse_condition_set("1:2:0:1", zeros=0)
-    floored = sum_series_dp(cs, 24, min_part=2)
+    floored = sum_series_dp(replace(cs, min_part=2), 24)
     for n in range(25):
         direct = sum(1 for p in partitions_of(n)
                      if (not p or p[-1] >= 2) and satisfies(cs, p))
         assert floored[n] == direct
+
+
+def test_brute_route_honours_the_smallest_part_bound():
+    rng = random.Random(612)
+    for _ in range(12):
+        cs = replace(random_condition_set(rng), min_part=rng.randrange(2, 4))
+        assert sum_series_brute(cs, 24) == sum_series_dp(cs, 24), cs
 
 
 def test_empty_partition_always_counts():

@@ -21,7 +21,11 @@ def test_bad_input_raises_a_flatpart_error():
                                   b_range=(2, 2), d_range=(2, 2)),
              lambda: SearchBounds.from_json(
                  '{"max_rules": 1, "a_range": 3, "b_range": [2, 2], '
-                 '"d_range": [2, 2]}'))
+                 '"d_range": [2, 2]}'),
+             lambda: SearchBounds(max_rules=1, a_range=[1.7, 2.9],
+                                  b_range=(2, 2), d_range=(2, 2)),
+             lambda: SearchBounds(max_rules=1, a_range=(1, 1),
+                                  b_range="22", d_range=(2, 2)))
     for call in calls:
         with pytest.raises(FlatpartError) as exc:
             call()

@@ -6,8 +6,8 @@ from flatpart.conditions import satisfies
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import PreconditionViolated, UnknownFamily
 from flatpart.families import (CorRow, cor_product, family_row,
-                               family_satisfies, flat_form_of, get_identity,
-                               get_refuted, refuted_names, registered_names,
+                               family_satisfies, get_identity, get_refuted,
+                               refuted_names, registered_names,
                                row_conj_pred, row_flat, row_product)
 from flatpart.partitions import Partition, conjugate, partitions_of
 from flatpart.series import product_series
@@ -51,8 +51,6 @@ def test_flat_form_agrees_with_predicate_where_both_exist():
     # the window rules and the prose predicate are independent encodings
     for name in registered_names():
         ident = get_identity(name)
-        if ident.flat is None:
-            continue
         for n in range(27):
             for p in partitions_of(n):
                 assert satisfies(ident.flat, p) == ident.sum_pred(p), (name, p)
@@ -118,12 +116,12 @@ def test_family9_and_andrews_companion_are_the_corollary_ends():
                     assert own(p) == cor(p), (k, p)
 
 
-def test_flat_form_of_unknown_or_predicate_only():
+def test_capparelli_flat_form_and_unknown_names():
+    # Capparelli's initial condition is a smallest-part bound, not a zero
+    assert (str(get_identity("CAPPARELLI1").flat)
+            == "1:2:0:1;2:2:1:3;2:2:2:3 parts>=2")
     with pytest.raises(UnknownFamily):
-        flat_form_of("NOPE")
-    from flatpart.errors import NoFlatForm
-    with pytest.raises(NoFlatForm):
-        flat_form_of("CAPPARELLI1")
+        get_identity("NOPE")
 
 
 def test_family_satisfies_needs_a_partition():
@@ -217,7 +215,7 @@ def test_family_window_forms_match_the_printed_table():
                   if get_identity(n).family in FAMILIES]
     assert sorted(FAMILY_FORMS) == registered
     for name, form in FAMILY_FORMS.items():
-        assert str(flat_form_of(name)) == form, name
+        assert str(get_identity(name).flat) == form, name
 
 
 def test_family_rows_beyond_the_registry():
@@ -264,7 +262,7 @@ def test_corollary_window_forms_match_the_printed_table():
                   if get_identity(n).family in ("FAM9", "AND1", "COR")]
     assert sorted(COR_FORMS) == registered
     for name, form in COR_FORMS.items():
-        assert str(flat_form_of(name)) == form, name
+        assert str(get_identity(name).flat) == form, name
 
 
 def test_corollary_row_beyond_the_registry():
