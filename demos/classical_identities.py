@@ -22,7 +22,7 @@ for name in ("RR1", "RR2", "MACMAHON", "SCHUR", "GG", "CAPPARELLI1"):
 # the same check via the flat-form text, bypassing the registry
 from flatpart import parse_condition_set, sum_series_dp
 
-macmahon = parse_condition_set("1:2:1:2", zeros=1)
+macmahon = parse_condition_set("1:2:1:2 +1z")
 print()
 print("flat form 1:2:1:2 with one fictitious zero:")
 print("  ", ",".join(str(c) for c in sum_series_dp(macmahon, 15).coeffs))

@@ -12,7 +12,7 @@ from flatpart import parse_condition_set, sum_series_dp
 from flatpart.euler import detect_period, euler_exponents
 
 # the count with no consecutive parts and no ones
-cs = parse_condition_set("1:2:1:2", zeros=1)
+cs = parse_condition_set("1:2:1:2 +1z")
 series = sum_series_dp(cs, 60)
 print("coefficients:", ",".join(str(c) for c in series.coeffs[:20]), "...")
 

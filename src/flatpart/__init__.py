@@ -13,14 +13,13 @@ from .conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule,
 from .counting import count_by_predicate, sum_series_brute, sum_series_dp
 from .errors import (CeilingExceeded, FlatpartError, InsufficientOrder,
                      InvalidSpecialization, NonUnitConstantTerm,
-                     NotEnoughPatterns, NotInProductClass,
-                     PreconditionViolated, UnknownFamily, UnknownRecursion)
+                     NotInProductClass, PreconditionViolated, UnknownFamily,
+                     UnknownRecursion)
 from .euler import (EulerFactorization, PeriodicVerdict, detect_period,
                     euler_exponents)
 from .families import (family_satisfies, get_identity, get_refuted,
                        refuted_names, registered_names)
-from .partitions import (Partition, compare_flatter, conjugate,
-                         count_flat_patterns, flat_patterns,
+from .partitions import (as_partition, conjugate, flat_patterns,
                          frequency_profile, kth_flattest, parse_partition,
                          partitions_of, render_partition)
 from .series import (IntSeries, ProductSpec, geom, load_series, monomial,

@@ -18,6 +18,9 @@ and m = 2 for the rest: it splits the parts divisible by m, sends each
 product residue class to a class of m-regular parts, runs the core map,
 and copies each image part a number of times fixed by its index mod m;
 the copy counts are the gaps between successive product classes.
+
+Every public map checks its input with as_partition: parts out of
+weakly decreasing order raise PreconditionViolated and are never sorted.
 """
 
 from __future__ import annotations
@@ -28,26 +31,15 @@ from typing import Optional
 
 from .errors import NotInProductClass, PreconditionViolated, UnknownFamily
 from .families import family_row, get_identity
-from .partitions import frequency_profile, partitions_of
+from .partitions import as_partition, frequency_profile, partitions_of
 
 SYLVESTER_CORE = "structural hook dissection"
 RANK_CORE = "rank matching within (weight, type) classes"
 
 
-def _as_parts(p) -> tuple:
-    if hasattr(p, "parts"):
-        p = p.parts
-    parts = tuple(int(x) for x in p)
-    if any(x <= 0 for x in parts):
-        raise PreconditionViolated("parts must be positive: %r" % (parts,))
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        parts = tuple(sorted(parts, reverse=True))
-    return parts
-
-
 def length_type(parts, modulus: int) -> tuple:
     """Counts of parts in each nonzero residue class mod `modulus`."""
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     if any(p % modulus == 0 for p in parts):
         raise PreconditionViolated(
             "length type undefined: part divisible by %d" % modulus)
@@ -60,7 +52,7 @@ def length_type(parts, modulus: int) -> tuple:
 def alternating_sum_type(parts, modulus: int) -> tuple:
     """Differences M_i - M_{i+1} of index-class part sums, where M_i sums
     the parts whose (1-based) index is congruent to i mod `modulus`."""
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     if any(f >= modulus for f, _g in frequency_profile(parts).values()):
         raise PreconditionViolated(
             "alternating sum type undefined: a part repeats %d times" % modulus)
@@ -71,24 +63,10 @@ def alternating_sum_type(parts, modulus: int) -> tuple:
     return tuple(ordered[i] - ordered[i + 1] for i in range(modulus - 1))
 
 
-@dataclass(frozen=True)
-class TypedPartition:
-    partition: tuple
-    modulus: int
-
-    @property
-    def length_type(self) -> tuple:
-        return length_type(self.partition, self.modulus)
-
-    @property
-    def alternating_sum_type(self) -> tuple:
-        return alternating_sum_type(self.partition, self.modulus)
-
-
 # ------------------------------------------------------- odd <-> distinct
 
 def sylvester_map(parts) -> tuple:
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     if any(p % 2 == 0 for p in parts):
         raise PreconditionViolated("sylvester_map needs all parts odd")
     a = [(p - 1) // 2 for p in parts]
@@ -111,7 +89,7 @@ def sylvester_map(parts) -> tuple:
 
 
 def sylvester_inverse(parts) -> tuple:
-    mu = _as_parts(parts)
+    mu = as_partition(parts)
     if len(set(mu)) != len(mu):
         raise PreconditionViolated("sylvester_inverse needs distinct parts")
     if not mu:
@@ -158,7 +136,7 @@ def stockhofe_core(modulus: int) -> str:
 
 
 def stockhofe_map(modulus: int, parts) -> tuple:
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     if modulus < 2:
         raise PreconditionViolated("modulus must be at least 2")
     if any(p % modulus == 0 for p in parts):
@@ -174,7 +152,7 @@ def stockhofe_map(modulus: int, parts) -> tuple:
 
 
 def stockhofe_inverse(modulus: int, parts) -> tuple:
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     if modulus < 2:
         raise PreconditionViolated("modulus must be at least 2")
     if any(f >= modulus for f, _g in frequency_profile(parts).values()):
@@ -239,7 +217,7 @@ def wrapper_spec(family: str, k: int) -> WrapperSpec:
 
 
 def wrapper_map(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> tuple:
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     m = spec.core
     split, small = [], []
     for p in parts:
@@ -266,7 +244,7 @@ def wrapper_inverse(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> t
     occurs e = f/c times in mu from index class 1 + g/c on (c any copy
     count, division mod core).  It lands in pile pi_1 if e = 0, else in
     pi_{2e+1} if those e classes include the marked one, else in pi_{2e}."""
-    parts = _as_parts(parts)
+    parts = as_partition(parts)
     m = spec.core
     inv = pow(spec.copies[0], -1, m)
     piles = {j: [] for j in range(1, 2 * m)}
@@ -299,16 +277,6 @@ def wrapper_inverse(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> t
         trace.update(pi_1_double_prime=tuple(merged), mu=mu,
                      mu_prime=small, mu_double_prime=unmapped)
     return result
-
-
-def family1_map(variant: int, k: int, parts,
-                trace: Optional[dict] = None) -> tuple:
-    return wrapper_map(wrapper_spec("FAM1_%d" % variant, k), parts, trace)
-
-
-def family1_inverse(variant: int, k: int, parts,
-                    trace: Optional[dict] = None) -> tuple:
-    return wrapper_inverse(wrapper_spec("FAM1_%d" % variant, k), parts, trace)
 
 
 # ---------------------------------------------------------------- harness

@@ -48,12 +48,9 @@ def cmd_product(args) -> int:
         from .families import get_identity
         spec = get_identity(args.family).product
     elif args.residues:
-        residues = [int(r) for r in args.residues.split(",")]
-        spec = ProductSpec.from_residues(args.modulus, residues)
+        spec = ProductSpec.from_residues(args.modulus, args.residues)
     else:
-        pairs = (tok.split(":") for tok in args.classes.split(","))
-        spec = ProductSpec(args.modulus,
-                           {int(r): int(e) for r, e in pairs})
+        spec = ProductSpec(args.modulus, args.classes)
     _emit("\n".join(map(str, product_series(spec, args.order))), args.out)
     return 0
 
@@ -125,7 +122,7 @@ def cmd_bijection(args) -> int:
 def cmd_overpartition(args) -> int:
     from .overpartitions import count_A, product_biseries, specialize
     if args.specialize:
-        s, t = (int(x) for x in args.specialize.split(","))
+        s, t = args.specialize
         _emit("\n".join(map(str, specialize(args.k, s, t, args.nmax))), args.out)
         return 0
     if args.enumerate:
@@ -141,6 +138,27 @@ def _nonnegative(text: str) -> int:
         raise argparse.ArgumentTypeError(
             "must be a nonnegative integer, got %r" % text)
     return int(text)
+
+
+def _int_list(text: str, sep: str = ",", size: int | None = None) -> tuple:
+    """The integers of a `sep`-joined list, `size` of them if given."""
+    try:
+        values = tuple(int(tok) for tok in text.split(sep))
+    except ValueError:
+        values = ()
+    if not values or size not in (None, len(values)):
+        raise argparse.ArgumentTypeError(
+            "must be %s integers joined by %r, got %r"
+            % (size or "one or more", sep, text))
+    return values
+
+
+def _class_pairs(text: str) -> dict:
+    return dict(_int_list(tok, ":", 2) for tok in text.split(","))
+
+
+def _int_pair(text: str) -> tuple:
+    return _int_list(text, size=2)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,8 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="expand a residue-class product")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--family", help="registered family name")
-    group.add_argument("--residues", help="comma list of allowed residues")
-    group.add_argument("--classes", help="residue:exponent pairs, comma-joined")
+    group.add_argument("--residues", type=_int_list,
+                       help="comma list of allowed residues")
+    group.add_argument("--classes", type=_class_pairs,
+                       help="residue:exponent pairs, comma-joined")
     p.add_argument("--modulus", type=int,
                    help="required with --residues/--classes")
     p.add_argument("--order", type=_nonnegative, default=40)
@@ -211,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--nmax", type=_nonnegative, default=20)
     p.add_argument("--mmax", type=_nonnegative, default=6)
-    p.add_argument("--specialize", metavar="S,T",
+    p.add_argument("--specialize", metavar="S,T", type=_int_pair,
                    help="collapse a^m q^n to q^(T*n+S*m)")
     p.add_argument("--enumerate", action="store_true",
                    help="build the table by enumeration instead of the product")

@@ -11,15 +11,19 @@ smallest part (min_part): Capparelli's first identity has an initial
 condition that no window rule, with any zero count, can state.
 
 Rules have a one-line text form "A:B:C:D" (append ":n" for the negated
-congruence), and condition sets join rules with ";".
+congruence).  A condition set joins its rules with ";" ("(no rules)"
+when there are none) and appends " +Nz" for N zeros and " parts>=N" for
+a smallest-part bound: str() prints that form and parse_condition_set
+reads it back.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NotEnoughPatterns, PreconditionViolated
+from .errors import PreconditionViolated
 from .partitions import kth_flattest
 
 CONGRUENT = "congruent"
@@ -92,10 +96,7 @@ def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
     total = sum(window)
     if not rule.sum_matches(total):
         return False
-    try:
-        return window == kth_flattest(rule.flatness_index, rule.width, total)
-    except NotEnoughPatterns:
-        return False
+    return window == kth_flattest(rule.flatness_index, rule.width, total)
 
 
 @dataclass(frozen=True)
@@ -153,18 +154,28 @@ def condition_set(rules: Iterable, zeros: int = 0, min_part: int = 1) -> Conditi
     return ConditionSet(tuple(built), zeros, min_part)
 
 
+_SET_TEXT = re.compile(r"(.*?)(?:\s+\+(\d+)z)?(?:\s+parts>=(\d+))?")
+
+
 def parse_condition_set(text: str, zeros: int = 0) -> ConditionSet:
-    """Parse "A:B:C:D;A:B:C:D:n;..." into a ConditionSet."""
-    text = text.strip()
-    rules = [parse_rule(tok) for tok in text.split(";") if tok.strip()] if text else []
-    return ConditionSet(tuple(rules), zeros)
+    """Parse the text str(ConditionSet) prints: "A:B:C:D;A:B:C:D:n;..."
+    or "(no rules)", then an optional " +Nz" zero count and an optional
+    " parts>=N" smallest-part bound.  `zeros` gives the zero count when
+    the text has no "+Nz"; giving both is an error."""
+    body, nz, bound = _SET_TEXT.fullmatch(" " + text.strip()).groups()
+    if nz is not None:
+        if zeros:
+            raise PreconditionViolated(
+                "zeros given twice: %r and zeros=%d" % (text, zeros))
+        zeros = int(nz)
+    body = "" if body.strip() == "(no rules)" else body
+    rules = [parse_rule(tok) for tok in body.split(";") if tok.strip()]
+    return ConditionSet(tuple(rules), zeros, int(bound or 1))
 
 
 def satisfies(cs: ConditionSet, parts: Sequence[int]) -> bool:
     """True when the smallest part is at least cs.min_part and no window
     of the zero-padded partition matches any rule."""
-    if hasattr(parts, "parts"):
-        parts = parts.parts
     if parts and parts[-1] < cs.min_part:
         return False
     extended = tuple(parts) + (0,) * cs.zeros

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .conditions import ConditionSet, satisfies
-from .errors import CeilingExceeded, NotEnoughPatterns
+from .errors import CeilingExceeded
 from .partitions import kth_flattest, partitions_of
 from .series import IntSeries, ProductSpec, product_series
 
@@ -84,11 +84,8 @@ def _window_table(rules, start: int):
         for t in range(1, rule.width * start + 1):
             if not rule.sum_matches(t):
                 continue
-            try:
-                w = kth_flattest(rule.flatness_index, rule.width, t)
-            except NotEnoughPatterns:
-                continue
-            if w[0] > start:
+            w = kth_flattest(rule.flatness_index, rule.width, t)
+            if w is None or w[0] > start:
                 continue
             counts = Counter(x - w[-1] for x in w)
             top = w[0] - w[-1]

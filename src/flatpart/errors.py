@@ -5,10 +5,6 @@ class FlatpartError(Exception):
     """Base class for all library-specific errors."""
 
 
-class NotEnoughPatterns(FlatpartError):
-    """Asked for the k-th flattest pattern when fewer than k exist."""
-
-
 class NonUnitConstantTerm(FlatpartError):
     """Series division or factorization requires a constant term of +-1."""
 

@@ -29,7 +29,7 @@ from .conditions import ConditionSet, condition_set
 # entry's sum_pred; count_series itself always takes the DP
 from .counting import count_by_predicate, sum_series_dp  # noqa: F401
 from .errors import PreconditionViolated, UnknownFamily
-from .partitions import Partition, frequency_profile
+from .partitions import as_partition, frequency_profile
 from .series import IntSeries, ProductSpec
 
 SUM = "sum"
@@ -651,7 +651,7 @@ def family_satisfies(name: str, parts, form: str = SUM) -> bool:
     """Membership test for one side of a registered identity; the parts
     must form a partition (positive, weakly decreasing)."""
     ident = get_identity(name)
-    parts = Partition(parts).parts
+    parts = as_partition(parts)
     if form == SUM:
         return bool(ident.sum_pred(parts))
     if form == CONJUGATE:

@@ -1,6 +1,9 @@
 """Integer partitions and the flatness order on fixed-length patterns.
 
-A partition is stored as a weakly decreasing tuple of positive parts.
+A partition is a plain tuple of positive ints in weakly decreasing
+order.  as_partition is the one check of outside input, and it never
+repairs what it is given.
+
 Length-B windows of a partition (possibly padded with zeros on the right)
 are compared by *flatness*: a pattern is flatter when it is longer, or,
 at equal length, lexicographically smaller.  The flattest B-tuple with a
@@ -15,55 +18,24 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import NotEnoughPatterns, PreconditionViolated
+from .errors import PreconditionViolated
 
 
-class Partition:
-    """An immutable integer partition (weakly decreasing positive parts)."""
-
-    __slots__ = ("parts", "weight")
-
-    def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
-            raise PreconditionViolated("parts must be positive: %r" % (parts,))
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise PreconditionViolated(
-                "parts must be weakly decreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "weight", sum(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
-
-    def __str__(self):
-        return render_partition(self.parts)
-
-    def conjugate(self) -> "Partition":
-        return Partition(conjugate(self.parts))
-
-    def frequencies(self) -> dict:
-        return frequency_profile(self.parts)
+def as_partition(parts) -> tuple:
+    """The parts as a tuple, checked to be positive ints in weakly
+    decreasing order.  Input is never repaired: anything else raises
+    PreconditionViolated."""
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise PreconditionViolated(
+            "a partition is a sequence of ints, got %r" % (parts,)) from None
+    if not all(isinstance(p, int) and p > 0 for p in parts):
+        raise PreconditionViolated("parts must be positive ints: %r" % (parts,))
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        raise PreconditionViolated(
+            "parts must be weakly decreasing: %r" % (parts,))
+    return parts
 
 
 def render_partition(parts: Sequence[int]) -> str:
@@ -78,12 +50,12 @@ def parse_partition(text: str) -> tuple:
     text = text.strip()
     if text in ("-", ""):
         return ()
-    parts = tuple(int(tok) for tok in text.split(","))
-    if any(p <= 0 for p in parts):
-        raise PreconditionViolated("parts must be positive: %r" % text)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise PreconditionViolated("parts must be weakly decreasing: %r" % text)
-    return parts
+    try:
+        parts = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise PreconditionViolated(
+            "parts must be comma-separated integers: %r" % text) from None
+    return as_partition(parts)
 
 
 def _gen_partitions(n: int, max_part: int) -> Iterator[tuple]:
@@ -111,19 +83,6 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple:
     return tuple(_gen_partitions(n, cap))
 
 
-def compare_flatter(a: Sequence[int], b: Sequence[int]) -> int:
-    """Negative if a is flatter than b, zero if equal, positive if steeper.
-
-    Flatter means longer; at equal length, lexicographically smaller.
-    """
-    ta, tb = tuple(a), tuple(b)
-    if len(ta) != len(tb):
-        return -1 if len(ta) > len(tb) else 1
-    if ta == tb:
-        return 0
-    return -1 if ta < tb else 1
-
-
 def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[tuple]:
     """Weakly decreasing nonnegative tuples of the given length and sum,
     flattest first (= lexicographic order)."""
@@ -144,26 +103,13 @@ def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[t
 
 
 @lru_cache(maxsize=None)
-def kth_flattest(k: int, length: int, total: int) -> tuple:
+def kth_flattest(k: int, length: int, total: int) -> tuple | None:
     """The k-th flattest weakly decreasing nonnegative tuple (1-indexed)
-    of the given length and sum.
-
-    Raises NotEnoughPatterns when fewer than k such tuples exist.
-    """
+    of the given length and sum, or None when fewer than k exist.  Both
+    answers are cached, so a missing pattern is enumerated once."""
     if k < 1:
         raise PreconditionViolated("k is 1-indexed, got %d" % k)
-    got = list(islice(flat_patterns(length, total), k))
-    if len(got) < k:
-        raise NotEnoughPatterns(
-            "only %d patterns of length %d summing to %d, wanted %d"
-            % (len(got), length, total, k)
-        )
-    return got[k - 1]
-
-
-def count_flat_patterns(length: int, total: int) -> int:
-    """Number of weakly decreasing nonnegative tuples of a length and sum."""
-    return sum(1 for _ in flat_patterns(length, total))
+    return next(islice(flat_patterns(length, total), k - 1, None), None)
 
 
 def conjugate(parts: Sequence[int]) -> tuple:

@@ -10,9 +10,9 @@ import math
 
 import pytest
 
-from flatpart.bijections import (RANK_CORE, SYLVESTER_CORE, TypedPartition,
-                                 alternating_sum_type, family1_inverse,
-                                 family1_map, length_type, stockhofe_core,
+from flatpart.bijections import (RANK_CORE, SYLVESTER_CORE,
+                                 alternating_sum_type, length_type,
+                                 stockhofe_core,
                                  stockhofe_inverse, stockhofe_map,
                                  sylvester_inverse, sylvester_map,
                                  verify_bijection, wrapper_inverse,
@@ -75,9 +75,6 @@ def test_types_of_a_partition():
     # two parts in class 1 mod 3 (4 and 1), three in class 2 (5, 2, 2)
     assert length_type((5, 4, 2, 2, 1), 3) == (2, 3)
     assert alternating_sum_type((5, 4, 2, 2, 1), 3) == (2, 3)
-    t = TypedPartition((5, 4, 2, 2, 1), 3)
-    assert t.length_type == (2, 3)
-    assert t.alternating_sum_type == (2, 3)
 
 
 def test_type_domains_are_guarded():
@@ -152,6 +149,21 @@ def test_wrapper_rejects_parts_outside_the_class():
         wrapper_map(spec, (3,))     # 3 mod 6 is neither even nor -1
 
 
+def test_unsorted_input_is_refused_not_sorted():
+    spec = wrapper_spec("FAM2", 2)
+    calls = (lambda: wrapper_map(spec, (5, 11)),
+             lambda: wrapper_inverse(spec, (1, 3)),
+             lambda: sylvester_map((1, 3)),
+             lambda: sylvester_inverse((1, 3)),
+             lambda: stockhofe_map(3, (1, 2)),
+             lambda: stockhofe_inverse(3, (1, 2)),
+             lambda: length_type((1, 2), 3),
+             lambda: alternating_sum_type((1, 2), 3))
+    for call in calls:
+        with pytest.raises(PreconditionViolated, match="weakly decreasing"):
+            call()
+
+
 def test_wrapper_spec_unknown_family():
     with pytest.raises(UnknownFamily):
         wrapper_spec("FAM99", 1)
@@ -176,19 +188,21 @@ def test_family1_round_trip_all_variants():
 
 def test_family1_map_has_trace_and_inverts():
     # variant 2, k=1: product class built from parts mod 6
+    spec = wrapper_spec("FAM1_2", 1)
     for n in range(1, 16):
         for p in partitions_of(n):
             try:
-                q = family1_map(2, 1, p)
+                q = wrapper_map(spec, p)
             except (NotInProductClass, PreconditionViolated):
                 continue
             assert sum(q) == n
-            assert family1_inverse(2, 1, q) == p
+            assert wrapper_inverse(spec, q) == p
 
 
 def test_family1_worked_example_forward():
     trace = {}
-    assert family1_map(1, 2, F1_SOURCE, trace=trace) == F1_IMAGE
+    assert wrapper_map(wrapper_spec("FAM1_1", 2), F1_SOURCE,
+                       trace=trace) == F1_IMAGE
     assert trace == {
         "triples": (4, 4, 4),
         "affine_mapped": (5, 4, 4, 1),
@@ -201,7 +215,8 @@ def test_family1_worked_example_forward():
 def test_family1_worked_example_inverse():
     # every one of the five piles is occupied
     trace = {}
-    assert family1_inverse(1, 2, F1_IMAGE, trace=trace) == F1_SOURCE
+    assert wrapper_inverse(wrapper_spec("FAM1_1", 2), F1_IMAGE,
+                           trace=trace) == F1_SOURCE
     assert trace == {
         "pi_1": (4, 4, 4),
         "pi_2": (5, 5),
@@ -238,7 +253,7 @@ def test_wrapper_spec_rejects_k_below_one(capsys):
         with pytest.raises(PreconditionViolated, match="k=0"):
             wrapper_spec(family, 0)
     with pytest.raises(PreconditionViolated, match="k=0"):
-        family1_map(1, 0, (5, 1))
+        wrapper_map(wrapper_spec("FAM1_1", 0), (5, 1))
     rc = main(["bijection", "--family", "FAM1_1", "--k", "0",
                "--input", "5,1"])
     captured = capsys.readouterr()

@@ -28,6 +28,21 @@ def test_count_by_rules_matches_family(capsys):
     assert out1 == out2
 
 
+def test_count_reads_the_printed_condition_set(capsys):
+    # the text str(ConditionSet) prints, zero count and part bound included
+    for rules, family, order in (
+            ("1:2:1:2 +1z", "MACMAHON", "20"),
+            ("1:2:0:1;2:2:1:3;2:2:2:3 parts>=2", "CAPPARELLI1", "200")):
+        rc1, out1, _ = run(capsys, "count", "--rules", rules, "--order", order)
+        rc2, out2, _ = run(capsys, "count", "--family", family,
+                           "--order", order)
+        assert rc1 == rc2 == 0
+        assert out1 == out2
+    rc, out, err = run(capsys, "count", "--rules", "1:2:1:2 +1z",
+                       "--zeros", "1", "--order", "5")
+    assert rc == 1 and out == "" and "zeros given twice" in err
+
+
 def test_count_brute_route_agrees(capsys):
     rc, fast, _ = run(capsys, "count", "--family", "SCHUR", "--order", "18")
     rc2, slow, _ = run(capsys, "count", "--family", "SCHUR", "--order", "18",
@@ -69,6 +84,20 @@ def test_product_without_modulus_is_a_usage_error(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--modulus" in err and "NoneType" not in err
+
+
+@pytest.mark.parametrize("args, option", [
+    (("product", "--residues", "1,x", "--modulus", "5"), "--residues"),
+    (("product", "--classes", "1", "--modulus", "5"), "--classes"),
+    (("overpartition", "--k", "2", "--specialize", "1,2,3"), "--specialize"),
+])
+def test_list_arguments_fail_at_parse_time(capsys, args, option):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be" % option in err
+    assert "unpack" not in err
 
 
 def test_count_by_family_rejects_zeros(capsys):

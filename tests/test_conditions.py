@@ -1,10 +1,12 @@
 """Forbidden-window rules and condition sets, including the text format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpart.conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet,
                                  FlatRule, condition_set, matches_at,
                                  parse_condition_set, parse_rule, satisfies)
+from flatpart.errors import PreconditionViolated
 
 
 def test_rule_text_round_trip():
@@ -33,6 +35,30 @@ def test_condition_set_text_round_trip():
     assert cs.zeros == 2
     again = parse_condition_set(cs.render(), zeros=cs.zeros)
     assert again.rules == cs.rules
+
+
+flat_rules = st.builds(FlatRule, st.integers(1, 4), st.integers(1, 4),
+                       st.integers(-6, 12), st.integers(1, 6),
+                       st.sampled_from((CONGRUENT, NOT_CONGRUENT)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(flat_rules, max_size=4), st.integers(0, 5), st.integers(1, 4))
+def test_printed_condition_set_parses_back(rule_list, zeros, min_part):
+    cs = ConditionSet(tuple(rule_list), zeros, min_part)
+    assert parse_condition_set(str(cs)) == cs
+
+
+def test_printed_suffixes():
+    assert parse_condition_set("1:2:1:2 +1z") == parse_condition_set(
+        "1:2:1:2", zeros=1)
+    assert parse_condition_set("(no rules)") == parse_condition_set("")
+    # a zero count given twice, or a malformed suffix, is refused
+    for text, zeros in (("1:2:1:2 +1z", 1), ("1:2:1:2 +0z", 2),
+                        ("1:2:1:2 +xz", 0),
+                        ("1:2:1:2 parts>=", 0), ("1:2:1:2 parts>=0", 0)):
+        with pytest.raises(PreconditionViolated):
+            parse_condition_set(text, zeros=zeros)
 
 
 def test_rules_are_deduped_and_sorted():

@@ -4,15 +4,16 @@ import pytest
 
 from flatpart.conditions import FlatRule, parse_rule
 from flatpart.errors import FlatpartError
-from flatpart.partitions import Partition, kth_flattest, parse_partition
+from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
 from flatpart.series import ProductSpec
 
 
 def test_bad_input_raises_a_flatpart_error():
     calls = (lambda: ProductSpec(5, {1: -1}),
-             lambda: Partition((1, 2)),
+             lambda: as_partition((1, 2)),
              lambda: parse_partition("1,2"),
+             lambda: parse_partition("5,x"),
              lambda: kth_flattest(0, 2, 4),
              lambda: FlatRule(0, 2, 0, 1),
              lambda: parse_rule("1:2"),

@@ -9,7 +9,7 @@ from flatpart.families import (CorRow, cor_product, family_row,
                                family_satisfies, get_identity, get_refuted,
                                refuted_names, registered_names,
                                row_conj_pred, row_flat, row_product)
-from flatpart.partitions import Partition, conjugate, partitions_of
+from flatpart.partitions import conjugate, partitions_of
 from flatpart.series import product_series
 
 
@@ -126,7 +126,7 @@ def test_capparelli_flat_form_and_unknown_names():
 
 def test_family_satisfies_needs_a_partition():
     assert family_satisfies("RR1", (3, 1))
-    assert family_satisfies("RR1", Partition((3, 1)))
+    assert family_satisfies("RR1", [3, 1])
     for parts in ((1, 3), (3, 0)):
         with pytest.raises(PreconditionViolated):
             family_satisfies("RR1", parts)
