@@ -291,15 +291,6 @@ class BijectionReport:
     checked: int = 0
     failure: Optional[str] = None
 
-    def __str__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        text = ("%s k=%d bijection to n=%d: %s (%d partitions mapped; core: %s)"
-                % (self.family, self.k, self.n_max, verdict,
-                   self.checked, self.core))
-        if self.failure:
-            text += "\n  " + self.failure
-        return text
-
 
 def family_maps(family: str, k: int):
     """(forward, inverse, core) of the bijection behind a Family 1-7

@@ -23,12 +23,8 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _condition_set_from(args):
-    from .conditions import parse_condition_set
-    return parse_condition_set(args.rules, zeros=args.zeros or 0)
-
-
 def cmd_count(args) -> int:
+    from .conditions import parse_condition_set
     from .counting import count_by_predicate, sum_series_brute, sum_series_dp
     from .families import get_identity
     if args.family:
@@ -37,7 +33,7 @@ def cmd_count(args) -> int:
                   else ident.count_series(args.order))
     else:
         count = sum_series_brute if args.brute else sum_series_dp
-        series = count(_condition_set_from(args), args.order)
+        series = count(parse_condition_set(args.rules), args.order)
     _emit("\n".join(map(str, series)), args.out)
     return 0
 
@@ -170,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="expand a sum-side counting series")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--rules", help="window rules, e.g. '1:2:1:2;1:3:0:3'")
+    group.add_argument("--rules", help="window rules as a condition set prints "
+                       "them, e.g. '1:2:1:2;1:3:0:3 +1z'")
     group.add_argument("--family", help="registered family name")
-    p.add_argument("--zeros", type=_nonnegative,
-                   help="fictitious zeros after the smallest part (with --rules)")
     p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--brute", action="store_true",
                    help="count by enumeration: the prose predicate with --family")
@@ -246,8 +241,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "product" and not args.family and args.modulus is None:
         parser.error("argument --modulus: required with --residues/--classes")
-    if args.command == "count" and args.family and args.zeros is not None:
-        parser.error("argument --zeros: not allowed with --family")
     try:
         return args.fn(args)
     except BrokenPipeError:

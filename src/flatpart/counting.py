@@ -49,19 +49,19 @@ from .series import IntSeries, ProductSpec, product_series
 BRUTE_CEILING = 60
 
 
-def count_by_predicate(pred: Callable, order: int,
-                       ceiling: int = BRUTE_CEILING) -> IntSeries:
-    """Count the partitions of 0..order that pass `pred`, by enumeration."""
-    if order > ceiling:
-        raise CeilingExceeded(
-            "brute enumeration capped at order %d, asked for %d" % (ceiling, order))
+def count_by_predicate(pred: Callable, order: int) -> IntSeries:
+    """Count the partitions of 0..order that pass `pred`, by enumeration,
+    up to order BRUTE_CEILING (read at call time)."""
+    if order > BRUTE_CEILING:
+        raise CeilingExceeded("brute enumeration capped at order %d, asked for %d"
+                              % (BRUTE_CEILING, order))
     return IntSeries(
         [sum(1 for p in partitions_of(n) if pred(p)) for n in range(order + 1)])
 
 
-def sum_series_brute(cs: ConditionSet, order: int, ceiling: int = BRUTE_CEILING) -> IntSeries:
+def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     """Count satisfying partitions of 0..order by full enumeration."""
-    return count_by_predicate(partial(satisfies, cs), order, ceiling)
+    return count_by_predicate(partial(satisfies, cs), order)
 
 
 def _window_table(rules, start: int):

@@ -3,8 +3,9 @@
 A_k(m, n) counts overpartitions of n with exactly m overlined parts in
 which an overline on b rules out non-overlined parts b through b+k-2 and
 overlined parts b+1 through b+k-1.  The two-variable generating function
-factors as (-aq; q^k)_inf / (q; q)_inf, and a finite recursion in the
-largest allowed part pins the same table down a second way.
+factors as (-aq; q^k)_inf / (q; q)_inf.  A finite recursion in the
+largest allowed part builds each truncation r_j, and r_enumeration
+counts the same levels directly as its reference.
 
 Substituting a -> q^s, q -> q^t collapses the table to one variable.
 With t = 2 that turns each overline into a parity marker, which is how
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidSpecialization, PreconditionViolated
-from .partitions import partitions_of
-from .series import IntSeries, div_one_minus_qm, geom, series_mul
+from .partitions import as_partition, partitions_of
+from .series import IntSeries, div_one_minus_qm
 
 __all__ = [
     "Overpartition", "BiSeries", "overpartitions_of", "count_A",
-    "product_biseries", "r_enumeration", "r_series", "r_recursion",
-    "RecursionCheck", "specialize", "specialization_family",
+    "product_biseries", "r_enumeration", "r_series", "specialize",
 ]
 
 
@@ -33,16 +33,15 @@ class Overpartition:
     """A partition plus a set of overlined part values.
 
     Only the last occurrence of a value can carry the overline, so the
-    flag lives on values, not positions."""
+    flag lives on values, not positions.  The parts are checked with
+    as_partition and never reordered."""
     parts: tuple
     overlined: frozenset
 
     def __post_init__(self):
-        parts = tuple(sorted((int(p) for p in self.parts), reverse=True))
+        parts = as_partition(self.parts)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "overlined", frozenset(self.overlined))
-        if any(p <= 0 for p in parts):
-            raise PreconditionViolated("parts must be positive")
         if not self.overlined <= set(parts):
             raise PreconditionViolated("overlined a value that is not a part")
 
@@ -195,96 +194,26 @@ def r_enumeration(k: int, j: int, n_max: int, m_max: int) -> BiSeries:
     return table
 
 
-def r_series(k: int, j_max: int, n_max: int, m_max: int,
-             two_part_start: bool = True) -> dict:
-    """R_j tables from the recursion
+def r_series(k: int, j_max: int, n_max: int, m_max: int) -> dict:
+    """R_j tables for j = 0..j_max from the recursion
 
-        R_j = R_{j-1} / (1 - q^j) + a q^(j-k+1) R_{j-k} / (1 - q^j).
+        R_j = R_{j-1} / (1 - q^j) + a q^(j-k+1) R_{j-k} / (1 - q^j),
 
-    With two_part_start the recursion runs from j = 1 with R_0 = 1 and
-    R_j = 0 for negative j; otherwise the first k levels are seeded with
-    1/(q;q)_j and the recursion starts at j = k.  Both give the same
-    tables."""
+    run from j = 1 with R_0 = 1 and R_j = 0 for negative j.
+
+    R_j has frozen the coefficient of q^n once n <= j - k + 1, where it
+    equals product_biseries: heavier overpartitions can still hold an
+    overline too large for level j (a single overlined j-k+2 is the
+    first one), so the stabilization horizon trails the level by k - 1."""
     if k < 2:
         raise PreconditionViolated("k must be at least 2")
     values = {0: BiSeries.one(n_max, m_max)}
-    if two_part_start:
-        start = 1
-    else:
-        start = k
-        acc = geom(1, n_max)
-        for j in range(1, k):
-            if j > 1:
-                acc = series_mul(acc, geom(j, n_max))
-            values[j] = BiSeries([list(acc)], n_max, m_max)
-    for j in range(start, j_max + 1):
+    for j in range(1, j_max + 1):
         term = values[j - 1]
         if j - k >= 0:
             term = term + values[j - k].times_a_power(j - k + 1)
         values[j] = term.divide_one_minus_qm(j)
     return values
-
-
-@dataclass(frozen=True)
-class RecursionCheck:
-    k: int
-    j_max: int
-    n_max: int
-    m_max: int
-    passed: bool
-    forms_agree: bool
-    tail_matches_product: bool
-    first_mismatch: Optional[tuple] = None   # (j, m, n, got, want)
-
-    def __str__(self):
-        verdict = "pass" if self.passed else "FAIL"
-        text = ("k=%d overline recursion, levels 0..%d to q^%d a^%d: %s"
-                % (self.k, self.j_max, self.n_max, self.m_max, verdict))
-        if not self.forms_agree:
-            text += "\n  the two initial-condition forms disagree"
-        if not self.tail_matches_product:
-            text += "\n  top level drifts from the infinite product"
-        if self.first_mismatch:
-            j, m, n, got, want = self.first_mismatch
-            text += ("\n  first mismatch at level %d, a^%d q^%d: "
-                     "recursion %d, enumeration %d" % (j, m, n, got, want))
-        return text
-
-
-def r_recursion(k: int, j_max: int, n_max: int, m_max: int) -> RecursionCheck:
-    """Run the recursion both ways and compare each level against direct
-    enumeration, then compare the top level against the product for
-    exponents the truncation has already frozen."""
-    primary = r_series(k, j_max, n_max, m_max, two_part_start=False)
-    alternate = r_series(k, j_max, n_max, m_max, two_part_start=True)
-    forms_agree = all(primary[j] == alternate[j] for j in range(j_max + 1))
-
-    mismatch = None
-    for j in range(j_max + 1):
-        want = r_enumeration(k, j, n_max, m_max)
-        if primary[j] != want:
-            for m in range(m_max + 1):
-                for n in range(n_max + 1):
-                    if primary[j].coeff(m, n) != want.coeff(m, n):
-                        mismatch = (j, m, n, primary[j].coeff(m, n),
-                                    want.coeff(m, n))
-                        break
-                if mismatch:
-                    break
-            break
-
-    # R_j has frozen the coefficient of q^n once n <= j - k + 1: heavier
-    # overpartitions can still hold an overline too large for level j
-    # (a single overlined j-k+2 is the first one), so the stabilization
-    # horizon trails the level by k - 1.
-    stable = min(n_max, j_max - k + 1)
-    prod = product_biseries(k, n_max, m_max)
-    tail_ok = all(primary[j_max].coeff(m, n) == prod.coeff(m, n)
-                  for m in range(m_max + 1) for n in range(stable + 1))
-
-    return RecursionCheck(k, j_max, n_max, m_max,
-                          forms_agree and tail_ok and mismatch is None,
-                          forms_agree, tail_ok, mismatch)
 
 
 # -------------------------------------------------------- specialization
@@ -301,13 +230,3 @@ def specialize(k: int, s: int, t: int, n_max: int) -> IntSeries:
             "overlined 1 would map to the non-positive part %d" % (t + s))
     table = product_biseries(k, n_max, n_max)
     return table.specialized(s, t, n_max)
-
-
-def specialization_family(k: int, s: int, t: int) -> Optional[str]:
-    """Registry name whose sum-side count the specialization should match."""
-    if t != 2 or s % 2 == 0:
-        return None
-    i = (s + 1) // 2
-    if 0 <= i <= k - 1:
-        return "COR_K%d_I%d" % (k, i)
-    return None

@@ -128,22 +128,11 @@ def _triangle_base(order):
 @dataclass(frozen=True)
 class RecursionReport:
     name: str
-    identity: str
     order: int
     levels: tuple
     passed: bool
     first_mismatch: Optional[tuple] = None   # (j, n, recursion, dp)
     bases_ok: bool = True
-
-    def __str__(self):
-        if self.passed:
-            return ("%s: recursion matches DP at levels %d..%d to order %d"
-                    % (self.name, self.levels[0], self.levels[-1], self.order))
-        if not self.bases_ok:
-            return "%s: printed starting values disagree" % self.name
-        j, n, got, want = self.first_mismatch
-        return ("%s: first mismatch at level %d, coefficient %d (%d vs %d)"
-                % (self.name, j, n, got, want))
 
 
 _RECURSIONS = {
@@ -196,8 +185,8 @@ def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:
         got = values[j]
         n = first_difference(got, via_dp)
         if n is not None:
-            return RecursionReport(key, ident.name, order, levels, False,
+            return RecursionReport(key, order, levels, False,
                                    (j, n, got.coeffs[n], via_dp.coeffs[n]),
                                    bases_ok)
-    return RecursionReport(key, ident.name, order, levels, bases_ok,
+    return RecursionReport(key, order, levels, bases_ok,
                            None, bases_ok)

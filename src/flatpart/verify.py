@@ -121,17 +121,16 @@ def _refuted_report(name: str) -> VerifyReport:
     return VerifyReport(name, (CheckResult("identity holds", False, detail),))
 
 
-def verify_identity(name: str, nmax: Optional[int] = None,
-                    bijection_n: int = 16,
-                    recursion_order: int = 150) -> VerifyReport:
-    """Run every check on file for this family name."""
+def verify_identity(name: str, nmax: Optional[int] = None) -> VerifyReport:
+    """Run every check on file for this family name.  The recursion runs
+    to order 150 and the bijection maps every partition up to n = 16."""
     key = name.strip().upper()
     if key in refuted_names():
         return _refuted_report(key)
     ident = get_identity(key)
     checks = [_count_check(ident, nmax)]
-    for extra in (_recursion_check(ident.name, recursion_order),
-                  _bijection_check(ident, bijection_n),
+    for extra in (_recursion_check(ident.name, 150),
+                  _bijection_check(ident, 16),
                   _specialization_check(ident)):
         if extra is not None:
             checks.append(extra)

@@ -22,8 +22,8 @@ def test_count_by_family(capsys):
 def test_count_by_rules_matches_family(capsys):
     rc1, out1, _ = run(capsys, "count", "--family", "MACMAHON",
                        "--order", "20")
-    rc2, out2, _ = run(capsys, "count", "--rules", "1:2:1:2",
-                       "--zeros", "1", "--order", "20")
+    rc2, out2, _ = run(capsys, "count", "--rules", "1:2:1:2 +1z",
+                       "--order", "20")
     assert rc1 == rc2 == 0
     assert out1 == out2
 
@@ -38,9 +38,6 @@ def test_count_reads_the_printed_condition_set(capsys):
                            "--order", order)
         assert rc1 == rc2 == 0
         assert out1 == out2
-    rc, out, err = run(capsys, "count", "--rules", "1:2:1:2 +1z",
-                       "--zeros", "1", "--order", "5")
-    assert rc == 1 and out == "" and "zeros given twice" in err
 
 
 def test_count_brute_route_agrees(capsys):
@@ -100,15 +97,6 @@ def test_list_arguments_fail_at_parse_time(capsys, args, option):
     assert "unpack" not in err
 
 
-def test_count_by_family_rejects_zeros(capsys):
-    # an entry's window form fixes its zeros; padding it would be ignored
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--family", "RR1", "--zeros", "3", "--order", "5"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert "--zeros" in captured.err and captured.out == ""
-
-
 def test_euler_subcommand(tmp_path, capsys):
     series_file = tmp_path / "f.txt"
     rc, out, _ = run(capsys, "count", "--family", "MACMAHON",
@@ -138,8 +126,8 @@ def test_euler_aperiodic(tmp_path, capsys):
 def test_euler_on_a_series_with_huge_exponents(tmp_path, capsys):
     # its exponents reach 10**8 by m = 40; a pass per unit of |c_m| hangs
     series_file = tmp_path / "h.txt"
-    rc, _, _ = run(capsys, "count", "--rules", "2:2:0:2;1:2:2:3", "--zeros",
-                   "1", "--order", "60", "--out", str(series_file))
+    rc, _, _ = run(capsys, "count", "--rules", "2:2:0:2;1:2:2:3 +1z",
+                   "--order", "60", "--out", str(series_file))
     assert rc == 0
     rc, out, _ = run(capsys, "euler", str(series_file), "--dmax", "8")
     assert rc == 0
@@ -248,8 +236,7 @@ def test_invalid_period_bounds_are_rejected(tmp_path, capsys):
     rc, out, _ = run(capsys, "euler", str(series_file))
     assert rc == 0 and out.splitlines()[-1].startswith("period=5 ")
     for args in (("euler", str(series_file), "--dmax", "-2"),
-                 ("euler", str(series_file), "--emax", "-1"),
-                 ("count", "--rules", "1:2:1:2", "--zeros", "-1")):
+                 ("euler", str(series_file), "--emax", "-1")):
         with pytest.raises(SystemExit) as exc:
             main(list(args))
         assert exc.value.code == 2

@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flatpart import counting
 from flatpart.conditions import (ConditionSet, condition_set,
                                  parse_condition_set, satisfies)
 from flatpart.counting import (_lane_primes, _walk, count_by_predicate,
@@ -137,13 +138,15 @@ def test_dp_matches_direct_filter():
         assert dp[n] == direct
 
 
-def test_brute_refuses_to_run_past_its_ceiling():
+def test_brute_refuses_to_run_past_its_ceiling(monkeypatch):
     cs = parse_condition_set("1:2:1:2")
     with pytest.raises(CeilingExceeded):
         sum_series_brute(cs, 61)
-    sum_series_brute(cs, 10, ceiling=10)
+    # the ceiling is read at call time, not bound as a default
+    monkeypatch.setattr(counting, "BRUTE_CEILING", 10)
+    sum_series_brute(cs, 10)
     with pytest.raises(CeilingExceeded):
-        sum_series_brute(cs, 11, ceiling=10)
+        sum_series_brute(cs, 11)
 
 
 def test_largest_part_bound():

@@ -4,6 +4,7 @@ import pytest
 
 from flatpart.conditions import FlatRule, parse_rule
 from flatpart.errors import FlatpartError
+from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
 from flatpart.series import ProductSpec
@@ -12,6 +13,7 @@ from flatpart.series import ProductSpec
 def test_bad_input_raises_a_flatpart_error():
     calls = (lambda: ProductSpec(5, {1: -1}),
              lambda: as_partition((1, 2)),
+             lambda: Overpartition((1, 3), frozenset()),
              lambda: parse_partition("1,2"),
              lambda: parse_partition("5,x"),
              lambda: kth_flattest(0, 2, 4),

@@ -6,8 +6,7 @@ import pytest
 from flatpart.errors import InvalidSpecialization, PreconditionViolated
 from flatpart.overpartitions import (BiSeries, Overpartition, count_A,
                                      overpartitions_of, product_biseries,
-                                     r_enumeration, r_recursion, r_series,
-                                     specialization_family, specialize)
+                                     r_enumeration, r_series, specialize)
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
 
@@ -16,7 +15,8 @@ def test_overpartition_normalization_and_text():
     o = Overpartition((3, 2, 1), frozenset({3, 1}))
     assert o.weight == 6
     assert str(o) == "3~+2+1~"
-    assert Overpartition((1, 3, 2), frozenset()).parts == (3, 2, 1)
+    with pytest.raises(PreconditionViolated):
+        Overpartition((1, 3, 2), frozenset())     # checked, never sorted
     with pytest.raises(PreconditionViolated):
         Overpartition((3, 0), frozenset())
     with pytest.raises(PreconditionViolated):
@@ -61,21 +61,16 @@ def test_finite_r_matches_its_enumeration():
             assert rec == r_enumeration(k, j, 14, 4)
 
 
-def test_recursion_both_starts_agree():
-    for k in (2, 3):
-        a = r_series(k, 12, 16, 4, two_part_start=True)
-        b = r_series(k, 12, 16, 4, two_part_start=False)
-        for j in range(0, 13):
-            assert a[j] == b[j], (k, j)
-
-
 def test_recursion_check_passes_and_stabilizes():
+    # R_j has frozen every coefficient of q^n with n <= j - k + 1
+    j_max, n_max, m_max = 14, 12, 4
     for k in (2, 3, 4):
-        chk = r_recursion(k, j_max=14, n_max=12, m_max=4)
-        assert chk.passed
-        assert chk.forms_agree
-        assert chk.tail_matches_product
-        assert chk.first_mismatch is None
+        top = r_series(k, j_max, n_max, m_max)[j_max]
+        prod = product_biseries(k, n_max, m_max)
+        stable = min(n_max, j_max - k + 1)
+        for m in range(m_max + 1):
+            for n in range(stable + 1):
+                assert top.coeff(m, n) == prod.coeff(m, n), (k, m, n)
 
 
 def test_stabilization_is_sharp():
@@ -96,13 +91,6 @@ def test_specializations_land_on_registered_families():
         assert fam9 == get_identity("FAM9_K%d" % k).count_series(24)
         and1 = specialize(k, 2 * k - 3, 2, 24)
         assert and1 == get_identity("AND1_K%d" % k).count_series(24)
-
-
-def test_specialization_family_naming():
-    assert specialization_family(3, -1, 2) == "COR_K3_I0"
-    assert specialization_family(3, 3, 2) == "COR_K3_I2"
-    assert specialization_family(3, 2, 2) is None
-    assert specialization_family(3, 7, 2) is None
 
 
 def test_corner_family_matches_direct_specialization():

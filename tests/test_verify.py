@@ -17,8 +17,7 @@ def test_single_identity_report():
 
 def test_identity_with_every_check_kind():
     # a family-1 member gets a count check, a recursion, and a bijection
-    report = verify_identity("FAM1_2_K2", nmax=80, bijection_n=10,
-                             recursion_order=60)
+    report = verify_identity("FAM1_2_K2", nmax=80)
     assert report.passed
     assert len(report.checks) >= 3
 
