@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--family", help="registered family name")
     p.add_argument("--order", type=_nonnegative, default=40)
     p.add_argument("--brute", action="store_true",
-                   help="count by enumeration: the prose predicate with --family")
+                   help="count by enumeration, up to order 60: pruned literal "
+                   "window checks with --rules, the prose predicate with --family")
     p.add_argument("--out", help="series file (default stdout)")
     p.set_defaults(fn=cmd_count)
 

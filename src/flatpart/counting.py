@@ -1,8 +1,10 @@
 """Exact counting of partitions obeying a window condition set.
 
-Two independent routes are provided on purpose.  sum_series_brute
-enumerates every partition of every n and filters with the literal
-window check; it is the reference oracle and refuses large orders.
+Two independent routes are provided on purpose.  sum_series_brute, the
+reference oracle, is a pruned literal enumeration: it reads every window
+with matches_at and drops a partial partition at its first forbidden
+window.  It shares no table, profile or walk with the DP, and refuses
+orders above BRUTE_CEILING.
 sum_series_dp walks part values from the largest allowed down to 1,
 choosing the multiplicity of each value, and keeps only as much state
 as the rules can see: the multiplicities of the last few values, each
@@ -41,27 +43,59 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import ConditionSet, satisfies
+from .conditions import ConditionSet, matches_at
 from .errors import CeilingExceeded
 from .partitions import kth_flattest, partitions_of
-from .series import IntSeries, ProductSpec, product_series
+from .series import IntSeries, ProductSpec, product_series, require_order
 
 BRUTE_CEILING = 60
+
+
+def _under_ceiling(order: int) -> int:
+    if require_order(order) > BRUTE_CEILING:
+        raise CeilingExceeded("brute enumeration capped at order %d, asked for %d"
+                              % (BRUTE_CEILING, order))
+    return order
 
 
 def count_by_predicate(pred: Callable, order: int) -> IntSeries:
     """Count the partitions of 0..order that pass `pred`, by enumeration,
     up to order BRUTE_CEILING (read at call time)."""
-    if order > BRUTE_CEILING:
-        raise CeilingExceeded("brute enumeration capped at order %d, asked for %d"
-                              % (BRUTE_CEILING, order))
-    return IntSeries(
-        [sum(1 for p in partitions_of(n) if pred(p)) for n in range(order + 1)])
+    return IntSeries([sum(1 for p in partitions_of(n) if pred(p))
+                      for n in range(_under_ceiling(order) + 1)])
 
 
 def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
-    """Count satisfying partitions of 0..order by full enumeration."""
-    return count_by_predicate(partial(satisfies, cs), order)
+    """Count satisfying partitions of 0..order by pruned literal
+    enumeration, up to order BRUTE_CEILING (read at call time).
+
+    Parts are added largest first, each in cs.min_part..the part before
+    it.  The windows ending at a new part never change after it, so the
+    first that matches drops every extension; a prefix counts once the
+    windows running into its fictitious zeros pass too.  Memory is
+    O(order): nothing is cached."""
+    counts = [0] * (_under_ceiling(order) + 1)
+    parts, zeros = [], [0] * cs.zeros
+
+    def clean(padded, last):
+        """No rule matches a window of padded that ends at index >= last."""
+        for r in cs.rules:
+            for i in range(max(last - r.width + 1, 0), len(padded) - r.width + 1):
+                if matches_at(r, padded[i:i + r.width]):
+                    return False
+        return True
+
+    def grow(total, top):
+        if clean(parts + zeros, len(parts)):
+            counts[total] += 1
+        for part in range(min(top, order - total), cs.min_part - 1, -1):
+            parts.append(part)
+            if clean(parts, len(parts) - 1):
+                grow(total + part, part)
+            parts.pop()
+
+    grow(0, order)
+    return IntSeries(counts)
 
 
 def _window_table(rules, start: int):
@@ -238,6 +272,6 @@ def sum_series_dp(cs: ConditionSet, order: int,
     """Exact counting series of satisfying partitions, parts at most
     largest_part when that is given.  Handles orders well beyond the
     brute ceiling (hundreds)."""
-    rows = _walk(cs.rules, order, largest_part, cs.min_part)
+    rows = _walk(cs.rules, require_order(order), largest_part, cs.min_part)
     return IntSeries(_from_lanes(rows[min(cs.zeros, len(rows) - 1)],
                                  _lane_primes(order)))

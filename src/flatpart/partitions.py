@@ -67,13 +67,13 @@ def _gen_partitions(n: int, max_part: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**10)
 def partitions_of(n: int, max_part: int | None = None) -> tuple:
     """All partitions of n, largest part first within each partition.
 
     The list is ordered so that the partition with the larger leading
-    part comes first: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  Results
-    are cached; callers must not mutate them.
+    part comes first: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  The last
+    1024 results are cached; callers must not mutate them.
     """
     if n < 0:
         return ()
@@ -102,11 +102,12 @@ def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[t
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**14)
 def kth_flattest(k: int, length: int, total: int) -> tuple | None:
     """The k-th flattest weakly decreasing nonnegative tuple (1-indexed)
     of the given length and sum, or None when fewer than k exist.  Both
-    answers are cached, so a missing pattern is enumerated once."""
+    answers are cached, the last 2**14 of them, so a missing pattern is
+    enumerated once."""
     if k < 1:
         raise PreconditionViolated("k is 1-indexed, got %d" % k)
     return next(islice(flat_patterns(length, total), k - 1, None), None)

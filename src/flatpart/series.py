@@ -18,14 +18,20 @@ from typing import Iterable, Sequence
 from .errors import NonUnitConstantTerm, PreconditionViolated
 
 
+def require_order(order: int) -> int:
+    """The order itself; a negative one raises PreconditionViolated."""
+    if order < 0:
+        raise PreconditionViolated("a series needs at least the q^0 coefficient")
+    return order
+
+
 class IntSeries:
     """Coefficients of q^0..q^order, exact integers, immutable."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
-        if len(coeffs) == 0:
-            raise PreconditionViolated("a series needs at least the q^0 coefficient")
+        require_order(len(coeffs) - 1)
         object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
 
     def __setattr__(self, name, value):
@@ -137,7 +143,7 @@ def zero(order: int) -> IntSeries:
 
 
 def one(order: int) -> IntSeries:
-    return IntSeries((1,) + (0,) * order)
+    return IntSeries((1,) + (0,) * require_order(order))
 
 
 def first_difference(a: IntSeries, b: IntSeries) -> int | None:
@@ -264,7 +270,7 @@ def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     the cost grows with sum |c_m|.  That is kept on purpose: this is the
     oracle route that euler_exponents, which never looks at the size of
     the exponents, is tested against."""
-    coeffs = [0] * (order + 1)
+    coeffs = [0] * (require_order(order) + 1)
     coeffs[0] = 1
     for m in range(1, min(len(exponents) + 1, order + 1)):
         c = exponents[m - 1]

@@ -1,12 +1,14 @@
 """Two independent counting routes for window-constrained partitions.
 
-The brute route enumerates partitions and filters.  The dynamic route never
-sees a partition.  Their agreement on randomized condition sets is the main
-correctness evidence for both.
+The brute route builds partitions part by part and drops a prefix at its
+first forbidden window, read with the literal check.  The dynamic route
+never sees a partition.  Their agreement on randomized condition sets is
+the main correctness evidence for both.
 """
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,9 +63,9 @@ def test_dp_matches_brute_property(cs, order):
 
 
 @st.composite
-def wide_condition_sets(draw):
+def wide_condition_sets(draw, fewest_rules=1):
     rules = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(fewest_rules, 3))):
         d = draw(st.integers(1, 6))
         text = "%d:%d:%d:%d" % (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
                                 draw(st.integers(0, d - 1)), d)
@@ -82,6 +84,30 @@ def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
 
     assert (sum_series_dp(replace(cs, min_part=min_part), order, largest_part)
             == count_by_predicate(pred, order))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_condition_sets(fewest_rules=0), st.integers(0, 22), st.integers(1, 3))
+def test_pruned_brute_equals_the_definition(cs, order, min_part):
+    # the pruned walk against filtering every partition with satisfies
+    cs = replace(cs, min_part=min_part)
+    assert sum_series_brute(cs, order) == count_by_predicate(partial(satisfies, cs),
+                                                            order)
+
+
+def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
+    cs = parse_condition_set("1:2:1:2;2:3:0:2 +2z")
+    before = partitions_of.cache_info().currsize
+    expected = sum_series_brute(cs, 30)
+    assert partitions_of.cache_info().currsize == before
+    assert expected == sum_series_dp(cs, 30)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached a DP or enumeration helper")
+
+    for name in ("_window_table", "_walk", "sum_series_dp", "partitions_of"):
+        monkeypatch.setattr(counting, name, forbidden)
+    assert sum_series_brute(cs, 30) == expected
 
 
 def test_zero_counts_share_one_walk():

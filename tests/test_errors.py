@@ -2,12 +2,13 @@
 
 import pytest
 
-from flatpart.conditions import FlatRule, parse_rule
-from flatpart.errors import FlatpartError
+from flatpart.conditions import FlatRule, parse_condition_set, parse_rule
+from flatpart.counting import sum_series_brute, sum_series_dp
+from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
-from flatpart.series import ProductSpec
+from flatpart.series import ProductSpec, one, product_series
 
 
 def test_bad_input_raises_a_flatpart_error():
@@ -33,3 +34,15 @@ def test_bad_input_raises_a_flatpart_error():
         with pytest.raises(FlatpartError) as exc:
             call()
         assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), -1),
+    lambda: sum_series_brute(parse_condition_set("1:2:1:2"), -1),
+    lambda: product_series(ProductSpec(5, {1: 1}), -1),
+    lambda: one(-1),
+], ids=["sum_series_dp", "sum_series_brute", "product_series", "one"])
+def test_negative_order_is_refused(call):
+    with pytest.raises(PreconditionViolated,
+                       match=r"a series needs at least the q\^0 coefficient"):
+        call()

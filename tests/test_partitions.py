@@ -61,6 +61,12 @@ def test_kth_flattest_matches_sorted_enumeration():
                     assert kth_flattest(k, width, total) is None
 
 
+def test_caches_are_bounded():
+    # lru_cache wrappers with a bound, never an unbounded store
+    assert partitions_of.cache_info().maxsize is not None
+    assert kth_flattest.cache_info().maxsize is not None
+
+
 def test_partition_counts_match_pentagonal_recurrence():
     # p(n) via Euler's pentagonal recurrence, independent of the enumerator
     p = [1]
