@@ -23,25 +23,20 @@ it ends with one row per zero count 0..cap; sum_series_dp picks its
 row.  A search box that tries several zero counts on one rule set, as
 every box does, walks once for all of them.
 
-Counts are held as int64 residue lanes, one array of shape
-(lanes, order+1) per profile.  Lane 0 is plain int64 arithmetic, which
-numpy wraps modulo 2**64; each further lane holds residues modulo a
-prime below 2**31.  Every count the DP stores is a number of distinct
-partitions of its weight, so it lies in [0, p(order)], and the DP takes
-the fewest primes with 2**63 times their product above p(order).  While
-p(order) < 2**63 (order <= 405) lane 0 alone holds the counts
-themselves; beyond, each coefficient is rebuilt exactly from its
-residues by the Chinese remainder theorem.
+Each profile's series is one Python int (Kronecker substitution):
+coefficient n sits in bits [n*b, (n+1)*b), b the bit length of p(order).
+Every count the DP stores is a number of distinct partitions of its
+weight, so it lies in [0, p(order)] < 2**b and never carries into the
+next field.  Multiplying by q**k is a shift by k*b bits and truncating
+past order is a mask, so the counts stay exact Python ints at every
+order.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import lru_cache, partial
-from math import isqrt
+from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from .conditions import ConditionSet, matches_at
 from .errors import CeilingExceeded
@@ -150,54 +145,21 @@ def _lowest_completion(prof, checks, more: int) -> int:
     return lowest
 
 
-def _strided_cumsum(vec, stride: int):
-    """Running sums along each residue class of the column index mod
-    stride, lane by lane: out[:, n] = vec[:, n] + vec[:, n-stride] + ..."""
-    lanes, n = vec.shape
-    padded = np.zeros((lanes, -(-n // stride) * stride), dtype=np.int64)
-    padded[:, :n] = vec
-    grid = padded.reshape(lanes, -1, stride)
-    np.cumsum(grid, axis=1, out=grid)
-    return padded[:, :n]
-
-
 @lru_cache(maxsize=16)
-def _lane_primes(order: int) -> tuple:
-    """Moduli of the extra lanes: the fewest primes below 2**31, largest
-    first, whose product times 2**63 exceeds p(order)."""
-    bound = product_series(ProductSpec(1, {0: 1}), order)[order] >> 63
-    primes, product, n = [], 1, 2**31 - 1
-    while product <= bound:
-        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
-            primes.append(n)
-            product *= n
-        n -= 2
-    return tuple(primes)
-
-
-def _from_lanes(lanes, primes) -> list:
-    """Each column rebuilt from its residues (lane 0 modulo 2**64, lane
-    i modulo primes[i-1]) by Garner's form of the Chinese remainder
-    theorem; exact for values below 2**64 times the primes' product."""
-    values = lanes[0].view(np.uint64).tolist()
-    modulus = 1 << 64
-    for residues, p in zip(lanes[1:].tolist(), primes):
-        inv = pow(modulus, -1, p)
-        values = [x + modulus * ((r - x) * inv % p)
-                  for x, r in zip(values, residues)]
-        modulus *= p
-    return values
+def _field_bits(order: int) -> int:
+    """Bits per packed coefficient: p(order) < 2**b bounds every count."""
+    return product_series(ProductSpec(1, {0: 1}), order)[order].bit_length()
 
 
 @lru_cache(maxsize=128)
 def _walk(rules: tuple, order: int, largest_part: int | None,
-          min_part: int):
+          min_part: int) -> tuple:
     """The value walk of sum_series_dp, shared by every zero count.
 
-    Returns a read-only int64 array of shape (cap+1, lanes, order+1), cap
-    the widest rule's width: row mu0 holds the lanes of the partitions
-    that no window forbids when mu0 fictitious zeros sit below the
-    smallest part, with every prime lane reduced."""
+    Returns cap+1 packed series, cap the widest rule's width: row mu0
+    holds the partitions that no window forbids when mu0 fictitious
+    zeros sit below the smallest part, coefficient n in bits
+    [n*b, (n+1)*b) with b = _field_bits(order)."""
     cap = ConditionSet(rules).max_width()
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
     start = order if largest_part is None else min(order, largest_part)
@@ -205,65 +167,42 @@ def _walk(rules: tuple, order: int, largest_part: int | None,
     for v in range(1, min(min_part, start + 1)):
         windows[v].append((1, (), ()))  # any copy of v is one too many
 
-    length = order + 1
-    # Every entry the DP stores or adds counts distinct partitions of its
-    # weight, so it lies in [0, p(order)], below 2**63 * prod(primes).
-    # Hence a profile whose lanes are all zero has a true count of zero
-    # and is dropped exactly.  Prime lanes are reduced once per stage;
-    # in between, a slot receives at most cap+2 vectors (one per value
-    # of the profile entry that falls off, or of mu when nothing falls
-    # off), each entry below (order+1) * 2**31 even after the geometric
-    # tail's running sum, so it stays below 2**63 for any feasible order.
-    primes = _lane_primes(order)
-    moduli = np.array(primes, dtype=np.int64)[:, None]
-    shape = (1 + len(primes), length)
-
-    blank = (0,) * window_span
-    init = np.zeros(shape, dtype=np.int64)
-    init[:, 0] = 1
-    dp = {blank: init}
+    # No field carries into the next (see the module docstring), so a
+    # zero int is a zero series and its profile is dropped exactly.
+    b = _field_bits(order)
+    width = (order + 1) * b
+    mask = (1 << width) - 1
+    dp = {(0,) * window_span: 1}
 
     for v in range(start, 0, -1):
         checks = windows.get(v, ())
-        ndp = defaultdict(partial(np.zeros, shape, dtype=np.int64))
+        step = v * b
+        ndp = defaultdict(int)
         for prof, vec in dp.items():
             lowest = _lowest_completion(prof, checks, more)
-            hi = min(cap, lowest - 1)
-            for mu in range(0, hi + 1):
-                shift = mu * v
-                if shift >= length:
-                    break
-                slot = ndp[((mu,) + prof)[:window_span]]
-                if shift:
-                    slot[:, shift:] += vec[:, :length - shift]
-                else:
-                    slot += vec
-            if lowest == more:
-                base = more * v
-                if base < length:
-                    slot = ndp[((more,) + prof)[:window_span]]
-                    slot[:, base:] += _strided_cumsum(vec[:, :length - base], v)
-        dp = {}
-        for prof, vec in ndp.items():
-            if primes:
-                np.remainder(vec[1:], moduli, out=vec[1:])
-            if vec.any():
-                dp[prof] = vec
+            for mu in range(min(cap, lowest - 1, order // v) + 1):
+                ndp[((mu,) + prof)[:window_span]] += (vec << mu * step) & mask
+            if lowest == more and more * v <= order:
+                # vec * q**(more*v) / (1 - q**v), summed by doubling; each
+                # partial sum still counts distinct partitions, so no carry
+                tail, run = (vec << more * step) & mask, step
+                while run < width:
+                    tail += (tail << run) & mask
+                    run <<= 1
+                ndp[((more,) + prof)[:window_span]] += tail
+        dp = {prof: vec for prof, vec in ndp.items() if vec}
 
     # fictitious zeros: one final batch of checks, no weight.  A profile
     # counts for mu0 zeros iff the fewest zeros completing a window over
-    # it exceeds mu0, so bucket the profiles by that fewest number and
-    # sum the buckets above each mu0.  Every check needs at most cap
-    # zeros, so more zeros than that change nothing.  Each row sums a
-    # subset of the profiles, as a single zero count's total would.
+    # it exceeds mu0.  Every check needs at most cap zeros, so more zeros
+    # than that change nothing.  Each row sums a subset of the profiles,
+    # as a single zero count's total would.
     checks = windows.get(0, ())
-    buckets = np.zeros((more + 1,) + shape, dtype=np.int64)
+    rows = [0] * more
     for prof, vec in dp.items():
-        buckets[_lowest_completion(prof, checks, more)] += vec
-    rows = np.cumsum(buckets[:0:-1], axis=0)[::-1]
-    np.remainder(rows[:, 1:], moduli, out=rows[:, 1:])
-    rows.flags.writeable = False
-    return rows
+        for mu0 in range(_lowest_completion(prof, checks, more)):
+            rows[mu0] += vec
+    return tuple(rows)
 
 
 @lru_cache(maxsize=128)
@@ -273,5 +212,6 @@ def sum_series_dp(cs: ConditionSet, order: int,
     largest_part when that is given.  Handles orders well beyond the
     brute ceiling (hundreds)."""
     rows = _walk(cs.rules, require_order(order), largest_part, cs.min_part)
-    return IntSeries(_from_lanes(rows[min(cs.zeros, len(rows) - 1)],
-                                 _lane_primes(order)))
+    packed, b = rows[min(cs.zeros, len(rows) - 1)], _field_bits(order)
+    field = (1 << b) - 1
+    return IntSeries([packed >> n * b & field for n in range(order + 1)])

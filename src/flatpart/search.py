@@ -15,7 +15,7 @@ semantically is a harder problem than finding them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Iterable, Iterator, List, Optional
 
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
@@ -54,6 +54,13 @@ class SearchBounds:
     allow_neq: bool = False
 
     def __post_init__(self):
+        for name in ("max_rules", "n_check", "d_max", "e_max"):
+            if type(getattr(self, name)) is not int:
+                raise PreconditionViolated("%s must be an integer, got %r"
+                                           % (name, getattr(self, name)))
+        if type(self.allow_neq) is not bool:
+            raise PreconditionViolated("allow_neq must be true or false, got %r"
+                                       % (self.allow_neq,))
         object.__setattr__(self, "a_range", _pair(self.a_range, "a_range"))
         object.__setattr__(self, "b_range", _pair(self.b_range, "b_range"))
         object.__setattr__(self, "d_range", _pair(self.d_range, "d_range"))
@@ -75,11 +82,22 @@ class SearchBounds:
 
     @classmethod
     def from_json(cls, text: str) -> "SearchBounds":
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise PreconditionViolated("bounds are not valid JSON: %s" % exc) from None
+        if not isinstance(raw, dict):
+            raise PreconditionViolated("bounds must be a JSON object, got %s"
+                                       % type(raw).__name__)
         extra = set(raw) - {f.name for f in fields(cls)}
         if extra:
             raise PreconditionViolated(
                 "unknown bounds keys: %s" % ", ".join(sorted(extra)))
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise PreconditionViolated(
+                "missing bounds keys: %s" % ", ".join(missing))
         return cls(**raw)
 
     def to_json(self) -> str:

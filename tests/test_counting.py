@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from flatpart import counting
 from flatpart.conditions import (ConditionSet, condition_set,
                                  parse_condition_set, satisfies)
-from flatpart.counting import (_lane_primes, _walk, count_by_predicate,
-                               sum_series_brute, sum_series_dp)
+from flatpart.counting import (_walk, count_by_predicate, sum_series_brute,
+                               sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
@@ -140,20 +140,22 @@ def test_zero_counts_share_one_walk():
         assert _walk.cache_info().hits - hits >= 2 * (cap + 2)
 
 
-def test_dp_is_exact_across_lane_boundaries():
-    # p(405) < 2**63 <= p(406): lane 0 alone through order 405, one prime
-    # lane from 406 to 600.  300/301 was the old int64/object switch.
-    assert _lane_primes(405) == () and len(_lane_primes(406)) == 1
-    assert len(_lane_primes(600)) == 1
+def test_dp_is_exact_at_every_order():
+    # 300/301 and 405/406 were route switches of earlier DPs (int64 to
+    # object, one lane to prime lanes at p(405) < 2**63 <= p(406))
     ident = get_identity("MACMAHON")
     deep = sum_series_dp(ident.flat, 600)
     assert deep == product_series(ident.product, 600)
     for order in (300, 301, 405, 406):
         assert deep.truncate(order) == sum_series_dp(ident.flat, order)
-    # no rules: the counts are p(n), and p(600) > 2**78 needs the CRT
+    # no rules: the counts are p(n), and p(600) > 2**78
     free = sum_series_dp(condition_set([]), 600)
     assert free == product_series(ProductSpec(1, {0: 1}), 600)
     assert free[600] == 458004788008144308553622
+    # p(order) = 2**b - 1 here: the top coefficient fills its field
+    for order in (0, 1, 3, 5, 7):
+        assert free[order] + 1 == 1 << free[order].bit_length()
+        assert sum_series_dp(condition_set([]), order) == free.truncate(order)
 
 
 def test_dp_matches_direct_filter():

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and the
+package imports nothing outside the standard library.
 
 No linter ships with the test extra, so this guard reads each module's
 syntax tree with the standard library's ast.  A name counts as used if
@@ -8,6 +9,7 @@ statement marked `# noqa: F401`.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,19 @@ def test_every_import_is_used(path):
               for name, line in _imported(tree, source.splitlines())
               if name not in used]
     assert not unused, "%s imports unused names: %s" % (path.name, ", ".join(unused))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_standard_library_is_imported(path):
+    tree = ast.parse(path.read_text())
+    outside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside.update(n for n in names
+                       if n.split(".")[0] not in sys.stdlib_module_names)
+    assert not outside, "%s imports %s" % (path.name, ", ".join(sorted(outside)))

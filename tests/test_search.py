@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flatpart.conditions import parse_condition_set
+from flatpart.errors import PreconditionViolated
 from flatpart.search import (CandidateReport, SearchBounds,
                              enumerate_condition_sets, reports_to_json,
                              screen_condition_set, search, verify_candidate)
@@ -34,6 +35,27 @@ def test_bounds_reject_unknown_keys_and_bad_ranges():
         small_bounds(n_check=10, d_max=8)     # need n_check >= 3 * d_max
     with pytest.raises(ValueError):
         small_bounds(max_rules=0)
+
+
+BOX = {"max_rules": 1, "a_range": [1, 1], "b_range": [2, 2], "d_range": [2, 2]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("max_rules: 1", "not valid JSON"),
+    ("[1, 2]", "must be a JSON object, got list"),
+    ('"x"', "must be a JSON object, got str"),
+    (json.dumps({"max_rules": 1, "a_range": [1, 1]}),
+     "missing bounds keys: b_range, d_range"),
+    (json.dumps(dict(BOX, n_check=2.5)), "n_check must be an integer, got 2.5"),
+    (json.dumps(dict(BOX, max_rules="2")), "max_rules must be an integer"),
+    (json.dumps(dict(BOX, d_max=True)), "d_max must be an integer, got True"),
+    (json.dumps(dict(BOX, e_max=None)), "e_max must be an integer, got None"),
+    (json.dumps(dict(BOX, allow_neq=0)), "allow_neq must be true or false, got 0"),
+], ids=["not-json", "list", "string", "missing", "float", "text", "bool", "null",
+        "int-flag"])
+def test_malformed_bounds_fail_plainly(text, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        SearchBounds.from_json(text)
 
 
 def test_enumeration_counts_single_rule_space():
