@@ -2,9 +2,10 @@
 
 The package splits into layers: partition and pattern primitives,
 window-rule condition sets, exact integer series, the two counting
-routes (enumeration and the value-walk dynamic program), Euler
-factorization with period detection, the identity registry, finite
-recursions, bijections, overpartitions, and the parameter-space search.
+routes (enumeration and the value-walk dynamic program, which counts
+long walks on a minimal periodic automaton), Euler factorization with
+period detection, the identity registry, finite recursions, bijections,
+overpartitions, and the parameter-space search.
 """
 
 from .conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule,

@@ -1,0 +1,247 @@
+"""The sum side of a rule set as a minimal periodic automaton.
+
+A rule set with a zero count is a linked partition ideal (Andrews, The
+Theory of Partitions, ch. 8), so its partitions are the words of a
+finite automaton.  Read the multiplicities of the values 0, 1, 2, ...
+upward, the multiplicity of 0 being the zero count.  A window begins at
+its bottom value and is decided when its top value is read; trailing
+zero multiplicities complete no window, so every live state accepts.
+Takigiku and Tsuchioka (arXiv:1910.12461) prove identities from an
+automaton of this kind.
+
+Period lemma.  Take a rule A:B:C:D with B >= 2, and write W(t) for its
+window of total t, kth_flattest(A, B, t).  The patterns of total s in
+flatness (lexicographic) order begin at the first entry ceil(s/B), and
+every first entry f from there to s occurs (f, then s - f spread over
+B - 1 entries <= f).  Hence
+  (a) the k-th pattern's first entry is at most ceil(s/B) + k - 1,
+      below s/B + k;
+  (b) a pattern that ends in 0 has its first entry >= ceil(s/(B-1)).
+Let s = t + B with t >= T = (A+1)B(B-1) - B.  Then ceil(s/(B-1)) -
+ceil(s/B) > s/(B(B-1)) - 1 >= A, so at least A first entries, and so
+the first A patterns, come before any pattern ending in 0.  Taking 1
+from every entry maps the patterns of s that end in a part >= 1 onto
+the patterns of t, in order, so W(t + B) is W(t) plus 1 in every entry.
+A total t and t + kB fire together when D divides kB, that is when k is
+a multiple of D/gcd(B, D); with L the lcm of these over the rules,
+W(t + LB) = W(t) + L, and both fire or neither, for every t >= T.
+By (a) a window whose top value is u has total t > B(u - A), so
+t >= T once u >= U = A + (A+1)(B-1) - 1; a window whose top is u + L
+then has total t'' > B(u + L - A), so it is W(t'' - LB) + L with
+t'' - LB >= T.  Stated relative to its top value, the checks at u and
+at u + L are therefore the same for every u >= U.  For B = 1, W(t) is (t) when
+A = 1 and absent otherwise, so U = 1.  period_bound takes U as the
+maximum over the rules and min_part (values below min_part carry their
+own check), and minimal_automaton tightens it to the smallest U0 with
+equal checks at u and u + L for every u in [U0, U); by the lemma that
+bound is exact too.
+
+The phase of value u is u below U0 and U0 + (u - U0) mod L from there
+on.  A raw state is the phase of the next value and the windows begun
+below it that may still occur (see minimal_automaton), and Moore
+refinement seeded by phase minimizes it, so at each value only the few
+classes of its phase are live.  FAM1_1_K3 has 41 classes, at most 6 per
+phase, where the profile walk of counting.py carries 73 or more
+profiles per stage at order 600.
+
+automaton_rows counts on it by a downward pull: r = 1 on every class at
+the largest part, then for each value u going down,
+r(s) = sum over m of q**(m*u) * r(next(s, m)), in the packed-int form
+of counting.py (same field width, mask and doubling tail).  Row z is r
+at the class reached after z zeros.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, defaultdict
+from functools import lru_cache
+from math import gcd, lcm
+from typing import NamedTuple
+
+from .conditions import ConditionSet
+from .partitions import kth_flattest
+
+
+def _window_table(rules, start: int):
+    """Every forbidden window among parts <= start, as checks grouped by
+    bottom value, and the widest spread w[0] - w[-1] among them.
+
+    A window of rule A:B:C:D is fixed by its total t: it is
+    kth_flattest(A, B, t).  A window whose parts are all <= start has
+    t <= B*start, and the all-zero window (t = 0) is exempt, so walking
+    t = 1..B*start lists each window that can occur exactly once.  A
+    bottom value of 0 means the window ends in fictitious zeros.
+
+    A check (c0, eq, ge) with bottom value v says the window occurs iff
+    the multiplicity of v is >= c0, the profile slots in eq (slot i holds
+    the multiplicity of v+1+i) hold exactly the stated count, and the
+    slots in ge hold at least it."""
+    table = defaultdict(list)
+    span = 0
+    for rule in rules:
+        for t in range(1, rule.width * start + 1):
+            if not rule.sum_matches(t):
+                continue
+            w = kth_flattest(rule.flatness_index, rule.width, t)
+            if w is None or w[0] > start:
+                continue
+            counts = Counter(x - w[-1] for x in w)
+            top = w[0] - w[-1]
+            eq = tuple((u - 1, counts[u]) for u in range(1, top))
+            ge = ((top - 1, counts[top]),) if top > 0 else ()
+            table[w[-1]].append((counts[0], eq, ge))
+            span = max(span, top)
+    return table, span
+
+
+def period_bound(rules, min_part: int) -> tuple:
+    """(U, L) of the period lemma: the checks whose top value is u are
+    those at u + L, relative to their top, for every u >= U."""
+    bound, period = min_part, 1
+    for r in rules:
+        a, b = r.flatness_index, r.width
+        bound = max(bound, 1 if b == 1 else a + (a + 1) * (b - 1) - 1)
+        period = lcm(period, r.modulus // gcd(b, r.modulus))
+    return bound, period
+
+
+def _checks_by_top(rules, min_part: int, top: int) -> list:
+    """The windows of every value 0..top, grouped by the value read last
+    (the window's top) and stated relative to it.
+
+    A window whose top is s above its bottom is the tuple (c_s, ...,
+    c_0), c_i its count of the value i above the bottom: it occurs iff
+    its top and bottom values have multiplicities >= c_s and >= c_0 and
+    every value between has exactly its count."""
+    table, _ = _window_table(rules, top)
+    groups = [set() for _ in range(top + 1)]
+    for v, checks in table.items():
+        for c0, eq, ge in checks:
+            # eq holds the values strictly between bottom and top, ge the top
+            groups[v + len(eq) + len(ge)].add(
+                tuple(n for _, n in ge) + tuple(n for _, n in reversed(eq)) + (c0,))
+    for v in range(1, min(min_part, top + 1)):
+        groups[v].add((1,))  # any copy of v is one too many
+    return groups
+
+
+class Automaton(NamedTuple):
+    """A minimal automaton over multiplicities.  Class c moves on
+    multiplicity m to moves[c][m] while m < len(moves[c]); any larger m
+    completes a window.  Index more stands for every multiplicity >= more
+    (cap + 1, cap the widest rule's width).  classes[p] lists the
+    classes whose next value has phase p; start is the class before
+    value 0 is read."""
+
+    first: int
+    period: int
+    more: int
+    classes: tuple
+    moves: tuple
+    start: int
+
+    def phase(self, u: int) -> int:
+        return u if u < self.first else self.first + (u - self.first) % self.period
+
+
+@lru_cache(maxsize=128)
+def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
+    """The phase-seeded minimal automaton of the rule set's sum side.
+
+    A raw state is the phase of the next value and the set of windows
+    begun below it that may still occur, each cut to the part not yet
+    read: a window begins when its bottom is read and dies at the first
+    value whose multiplicity differs from its count.  That is exactly
+    what the values read so far tell every later window."""
+    bound, period = period_bound(rules, min_part)
+    groups = _checks_by_top(rules, min_part, bound + period - 1)
+    first = bound
+    while first > 0 and groups[first - 1] == groups[first - 1 + period]:
+        first -= 1
+    phases = first + period
+    follow = [p + 1 if p + 1 < phases else first for p in range(phases)]
+    # ends[p]: a window whose top has phase p completes on a multiplicity
+    # >= these; begins[p]: windows whose bottom has phase p, as (what is
+    # left after the bottom, the bottom's count)
+    ends = [{w[0] for w in groups[p] if len(w) == 1} for p in range(phases)]
+    longest = max((len(w) for g in groups for w in g), default=1)
+    begins = [set() for _ in range(phases)]
+    for p in range(phases):
+        q = p
+        for s in range(1, longest):
+            q = follow[q]
+            begins[p].update((w[:-1], w[-1]) for w in groups[q] if len(w) == s + 1)
+    more = ConditionSet(rules).max_width() + 1
+
+    # the raw automaton, breadth first from value 0 with nothing read;
+    # a window that m completes is completed by every larger m too
+    index = {(0, frozenset()): 0}
+    states, moves = list(index), []
+    for phase, pending in states:  # grows as new states are found
+        lowest = min([w[0] for w in pending if len(w) == 1] + list(ends[phase]),
+                     default=more + 1)
+        row = []
+        for m in range(min(lowest, more + 1)):
+            state = (follow[phase],
+                     frozenset([w[:-1] for w in pending if len(w) > 1 and w[-1] == m]
+                               + [w for w, c0 in begins[phase] if m >= c0]))
+            if state not in index:
+                index[state] = len(states)
+                states.append(state)
+            row.append(index[state])
+        moves.append(row)
+
+    # Moore refinement: split classes by the classes they move to
+    label = [phase for phase, _ in states]
+    count = len(set(label))
+    while True:
+        signatures = {}
+        label = [signatures.setdefault((label[s], tuple(label[t] for t in row)),
+                                       len(signatures))
+                 for s, row in enumerate(moves)]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    class_moves = [None] * count
+    classes = [[] for _ in range(phases)]
+    for s, row in enumerate(moves):
+        c = label[s]
+        if class_moves[c] is None:
+            class_moves[c] = tuple(label[t] for t in row)
+            classes[states[s][0]].append(c)
+    return Automaton(first, period, more, tuple(map(tuple, classes)),
+                     tuple(class_moves), label[0])
+
+
+def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
+                   b: int) -> tuple:
+    """counting._walk's rows, counted on the minimal automaton: row z
+    holds the partitions with parts in min_part..start that no window
+    forbids when z fictitious zeros sit below the smallest part, packed
+    in b-bit fields."""
+    auto = minimal_automaton(rules, min_part)
+    more = auto.more
+    width = (order + 1) * b
+    mask = (1 << width) - 1
+    r = [1] * len(auto.moves)
+    for u in range(start, 0, -1):
+        step = u * b
+        cls = auto.classes[auto.phase(u)]
+        pulled = []
+        for c in cls:
+            row = auto.moves[c]
+            vec = 0
+            for mu in range(min(len(row), more, order // u + 1)):
+                vec += (r[row[mu]] << mu * step) & mask
+            if len(row) > more and more * u <= order:
+                # r * q**(more*u) / (1 - q**u), summed by doubling
+                tail, run = (r[row[more]] << more * step) & mask, step
+                while run < width:
+                    tail += (tail << run) & mask
+                    run <<= 1
+                vec += tail
+            pulled.append(vec)
+        for c, vec in zip(cls, pulled):
+            r[c] = vec
+    zeros = auto.moves[auto.start]
+    return tuple(r[zeros[z]] if z < len(zeros) else 0 for z in range(more))

@@ -14,6 +14,7 @@ flattest, and so on.
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
@@ -59,28 +60,69 @@ def parse_partition(text: str) -> tuple:
 
 
 def _gen_partitions(n: int, max_part: int) -> Iterator[tuple]:
+    """The partitions of n with parts <= max_part, in reverse
+    lexicographic order: each next one lowers the last part above 1 by
+    one and refills the rest greedily with parts no larger."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
+    q, r = divmod(n, max_part)
+    parts = [max_part] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        x = parts.pop() - 1
+        q, r = divmod(ones + 1 + x, x)
+        parts += [x] * q
+        if r:
+            parts.append(r)
 
 
-@lru_cache(maxsize=2**10)
+PARTITIONS_HELD = 2**18
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_partitions = OrderedDict()  # (n, max_part) -> partitions, oldest use first
+_partitions_stats = [0, 0, 0]  # hits, misses, partitions held
+
+
 def partitions_of(n: int, max_part: int | None = None) -> tuple:
     """All partitions of n, largest part first within each partition.
 
     The list is ordered so that the partition with the larger leading
     part comes first: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  The last
-    1024 results are cached; callers must not mutate them.
+    results used are cached, PARTITIONS_HELD partitions in all, and a
+    longer result is not cached; callers must not mutate them.
     """
-    if n < 0:
-        return ()
+    key = (n, max_part)
+    stats = _partitions_stats
+    found = _partitions.get(key)
+    if found is not None:
+        stats[0] += 1
+        _partitions.move_to_end(key)
+        return found
+    stats[1] += 1
     cap = n if max_part is None else min(max_part, n)
-    if n > 0 and cap <= 0:
-        return ()
-    return tuple(_gen_partitions(n, cap))
+    found = () if n < 0 or (n > 0 and cap <= 0) else tuple(_gen_partitions(n, cap))
+    if len(found) <= PARTITIONS_HELD:
+        _partitions[key] = found
+        stats[2] += len(found)
+        while stats[2] > PARTITIONS_HELD:
+            stats[2] -= len(_partitions.popitem(last=False)[1])
+    return found
+
+
+def _partitions_info():
+    """lru_cache's statistics for partitions_of, its sizes counted in
+    partitions held rather than in entries."""
+    hits, misses, held = _partitions_stats
+    return CacheInfo(hits, misses, PARTITIONS_HELD, held)
+
+
+partitions_of.cache_info = _partitions_info
 
 
 def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[tuple]:

@@ -19,7 +19,10 @@ from .errors import NonUnitConstantTerm, PreconditionViolated
 
 
 def require_order(order: int) -> int:
-    """The order itself; a negative one raises PreconditionViolated."""
+    """The order itself; one that is not an int, or is negative, raises
+    PreconditionViolated."""
+    if not isinstance(order, int):
+        raise PreconditionViolated("an order must be an int, got %r" % (order,))
     if order < 0:
         raise PreconditionViolated("a series needs at least the q^0 coefficient")
     return order
@@ -260,7 +263,7 @@ class ProductSpec:
 def product_series(spec: ProductSpec, order: int) -> IntSeries:
     """Expand the product exactly to the given order."""
     return product_from_exponents(
-        [spec.exponent(m) for m in range(1, order + 1)], order)
+        [spec.exponent(m) for m in range(1, require_order(order) + 1)], order)
 
 
 def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:

@@ -13,15 +13,17 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpart import counting
+from flatpart import automaton, counting
+from flatpart.automaton import automaton_rows, period_bound
 from flatpart.conditions import (ConditionSet, condition_set,
                                  parse_condition_set, satisfies)
-from flatpart.counting import (_walk, count_by_predicate, sum_series_brute,
+from flatpart.counting import (ROUTE_FACTOR, _field_bits, _walk,
+                               count_by_predicate, sum_series_brute,
                                sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
-from flatpart.series import ProductSpec, product_series
+from flatpart.series import IntSeries, ProductSpec, product_series
 
 
 def random_condition_set(rng):
@@ -95,6 +97,37 @@ def test_pruned_brute_equals_the_definition(cs, order, min_part):
                                                             order)
 
 
+def automaton_series(cs, order, largest_part=None):
+    """sum_series_dp's series counted on the automaton, whatever the
+    size rule would choose."""
+    start = order if largest_part is None else min(order, largest_part)
+    b = _field_bits(order)
+    rows = automaton_rows(cs.rules, order, start, cs.min_part, b)
+    packed = rows[min(cs.zeros, len(rows) - 1)]
+    return IntSeries([packed >> n * b & (1 << b) - 1 for n in range(order + 1)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_condition_sets(), st.integers(0, 40), st.integers(1, 3))
+def test_automaton_matches_brute(cs, order, min_part):
+    cs = replace(cs, min_part=min_part)
+    assert automaton_series(cs, order) == sum_series_brute(cs, order)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(wide_condition_sets(), st.integers(0, 24), st.integers(0, 24),
+       st.integers(1, 3))
+def test_automaton_matches_brute_with_a_largest_part(cs, order, largest_part,
+                                                     min_part):
+    cs = replace(cs, min_part=min_part)
+
+    def pred(p):
+        return all(x <= largest_part for x in p) and satisfies(cs, p)
+
+    assert (automaton_series(cs, order, largest_part)
+            == count_by_predicate(pred, order))
+
+
 def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     cs = parse_condition_set("1:2:1:2;2:3:0:2 +2z")
     before = partitions_of.cache_info().currsize
@@ -105,8 +138,11 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached a DP or enumeration helper")
 
-    for name in ("_window_table", "_walk", "sum_series_dp", "partitions_of"):
+    for name in ("_window_table", "_walk", "_profile_walk", "sum_series_dp",
+                 "partitions_of", "automaton_rows", "period_bound"):
         monkeypatch.setattr(counting, name, forbidden)
+    for name in ("_window_table", "minimal_automaton", "automaton_rows"):
+        monkeypatch.setattr(automaton, name, forbidden)
     assert sum_series_brute(cs, 30) == expected
 
 
@@ -148,6 +184,15 @@ def test_dp_is_exact_at_every_order():
     assert deep == product_series(ident.product, 600)
     for order in (300, 301, 405, 406):
         assert deep.truncate(order) == sum_series_dp(ident.flat, order)
+    # the size rule walks the profiles below the switch and counts on the
+    # automaton from it on
+    ident = get_identity("FAM1_1_K3")
+    switch = ROUTE_FACTOR * sum(period_bound(ident.flat.rules, 1))
+    for order, builds in ((switch - 1, 0), (switch, 1)):
+        before = sum(automaton.minimal_automaton.cache_info()[:2])
+        _walk.__wrapped__(ident.flat.rules, order, None, 1)
+        assert sum(automaton.minimal_automaton.cache_info()[:2]) == before + builds
+        assert sum_series_dp(ident.flat, order) == product_series(ident.product, order)
     # no rules: the counts are p(n), and p(600) > 2**78
     free = sum_series_dp(condition_set([]), 600)
     assert free == product_series(ProductSpec(1, {0: 1}), 600)

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from flatpart.automaton import minimal_automaton
 from flatpart.errors import PreconditionViolated
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
@@ -62,9 +63,24 @@ def test_kth_flattest_matches_sorted_enumeration():
 
 
 def test_caches_are_bounded():
-    # lru_cache wrappers with a bound, never an unbounded store
+    # caches with a bound, never an unbounded store
     assert partitions_of.cache_info().maxsize is not None
     assert kth_flattest.cache_info().maxsize is not None
+    assert minimal_automaton.cache_info().maxsize is not None
+
+
+def test_partition_cache_is_bounded_by_partitions_held():
+    # p(0) + ... + p(50) is 1,295,971 partitions, p(0) + ... + p(40) is
+    # 215,308; the cache holds at most maxsize of them at every step
+    for n in range(51):
+        assert len(partitions_of(n)) > 0
+        info = partitions_of.cache_info()
+        assert 215308 <= info.maxsize < 1295971 // 4
+        assert info.currsize <= info.maxsize
+    # the oldest results made room for the newest, so p(40) is enumerated
+    # again
+    partitions_of(40)
+    assert partitions_of.cache_info().misses == info.misses + 1
 
 
 def test_partition_counts_match_pentagonal_recurrence():
