@@ -32,17 +32,28 @@ t'' - LB >= T.  Stated relative to its top value, the checks at u and
 at u + L are therefore the same for every u >= U.  For B = 1, W(t) is (t) when
 A = 1 and absent otherwise, so U = 1.  period_bound takes U as the
 maximum over the rules and min_part (values below min_part carry their
-own check), and minimal_automaton tightens it to the smallest U0 with
-equal checks at u and u + L for every u in [U0, U); by the lemma that
-bound is exact too.
+own check), and the build tightens it to the smallest U0 with equal
+checks at u and u + L for every u in [U0, U); by the lemma that bound
+is exact too.
 
 The phase of value u is u below U0 and U0 + (u - U0) mod L from there
 on.  A raw state is the phase of the next value and the windows begun
-below it that may still occur (see minimal_automaton), and Moore
-refinement seeded by phase minimizes it, so at each value only the few
-classes of its phase are live.  FAM1_1_K3 has 41 classes, at most 6 per
-phase, where the profile walk of counting.py carries 73 or more
-profiles per stage at order 600.
+below it that may still occur (see _build), and Moore refinement seeded
+by phase minimizes it, so at each value only the few classes of its
+phase are live.  FAM1_1_K3 has 41 classes, at most 6 per phase, where a
+walk over the capped multiplicities of the last few values carries 73
+or more of them per stage at order 600.
+
+A partition avoids a rule set exactly when it avoids each rule and obeys
+the smallest-part bound, so the set's sum side is the intersection of
+linked partition ideals, one per rule and one for the bound.
+minimal_automaton builds it by the product construction of Rabin and
+Scott (1959): the bound's automaton and then each rule's, built once
+from its window table and cached, are read in lockstep, and the product
+completes a window when a factor does.  Its period is the lcm of the
+factors' periods, and U0 is placed on the union of their checks, so the
+product refined by phase is the automaton the set's own window table
+would give, at a fraction of the cost.
 
 automaton_rows counts on it by a downward pull: r = 1 on every class at
 the largest part, then for each value u going down,
@@ -53,45 +64,13 @@ at the class reached after z zeros.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
 from .conditions import ConditionSet
 from .partitions import kth_flattest
-
-
-def _window_table(rules, start: int):
-    """Every forbidden window among parts <= start, as checks grouped by
-    bottom value, and the widest spread w[0] - w[-1] among them.
-
-    A window of rule A:B:C:D is fixed by its total t: it is
-    kth_flattest(A, B, t).  A window whose parts are all <= start has
-    t <= B*start, and the all-zero window (t = 0) is exempt, so walking
-    t = 1..B*start lists each window that can occur exactly once.  A
-    bottom value of 0 means the window ends in fictitious zeros.
-
-    A check (c0, eq, ge) with bottom value v says the window occurs iff
-    the multiplicity of v is >= c0, the profile slots in eq (slot i holds
-    the multiplicity of v+1+i) hold exactly the stated count, and the
-    slots in ge hold at least it."""
-    table = defaultdict(list)
-    span = 0
-    for rule in rules:
-        for t in range(1, rule.width * start + 1):
-            if not rule.sum_matches(t):
-                continue
-            w = kth_flattest(rule.flatness_index, rule.width, t)
-            if w is None or w[0] > start:
-                continue
-            counts = Counter(x - w[-1] for x in w)
-            top = w[0] - w[-1]
-            eq = tuple((u - 1, counts[u]) for u in range(1, top))
-            ge = ((top - 1, counts[top]),) if top > 0 else ()
-            table[w[-1]].append((counts[0], eq, ge))
-            span = max(span, top)
-    return table, span
 
 
 def period_bound(rules, min_part: int) -> tuple:
@@ -112,14 +91,20 @@ def _checks_by_top(rules, min_part: int, top: int) -> list:
     A window whose top is s above its bottom is the tuple (c_s, ...,
     c_0), c_i its count of the value i above the bottom: it occurs iff
     its top and bottom values have multiplicities >= c_s and >= c_0 and
-    every value between has exactly its count."""
-    table, _ = _window_table(rules, top)
+    every value between has exactly its count.  A bottom value of 0
+    means the window ends in fictitious zeros."""
     groups = [set() for _ in range(top + 1)]
-    for v, checks in table.items():
-        for c0, eq, ge in checks:
-            # eq holds the values strictly between bottom and top, ge the top
-            groups[v + len(eq) + len(ge)].add(
-                tuple(n for _, n in ge) + tuple(n for _, n in reversed(eq)) + (c0,))
+    for rule in rules:
+        # a rule's window is fixed by its total t: it is
+        # kth_flattest(A, B, t), and one whose parts are all <= top has
+        # t <= B*top; the all-zero window (t = 0) is exempt
+        for t in range(1, rule.width * top + 1):
+            if not rule.sum_matches(t):
+                continue
+            w = kth_flattest(rule.flatness_index, rule.width, t)
+            if w is not None and w[0] <= top:
+                counts = Counter(w)
+                groups[w[0]].add(tuple(counts[u] for u in range(w[0], w[-1] - 1, -1)))
     for v in range(1, min(min_part, top + 1)):
         groups[v].add((1,))  # any copy of v is one too many
     return groups
@@ -131,7 +116,9 @@ class Automaton(NamedTuple):
     completes a window.  Index more stands for every multiplicity >= more
     (cap + 1, cap the widest rule's width).  classes[p] lists the
     classes whose next value has phase p; start is the class before
-    value 0 is read."""
+    value 0 is read.  checks[p] holds the windows whose top value has
+    phase p, as _checks_by_top states them; a product reads them to
+    place its first phase."""
 
     first: int
     period: int
@@ -139,14 +126,48 @@ class Automaton(NamedTuple):
     classes: tuple
     moves: tuple
     start: int
+    checks: tuple
 
     def phase(self, u: int) -> int:
         return u if u < self.first else self.first + (u - self.first) % self.period
 
 
-@lru_cache(maxsize=128)
-def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
-    """The phase-seeded minimal automaton of the rule set's sum side.
+def _follow(first: int, period: int) -> list:
+    """The phase of the value after one of each phase."""
+    phases = first + period
+    return [p + 1 if p + 1 < phases else first for p in range(phases)]
+
+
+def _minimize(first: int, period: int, more: int, phases: list, moves: list,
+              checks: tuple) -> Automaton:
+    """Moore refinement of a raw automaton whose state s has phase
+    phases[s] and moves moves[s], state 0 the start: seeded by phase,
+    split classes by the classes they move to."""
+    label = list(phases)
+    count = len(set(label))
+    while True:
+        signatures, of = {}, label.__getitem__
+        label = [signatures.setdefault((of(s), tuple(map(of, row))), len(signatures))
+                 for s, row in enumerate(moves)]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+        if count == len(moves):  # every state a class of its own
+            break
+    class_moves = [None] * count
+    classes = [[] for _ in range(first + period)]
+    for s, row in enumerate(moves):
+        c = label[s]
+        if class_moves[c] is None:
+            class_moves[c] = tuple(label[t] for t in row)
+            classes[phases[s]].append(c)
+    return Automaton(first, period, more, tuple(map(tuple, classes)),
+                     tuple(class_moves), label[0], checks)
+
+
+def _build(rules: tuple, min_part: int) -> Automaton:
+    """The phase-seeded minimal automaton of the rule set's sum side,
+    straight from its window table.
 
     A raw state is the phase of the next value and the set of windows
     begun below it that may still occur, each cut to the part not yet
@@ -159,7 +180,7 @@ def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
     while first > 0 and groups[first - 1] == groups[first - 1 + period]:
         first -= 1
     phases = first + period
-    follow = [p + 1 if p + 1 < phases else first for p in range(phases)]
+    follow = _follow(first, period)
     # ends[p]: a window whose top has phase p completes on a multiplicity
     # >= these; begins[p]: windows whose bottom has phase p, as (what is
     # left after the bottom, the bottom's count)
@@ -190,27 +211,65 @@ def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
                 states.append(state)
             row.append(index[state])
         moves.append(row)
+    return _minimize(first, period, more, [phase for phase, _ in states], moves,
+                     tuple(frozenset(groups[p]) for p in range(phases)))
 
-    # Moore refinement: split classes by the classes they move to
-    label = [phase for phase, _ in states]
-    count = len(set(label))
-    while True:
-        signatures = {}
-        label = [signatures.setdefault((label[s], tuple(label[t] for t in row)),
-                                       len(signatures))
-                 for s, row in enumerate(moves)]
-        if len(signatures) == count:
-            break
-        count = len(signatures)
-    class_moves = [None] * count
-    classes = [[] for _ in range(phases)]
-    for s, row in enumerate(moves):
-        c = label[s]
-        if class_moves[c] is None:
-            class_moves[c] = tuple(label[t] for t in row)
-            classes[states[s][0]].append(c)
-    return Automaton(first, period, more, tuple(map(tuple, classes)),
-                     tuple(class_moves), label[0])
+
+def _product(x: Automaton, y: Automaton) -> Automaton:
+    """The minimal automaton of the intersection of x's and y's sum
+    sides: read both in lockstep from value 0, and complete a window
+    when either does.  The period is the lcm of theirs, and the first
+    phase is placed on the union of their checks as _build places it."""
+    period = lcm(x.period, y.period)
+
+    def checks(u):
+        return x.checks[x.phase(u)] | y.checks[y.phase(u)]
+
+    first = max(x.first, y.first)
+    while first > 0 and checks(first - 1) == checks(first - 1 + period):
+        first -= 1
+    follow = _follow(first, period)
+    more = max(x.more, y.more)
+
+    def widened(auto, c):
+        # a multiplicity at or above a factor's more takes its tail move
+        row = auto.moves[c]
+        return row + row[-1:] * (more - auto.more) if len(row) > auto.more else row
+
+    index = {(0, x.start, y.start): 0}
+    states, moves = list(index), []
+    for phase, a, b in states:  # grows as new states are found
+        row = []
+        for pair in zip(widened(x, a), widened(y, b)):
+            state = (follow[phase],) + pair
+            if state not in index:
+                index[state] = len(states)
+                states.append(state)
+            row.append(index[state])
+        moves.append(row)
+    return _minimize(first, period, more, [phase for phase, _, _ in states], moves,
+                     tuple(checks(p) for p in range(first + period)))
+
+
+@lru_cache(maxsize=256)
+def rule_automaton(rule) -> Automaton:
+    """The minimal automaton of one rule's sum side."""
+    return _build((rule,), 1)
+
+
+@lru_cache(maxsize=128)
+def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
+    """The phase-seeded minimal automaton of the rule set's sum side: the
+    smallest-part bound's automaton, times each rule's in turn, where a
+    lone rule with no bound is its own automaton.  Every prefix of rules
+    is cached on the way, so the sets of a depth-first enumeration,
+    which extend one another, share their products."""
+    if not rules:
+        return _build((), min_part)
+    if len(rules) == 1 and min_part == 1:
+        return rule_automaton(rules[0])
+    return _product(minimal_automaton(rules[:-1], min_part),
+                    rule_automaton(rules[-1]))
 
 
 def automaton_rows(rules: tuple, order: int, start: int, min_part: int,

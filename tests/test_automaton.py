@@ -1,25 +1,159 @@
-"""The period lemma behind the minimal automaton, and the automaton's
-rows against the profile walk.
+"""The period lemma behind the minimal automaton, the product of
+per-rule automata against the build from a set's own window table, and
+the automaton's rows against a walk over capped profiles.
 
 The lemma is checked on the patterns themselves, with no automaton: past
 T = (A+1)B(B-1) - B, adding B to a total adds 1 to every entry of each
 of the first A flattest patterns.
 """
 
+import json
+from collections import Counter, defaultdict
+from pathlib import Path
+
 import pytest
 
-from flatpart.automaton import (_checks_by_top, automaton_rows,
+from flatpart import automaton
+from flatpart.automaton import (_build, _checks_by_top, automaton_rows,
                                 minimal_automaton, period_bound)
-from flatpart.conditions import parse_condition_set
-from flatpart.counting import _field_bits, _profile_walk
+from flatpart.conditions import ConditionSet, parse_condition_set
+from flatpart.counting import _field_bits
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import kth_flattest
+from flatpart.search import SearchBounds, enumerate_condition_sets
+
+SCREEN_BOXES = Path(__file__).resolve().parent.parent / "perfbench" / "screen_boxes.json"
 
 
 def registry_forms():
     forms = {(f.rules, f.min_part)
              for f in (get_identity(name).flat for name in registered_names())}
     return sorted(forms, key=str)
+
+
+def _window_table(rules, start: int):
+    """Every forbidden window among parts <= start, as checks grouped by
+    bottom value, and the widest spread w[0] - w[-1] among them.
+
+    A window of rule A:B:C:D is fixed by its total t: it is
+    kth_flattest(A, B, t).  A window whose parts are all <= start has
+    t <= B*start, and the all-zero window (t = 0) is exempt, so walking
+    t = 1..B*start lists each window that can occur exactly once.  A
+    bottom value of 0 means the window ends in fictitious zeros.
+
+    A check (c0, eq, ge) with bottom value v says the window occurs iff
+    the multiplicity of v is >= c0, the profile slots in eq (slot i holds
+    the multiplicity of v+1+i) hold exactly the stated count, and the
+    slots in ge hold at least it."""
+    table = defaultdict(list)
+    span = 0
+    for rule in rules:
+        for t in range(1, rule.width * start + 1):
+            if not rule.sum_matches(t):
+                continue
+            w = kth_flattest(rule.flatness_index, rule.width, t)
+            if w is None or w[0] > start:
+                continue
+            counts = Counter(x - w[-1] for x in w)
+            top = w[0] - w[-1]
+            eq = tuple((u - 1, counts[u]) for u in range(1, top))
+            ge = ((top - 1, counts[top]),) if top > 0 else ()
+            table[w[-1]].append((counts[0], eq, ge))
+            span = max(span, top)
+    return table, span
+
+
+def _profile_ok(prof, eq, ge) -> bool:
+    for i, val in eq:
+        if prof[i] != val:
+            return False
+    for i, val in ge:
+        if prof[i] < val:
+            return False
+    return True
+
+
+def _lowest_completion(prof, checks, more: int) -> int:
+    """Smallest multiplicity of the bottom value that completes one of
+    these windows over the profile, or `more` when none does."""
+    lowest = more
+    for c0, eq, ge in checks:
+        if c0 < lowest and _profile_ok(prof, eq, ge):
+            lowest = c0
+    return lowest
+
+
+def _profile_walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
+    """automaton_rows' rows by a value walk with no automaton: from start
+    down to 1 it carries every capped profile, the multiplicities of the
+    last few values, that some partition reaches, with parts in
+    min_part..start."""
+    cap = ConditionSet(rules).max_width()
+    more = cap + 1  # capped multiplicity meaning "more than any window uses"
+    windows, window_span = _window_table(rules, start)
+    for v in range(1, min(min_part, start + 1)):
+        windows[v].append((1, (), ()))  # any copy of v is one too many
+
+    # No field carries into the next (see counting's docstring), so a
+    # zero int is a zero series and its profile is dropped exactly.
+    b = _field_bits(order)
+    width = (order + 1) * b
+    mask = (1 << width) - 1
+    dp = {(0,) * window_span: 1}
+
+    for v in range(start, 0, -1):
+        checks = windows.get(v, ())
+        step = v * b
+        ndp = defaultdict(int)
+        for prof, vec in dp.items():
+            lowest = _lowest_completion(prof, checks, more)
+            for mu in range(min(cap, lowest - 1, order // v) + 1):
+                ndp[((mu,) + prof)[:window_span]] += (vec << mu * step) & mask
+            if lowest == more and more * v <= order:
+                # vec * q**(more*v) / (1 - q**v), summed by doubling; each
+                # partial sum still counts distinct partitions, so no carry
+                tail, run = (vec << more * step) & mask, step
+                while run < width:
+                    tail += (tail << run) & mask
+                    run <<= 1
+                ndp[((more,) + prof)[:window_span]] += tail
+        dp = {prof: vec for prof, vec in ndp.items() if vec}
+
+    # fictitious zeros: one final batch of checks, no weight.  A profile
+    # counts for mu0 zeros iff the fewest zeros completing a window over
+    # it exceeds mu0.  Every check needs at most cap zeros, so more zeros
+    # than that change nothing.  Each row sums a subset of the profiles,
+    # as a single zero count's total would.
+    checks = windows.get(0, ())
+    rows = [0] * more
+    for prof, vec in dp.items():
+        for mu0 in range(_lowest_completion(prof, checks, more)):
+            rows[mu0] += vec
+    return tuple(rows)
+
+
+def screen_box_sets():
+    """The distinct rule sets of both perfbench screen boxes."""
+    with open(SCREEN_BOXES) as fh:
+        boxes = json.load(fh)
+    return sorted({cs.rules for box in boxes
+                   for cs in enumerate_condition_sets(
+                       SearchBounds.from_json(json.dumps(box["bounds"])))})
+
+
+def assert_product_equals_direct_build(rules, min_part, orders):
+    """minimal_automaton's product against the build from the set's own
+    window table: the same class count, phases and rows."""
+    direct, product = _build(rules, min_part), minimal_automaton(rules, min_part)
+    assert ((len(product.moves), product.first, product.period, product.more)
+            == (len(direct.moves), direct.first, direct.period, direct.more)), rules
+    for order in orders:
+        b = _field_bits(order)
+        for start in (order // 3, order):
+            rows = automaton_rows(rules, order, start, min_part, b)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
+                assert automaton_rows(rules, order, start, min_part, b) == rows, rules
 
 
 @pytest.mark.parametrize("width", range(1, 6))
@@ -54,6 +188,15 @@ def test_automaton_equals_the_profile_walk_on_the_registry(order):
     for rules, min_part in registry_forms():
         assert (automaton_rows(rules, order, order, min_part, b)
                 == _profile_walk(rules, order, order, min_part)), (rules, order)
+
+
+def test_product_equals_the_direct_build():
+    sets = screen_box_sets()
+    assert sets
+    for rules in sets:
+        assert_product_equals_direct_build(rules, 1, (30,))
+    for rules, min_part in registry_forms():
+        assert_product_equals_direct_build(rules, min_part, (30, 200))
 
 
 def test_minimization_merges_profiles():

@@ -11,15 +11,14 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatpart import automaton, counting
-from flatpart.automaton import automaton_rows, period_bound
+from flatpart.automaton import _build, automaton_rows, minimal_automaton
 from flatpart.conditions import (ConditionSet, condition_set,
                                  parse_condition_set, satisfies)
-from flatpart.counting import (ROUTE_FACTOR, _field_bits, _walk,
-                               count_by_predicate, sum_series_brute,
-                               sum_series_dp)
+from flatpart.counting import (_field_bits, _walk, count_by_predicate,
+                               sum_series_brute, sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
@@ -98,8 +97,8 @@ def test_pruned_brute_equals_the_definition(cs, order, min_part):
 
 
 def automaton_series(cs, order, largest_part=None):
-    """sum_series_dp's series counted on the automaton, whatever the
-    size rule would choose."""
+    """sum_series_dp's series counted on the automaton, past every cache
+    of counting."""
     start = order if largest_part is None else min(order, largest_part)
     b = _field_bits(order)
     rows = automaton_rows(cs.rules, order, start, cs.min_part, b)
@@ -128,6 +127,23 @@ def test_automaton_matches_brute_with_a_largest_part(cs, order, largest_part,
             == count_by_predicate(pred, order))
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_condition_sets(fewest_rules=0), st.integers(1, 3))
+# a rule that forbids every part makes the bound's own first phase too
+# late for the set: the product must place it on the union of checks
+@example(parse_condition_set("1:1:0:1"), 3)
+def test_product_automaton_equals_the_direct_build(cs, min_part):
+    direct, product = _build(cs.rules, min_part), minimal_automaton(cs.rules, min_part)
+    assert ((len(product.moves), product.first, product.period, product.more)
+            == (len(direct.moves), direct.first, direct.period, direct.more))
+    order = 24
+    rows = automaton_rows(cs.rules, order, order, min_part, _field_bits(order))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
+        assert automaton_rows(cs.rules, order, order, min_part,
+                              _field_bits(order)) == rows
+
+
 def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     cs = parse_condition_set("1:2:1:2;2:3:0:2 +2z")
     before = partitions_of.cache_info().currsize
@@ -138,10 +154,11 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached a DP or enumeration helper")
 
-    for name in ("_window_table", "_walk", "_profile_walk", "sum_series_dp",
-                 "partitions_of", "automaton_rows", "period_bound"):
+    for name in ("_walk", "sum_series_dp", "_series_dp", "partitions_of",
+                 "automaton_rows"):
         monkeypatch.setattr(counting, name, forbidden)
-    for name in ("_window_table", "minimal_automaton", "automaton_rows"):
+    for name in ("_checks_by_top", "minimal_automaton", "rule_automaton",
+                 "automaton_rows"):
         monkeypatch.setattr(automaton, name, forbidden)
     assert sum_series_brute(cs, 30) == expected
 
@@ -184,15 +201,22 @@ def test_dp_is_exact_at_every_order():
     assert deep == product_series(ident.product, 600)
     for order in (300, 301, 405, 406):
         assert deep.truncate(order) == sum_series_dp(ident.flat, order)
-    # the size rule walks the profiles below the switch and counts on the
-    # automaton from it on
+    # every walk counts on the automaton: a sweep over largest parts
+    # builds the set's product once (one build per nonempty prefix of its
+    # rules) and reads it from the cache after that
     ident = get_identity("FAM1_1_K3")
-    switch = ROUTE_FACTOR * sum(period_bound(ident.flat.rules, 1))
-    for order, builds in ((switch - 1, 0), (switch, 1)):
-        before = sum(automaton.minimal_automaton.cache_info()[:2])
-        _walk.__wrapped__(ident.flat.rules, order, None, 1)
-        assert sum(automaton.minimal_automaton.cache_info()[:2]) == before + builds
-        assert sum_series_dp(ident.flat, order) == product_series(ident.product, order)
+    rules, order = ident.flat.rules, 40
+    product = product_series(ident.product, order)
+    automaton.minimal_automaton.cache_clear()
+    for j in range(1, order + 1):
+        _walk.__wrapped__(rules, order, j, 1)
+    info = automaton.minimal_automaton.cache_info()
+    assert (info.misses, info.hits) == (len(rules), order - 1)
+    for j in range(1, order + 1):
+        capped = sum_series_dp(ident.flat, order, largest_part=j)
+        # partitions of n <= j have no part above j
+        assert capped.truncate(j) == product.truncate(j)
+    assert capped == product
     # no rules: the counts are p(n), and p(600) > 2**78
     free = sum_series_dp(condition_set([]), 600)
     assert free == product_series(ProductSpec(1, {0: 1}), 600)

@@ -51,9 +51,13 @@ def test_negative_order_is_refused(call):
 @pytest.mark.parametrize("call", [
     lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 2.5),
     lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=2.5),
+    # unhashable arguments are checked before the cache reads them
+    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), [6]),
+    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=[2]),
     lambda: sum_series_brute(parse_condition_set("1:2:1:2"), "3"),
     lambda: product_series(ProductSpec(5, {1: 1}), 4.0),
-], ids=["dp_order", "dp_largest_part", "brute_order", "product_order"])
+], ids=["dp_order", "dp_largest_part", "dp_order_list", "dp_largest_part_list",
+        "brute_order", "product_order"])
 def test_non_integer_order_or_bound_is_refused(call):
     with pytest.raises(PreconditionViolated, match="must be an int"):
         call()

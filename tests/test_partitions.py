@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from flatpart.automaton import minimal_automaton
+from flatpart.automaton import minimal_automaton, rule_automaton
 from flatpart.errors import PreconditionViolated
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
@@ -67,6 +67,7 @@ def test_caches_are_bounded():
     assert partitions_of.cache_info().maxsize is not None
     assert kth_flattest.cache_info().maxsize is not None
     assert minimal_automaton.cache_info().maxsize is not None
+    assert rule_automaton.cache_info().maxsize is not None
 
 
 def test_partition_cache_is_bounded_by_partitions_held():
