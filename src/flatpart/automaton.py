@@ -58,8 +58,9 @@ would give, at a fraction of the cost.
 automaton_rows counts on it by a downward pull: r = 1 on every class at
 the largest part, then for each value u going down,
 r(s) = sum over m of q**(m*u) * r(next(s, m)), in the packed-int form
-of counting.py (same field width, mask and doubling tail).  Row z is r
-at the class reached after z zeros.
+of counting.py (same field width and mask); the tail
+r(t) q**(more*u) / (1 - q**u) is summed once per value u and target
+class t.  Row z is r at the class reached after z zeros.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from typing import NamedTuple
 
 from .conditions import ConditionSet
 from .partitions import kth_flattest
+from .series import packed_div_one_minus_qm
 
 
 def period_bound(rules, min_part: int) -> tuple:
@@ -280,12 +282,12 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
     in b-bit fields."""
     auto = minimal_automaton(rules, min_part)
     more = auto.more
-    width = (order + 1) * b
-    mask = (1 << width) - 1
+    mask = (1 << (order + 1) * b) - 1
     r = [1] * len(auto.moves)
     for u in range(start, 0, -1):
         step = u * b
         cls = auto.classes[auto.phase(u)]
+        tails = {}
         pulled = []
         for c in cls:
             row = auto.moves[c]
@@ -293,12 +295,10 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
             for mu in range(min(len(row), more, order // u + 1)):
                 vec += (r[row[mu]] << mu * step) & mask
             if len(row) > more and more * u <= order:
-                # r * q**(more*u) / (1 - q**u), summed by doubling
-                tail, run = (r[row[more]] << more * step) & mask, step
-                while run < width:
-                    tail += (tail << run) & mask
-                    run <<= 1
-                vec += tail
+                if row[more] not in tails:  # r * q**(more*u) / (1 - q**u)
+                    tails[row[more]] = packed_div_one_minus_qm(
+                        (r[row[more]] << more * step) & mask, step, mask)
+                vec += tails[row[more]]
             pulled.append(vec)
         for c, vec in zip(cls, pulled):
             r[c] = vec

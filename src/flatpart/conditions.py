@@ -42,12 +42,12 @@ class FlatRule:
     mode: str = CONGRUENT
 
     def __post_init__(self):
-        if self.flatness_index < 1:
-            raise PreconditionViolated("flatness index must be >= 1")
-        if self.width < 1:
-            raise PreconditionViolated("window width must be >= 1")
-        if self.modulus < 1:
-            raise PreconditionViolated("modulus must be >= 1")
+        a, b, c, d = self.flatness_index, self.width, self.residue, self.modulus
+        if not all(isinstance(x, int) for x in (a, b, c, d)):
+            raise PreconditionViolated("rule fields A, B, C, D must be ints")
+        if min(a, b, d) < 1:
+            raise PreconditionViolated(
+                "A, B and D must be >= 1, got %d:%d:%d:%d" % (a, b, c, d))
         if self.mode not in (CONGRUENT, NOT_CONGRUENT):
             raise PreconditionViolated("bad mode %r" % (self.mode,))
         object.__setattr__(self, "residue", self.residue % self.modulus)
@@ -109,14 +109,14 @@ class ConditionSet:
     min_part: int = 1
 
     def __post_init__(self):
-        if self.zeros < 0:
-            raise PreconditionViolated("zeros must be >= 0")
-        if self.min_part < 1:
-            raise PreconditionViolated("min_part must be >= 1")
+        if not isinstance(self.zeros, int) or self.zeros < 0:
+            raise PreconditionViolated("zeros must be an int >= 0")
+        if not isinstance(self.min_part, int) or self.min_part < 1:
+            raise PreconditionViolated("min_part must be an int >= 1")
         seen = []
         for r in self.rules:
             if not isinstance(r, FlatRule):
-                raise TypeError("rules must be FlatRule instances")
+                raise PreconditionViolated("rules must be FlatRule instances")
             if r not in seen:
                 seen.append(r)
         seen.sort(key=FlatRule.sort_key)

@@ -24,7 +24,8 @@ tries several zero counts on one rule set, as every box does, walks once
 for all of them.
 
 Each series the walk carries is one Python int (Kronecker substitution):
-coefficient n sits in bits [n*b, (n+1)*b), b the bit length of p(order).
+coefficient n sits in bits [n*b, (n+1)*b), b the bit length of p(order)
+(_field_bits, by Euler's pentagonal recurrence with no series expanded).
 Every count stored is a number of distinct partitions of its weight, so
 it lies in [0, p(order)] < 2**b and never carries into the next field.
 Multiplying by q**k is a shift by k*b bits and truncating past order is
@@ -41,7 +42,7 @@ from .automaton import automaton_rows
 from .conditions import ConditionSet, matches_at
 from .errors import CeilingExceeded, PreconditionViolated
 from .partitions import partitions_of
-from .series import IntSeries, ProductSpec, product_series, require_order
+from .series import IntSeries, partition_bits, require_order
 
 BRUTE_CEILING = 60
 
@@ -93,10 +94,7 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     return IntSeries(counts)
 
 
-@lru_cache(maxsize=16)
-def _field_bits(order: int) -> int:
-    """Bits per packed coefficient: p(order) < 2**b bounds every count."""
-    return product_series(ProductSpec(1, {0: 1}), order)[order].bit_length()
+_field_bits = partition_bits  # p(order) < 2**b bounds every count
 
 
 @lru_cache(maxsize=128)

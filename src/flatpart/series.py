@@ -13,6 +13,7 @@ by its modulus and the exponent attached to each residue class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import NonUnitConstantTerm, PreconditionViolated
@@ -191,9 +192,9 @@ def series_div(a: IntSeries, b: IntSeries) -> IntSeries:
 
 def geom(m: int, order: int) -> IntSeries:
     """1/(1 - q^m): the generating series for parts equal to m."""
-    if m < 1:
-        raise PreconditionViolated("m must be >= 1")
-    c = [0] * (order + 1)
+    if not isinstance(m, int) or m < 1:
+        raise PreconditionViolated("m must be an int >= 1")
+    c = [0] * (require_order(order) + 1)
     for i in range(0, order + 1, m):
         c[i] = 1
     return IntSeries(c)
@@ -211,6 +212,15 @@ def div_one_minus_qm(coeffs: list, m: int) -> None:
         coeffs[i] += coeffs[i - m]
 
 
+def packed_div_one_minus_qm(x: int, step: int, mask: int) -> int:
+    """Divide a series packed in mask's bits by (1 - q^m), step = m times
+    the field width: multiply by (1+q^m)(1+q^(2m))(1+q^(4m))..."""
+    while step < mask.bit_length():
+        x += (x << step) & mask
+        step <<= 1
+    return x
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """prod_{m>=1} (1 - q^m)^(-e(m mod modulus)), e >= 0 per residue class."""
@@ -219,19 +229,19 @@ class ProductSpec:
     residue_exponents: tuple  # sorted ((residue, exponent), ...)
 
     def __init__(self, modulus: int, residue_exponents):
-        if modulus < 1:
-            raise PreconditionViolated("modulus must be >= 1")
+        if not isinstance(modulus, int) or modulus < 1:
+            raise PreconditionViolated("modulus must be an int >= 1")
         if isinstance(residue_exponents, dict):
             items = residue_exponents.items()
         else:
             items = residue_exponents
         norm = {}
         for r, e in items:
-            r, e = int(r) % modulus, int(e)
-            if e < 0:
-                raise PreconditionViolated("exponents must be nonnegative")
+            if not (isinstance(r, int) and isinstance(e, int)) or e < 0:
+                raise PreconditionViolated(
+                    "residues must be ints and exponents nonnegative ints")
             if e:
-                norm[r] = norm.get(r, 0) + e
+                norm[r % modulus] = norm.get(r % modulus, 0) + e
         if not norm:
             raise PreconditionViolated(
                 "at least one residue class must have a nonzero exponent")
@@ -269,20 +279,42 @@ def product_series(spec: ProductSpec, order: int) -> IntSeries:
 def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     """prod_m (1-q^m)^(-c_m) for explicit per-m exponents c_1..c_N (any sign).
 
-    One pass of multiplying or dividing by (1-q^m) per unit of |c_m|, so
-    the cost grows with sum |c_m|.  That is kept on purpose: this is the
-    oracle route that euler_exponents, which never looks at the size of
-    the exponents, is tested against."""
-    coeffs = [0] * (require_order(order) + 1)
-    coeffs[0] = 1
-    for m in range(1, min(len(exponents) + 1, order + 1)):
-        c = exponents[m - 1]
-        for _ in range(abs(c)):
-            if c > 0:
-                div_one_minus_qm(coeffs, m)
-            else:
-                mul_one_minus_qm(coeffs, m)
+    One pass of dividing or multiplying by (1-q^m) per unit of |c_m|: this
+    is the oracle route that euler_exponents, which never looks at the
+    size of the exponents, is tested against.  The divisions run on one
+    int, coefficient n in bits [n*b, (n+1)*b).  With E the largest c_m,
+    b = E*bits(p(order)) + (E-1)*bitlen(order+1): every partial product is
+    coefficientwise at most (q;q)**-E, whose q^n coefficient sums
+    p(n_1)...p(n_E) <= p(n)**E over at most (n+1)**(E-1) ways to write
+    n = n_1 + ... + n_E, so no field carries.  The multiplications follow
+    on the unpacked list."""
+    order = require_order(order)
+    used = list(exponents[:order])
+    if not all(isinstance(c, int) for c in used):
+        raise PreconditionViolated("exponents must be ints")
+    top = max([1] + used)
+    b = top * partition_bits(order) + (top - 1) * (order + 1).bit_length()
+    packed, mask = 1, (1 << (order + 1) * b) - 1
+    for m, c in enumerate(used, 1):
+        for _ in range(c):
+            packed = packed_div_one_minus_qm(packed, m * b, mask)
+    field = (1 << b) - 1
+    coeffs = [packed >> n * b & field for n in range(order + 1)]
+    for m, c in enumerate(used, 1):
+        for _ in range(-c):
+            mul_one_minus_qm(coeffs, m)
     return IntSeries(coeffs)
+
+
+@lru_cache(maxsize=16)
+def partition_bits(n: int) -> int:
+    """The bit length of p(n), by Euler's pentagonal recurrence."""
+    signed = [(g, 1 if k % 2 else -1) for k in range(1, n + 2)
+              for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= n]
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(sum(s * p[m - g] for g, s in signed if g <= m))
+    return p[n].bit_length()
 
 
 def save_series(series: IntSeries, path) -> None:

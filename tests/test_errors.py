@@ -2,13 +2,15 @@
 
 import pytest
 
-from flatpart.conditions import FlatRule, parse_condition_set, parse_rule
+from flatpart.conditions import (ConditionSet, FlatRule, parse_condition_set,
+                                 parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
-from flatpart.series import ProductSpec, one, product_series
+from flatpart.series import (ProductSpec, geom, one, product_from_exponents,
+                             product_series)
 
 
 def test_bad_input_raises_a_flatpart_error():
@@ -60,4 +62,25 @@ def test_negative_order_is_refused(call):
         "brute_order", "product_order"])
 def test_non_integer_order_or_bound_is_refused(call):
     with pytest.raises(PreconditionViolated, match="must be an int"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProductSpec(3, {1: 1.5}),
+    lambda: ProductSpec("3", {1: 1}),
+    lambda: ProductSpec(3, {"1": 1}),
+    lambda: product_from_exponents([1.5], 5),
+    lambda: product_from_exponents(["1"], 5),
+    lambda: ConditionSet((), 0, 1.5),
+    lambda: ConditionSet(parse_condition_set("1:2:1:2").rules, 1.5),
+    lambda: ConditionSet(("1:2:1:2",)),
+    lambda: FlatRule("1", 2, 0, 2),
+    lambda: FlatRule(1, 2, 0.0, 2),
+    lambda: geom(2, 5.5),
+    lambda: geom(2.0, 5),
+], ids=["spec_exponent", "spec_modulus", "spec_residue", "exponent_float",
+        "exponent_str", "set_min_part", "set_zeros", "set_rule_text",
+        "rule_index", "rule_residue", "geom_order", "geom_m"])
+def test_non_integer_field_is_refused(call):
+    with pytest.raises(PreconditionViolated):
         call()

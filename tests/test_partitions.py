@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from flatpart.automaton import minimal_automaton, rule_automaton
+from flatpart.counting import _field_bits, _walk, sum_series_dp
 from flatpart.errors import PreconditionViolated
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
@@ -68,6 +69,9 @@ def test_caches_are_bounded():
     assert kth_flattest.cache_info().maxsize is not None
     assert minimal_automaton.cache_info().maxsize is not None
     assert rule_automaton.cache_info().maxsize is not None
+    assert _walk.cache_info().maxsize is not None
+    assert sum_series_dp.cache_info().maxsize is not None
+    assert _field_bits.cache_info().maxsize is not None
 
 
 def test_partition_cache_is_bounded_by_partitions_held():

@@ -1,15 +1,38 @@
-"""Truncated integer power series and cyclotomic-style infinite products."""
+"""Truncated integer power series and cyclotomic-style infinite products.
+
+The packed product expansion is checked against a plain list expansion,
+one in-place pass over a coefficient list per unit of |c_m|, kept here
+as the reference."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from flatpart.counting import _field_bits
 from flatpart.errors import NonUnitConstantTerm
+from flatpart.families import get_identity, registered_names
 from flatpart.partitions import partitions_of
-from flatpart.series import (IntSeries, ProductSpec, first_difference, geom,
-                             load_series, monomial, one,
-                             product_from_exponents, product_series,
-                             save_series, series_div, series_mul, zero)
+from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
+                             first_difference, geom, load_series, monomial,
+                             mul_one_minus_qm, one, product_from_exponents,
+                             product_series, save_series, series_div,
+                             series_mul, zero)
+
+
+def _list_product(exponents, order):
+    """prod_m (1-q^m)^(-c_m) on a coefficient list, one in-place pass of
+    multiplying or dividing by (1-q^m) per unit of |c_m|."""
+    coeffs = [0] * (order + 1)
+    coeffs[0] = 1
+    for m in range(1, min(len(exponents) + 1, order + 1)):
+        c = exponents[m - 1]
+        for _ in range(abs(c)):
+            if c > 0:
+                div_one_minus_qm(coeffs, m)
+            else:
+                mul_one_minus_qm(coeffs, m)
+    return IntSeries(coeffs)
 
 
 def test_arithmetic_basics():
@@ -122,6 +145,34 @@ def test_product_from_exponents_handles_negatives():
     # (1-q)^1 directly
     f = product_from_exponents([-1], 5)
     assert f.coeffs == (1, -1, 0, 0, 0, 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=70), st.integers(0, 60))
+def test_packed_product_equals_the_list_expansion(exponents, order):
+    assert product_from_exponents(exponents, order) == _list_product(exponents, order)
+
+
+def test_packed_product_equals_the_list_expansion_on_the_registry():
+    # every registry product at 200, the deep benchmark's five at 600, and
+    # (q;q)**-4, whose fields come nearest the width bound
+    # b = E*bits(p(order)) + (E-1)*bitlen(order+1): every exponent is E
+    cases = [(get_identity(name).product, 200) for name in registered_names()]
+    cases += [(get_identity(name).product, 600) for name in
+              ("FAM1_1_K3", "FAM1_2_K3", "FAM1_3_K3", "FAM6_K2", "FAM7_K2")]
+    cases.append((ProductSpec(1, {0: 4}), 200))
+    for spec, order in cases:
+        exponents = [spec.exponent(m) for m in range(1, order + 1)]
+        assert product_series(spec, order) == _list_product(exponents, order), spec
+
+
+def test_field_bits_are_the_bit_length_of_p():
+    # p(n) by coin change, independent of the pentagonal recurrence
+    p = [1] + [0] * 600
+    for m in range(1, 601):
+        for n in range(m, 601):
+            p[n] += p[n - m]
+    assert [_field_bits(n) for n in range(601)] == [c.bit_length() for c in p]
 
 
 def test_save_and_load(tmp_path):
