@@ -1,10 +1,10 @@
 """Exact counting of partitions obeying a window condition set.
 
 Two independent routes are provided on purpose.  sum_series_brute, the
-reference oracle, is a pruned literal enumeration: it reads every window
-with matches_at and drops a partial partition at its first forbidden
-window.  It shares no table, automaton or walk with the DP, and refuses
-orders above BRUTE_CEILING.
+reference oracle, is a pruned literal enumeration: a partial partition
+reads each window it closes once with matches_at, never one made only
+of zeros, and is dropped at its first forbidden window.  It shares no
+table, automaton or walk with the DP; it stops above BRUTE_CEILING.
 
 sum_series_dp chooses the multiplicity of every part value and counts
 the choices that complete no forbidden window.  It counts on the minimal
@@ -66,27 +66,31 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     enumeration, up to order BRUTE_CEILING (read at call time).
 
     Parts are added largest first, each in cs.min_part..the part before
-    it.  The windows ending at a new part never change after it, so the
-    first that matches drops every extension; a prefix counts once the
-    windows running into its fictitious zeros pass too.  Memory is
-    O(order): nothing is cached."""
+    it.  A rule's window ending at a new part never changes after it, so
+    the first that matches drops every extension.  A prefix counts once
+    its windows into the fictitious zeros pass too: its last k parts,
+    then width - k >= 1 zeros; no window of zeros alone is read.
+    Memory is O(order): nothing is cached."""
     counts = [0] * (_under_ceiling(order) + 1)
-    parts, zeros = [], [0] * cs.zeros
-
-    def clean(padded, last):
-        """No rule matches a window of padded that ends at index >= last."""
-        for r in cs.rules:
-            for i in range(max(last - r.width + 1, 0), len(padded) - r.width + 1):
-                if matches_at(r, padded[i:i + r.width]):
-                    return False
-        return True
+    widths = [(r, r.width) for r in cs.rules]
+    ends = [(r, w - z, (0,) * z) for r, w in widths
+            for z in range(1, min(w - 1, cs.zeros) + 1)]
+    parts = []
 
     def grow(total, top):
-        if clean(parts + zeros, len(parts)):
+        n = len(parts)
+        for r, k, pad in ends:
+            if k <= n and matches_at(r, tuple(parts[n - k:]) + pad):
+                break
+        else:
             counts[total] += 1
+        n += 1
         for part in range(min(top, order - total), cs.min_part - 1, -1):
             parts.append(part)
-            if clean(parts, len(parts) - 1):
+            for r, w in widths:
+                if w <= n and matches_at(r, parts[n - w:]):
+                    break
+            else:
                 grow(total + part, part)
             parts.pop()
 

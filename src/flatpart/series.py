@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import NonUnitConstantTerm, PreconditionViolated
@@ -35,8 +36,11 @@ class IntSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
+        coeffs = tuple(coeffs)
         require_order(len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        if not all(map(isinstance, coeffs, repeat(int))):
+            raise PreconditionViolated("coefficients must be ints")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntSeries is immutable")
@@ -69,16 +73,16 @@ class IntSeries:
         return "IntSeries([%s], order=%d)" % (head, self.order)
 
     def truncate(self, order: int) -> "IntSeries":
-        if order >= self.order:
+        if require_order(order) >= self.order:
             return self
         return IntSeries(self.coeffs[:order + 1])
 
     def shift(self, k: int) -> "IntSeries":
         """Multiply by q^k (k >= 0), keeping the order."""
+        if not isinstance(k, int) or k < 0:
+            raise PreconditionViolated("shift must be an int >= 0, got %r" % (k,))
         if k == 0:
             return self
-        if k < 0:
-            raise PreconditionViolated("shift must be nonnegative")
         n = len(self.coeffs)
         return IntSeries(((0,) * min(k, n) + self.coeffs)[:n])
 
@@ -160,8 +164,10 @@ def first_difference(a: IntSeries, b: IntSeries) -> int | None:
 
 
 def monomial(k: int, order: int, coeff: int = 1) -> IntSeries:
-    """coeff * q^k truncated at the given order."""
-    c = [0] * (order + 1)
+    """coeff * q^k (k >= 0) truncated at the given order."""
+    if not isinstance(k, int) or k < 0:
+        raise PreconditionViolated("k must be an int >= 0, got %r" % (k,))
+    c = [0] * (require_order(order) + 1)
     if k <= order:
         c[k] = coeff
     return IntSeries(c)

@@ -13,9 +13,9 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatpart import automaton, counting
+from flatpart import automaton, conditions, counting
 from flatpart.automaton import _build, automaton_rows, minimal_automaton
-from flatpart.conditions import (ConditionSet, condition_set,
+from flatpart.conditions import (ConditionSet, condition_set, matches_at,
                                  parse_condition_set, satisfies)
 from flatpart.counting import (_field_bits, _walk, count_by_predicate,
                                sum_series_brute, sum_series_dp)
@@ -89,6 +89,10 @@ def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(wide_condition_sets(fewest_rules=0), st.integers(0, 22), st.integers(1, 3))
+# the slowest oracle set, whose 2:1 rule can never fire
+@example(parse_condition_set("2:1:1:4;2:2:1:2 +2z"), 20, 1)
+# more zeros than any rule is wide
+@example(parse_condition_set("1:3:0:1;2:2:1:2 +5z"), 20, 2)
 def test_pruned_brute_equals_the_definition(cs, order, min_part):
     # the pruned walk against filtering every partition with satisfies
     cs = replace(cs, min_part=min_part)
@@ -155,12 +159,32 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
         raise AssertionError("the oracle reached a DP or enumeration helper")
 
     for name in ("_walk", "sum_series_dp", "_series_dp", "partitions_of",
-                 "automaton_rows"):
+                 "automaton_rows", "count_by_predicate"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("_checks_by_top", "minimal_automaton", "rule_automaton",
                  "automaton_rows"):
         monkeypatch.setattr(automaton, name, forbidden)
+    # the definition the pruned walk is tested against stays out of it
+    monkeypatch.setattr(conditions, "satisfies", forbidden)
     assert sum_series_brute(cs, 30) == expected
+
+
+@pytest.mark.parametrize("text", ["1:2:1:2 +3z", "2:1:1:4;2:2:1:2 +2z",
+                                  "1:3:0:1;2:2:1:2 +5z"])
+def test_brute_reads_only_real_windows(monkeypatch, text):
+    # every window the oracle reads is as wide as its rule and holds a
+    # part: all-zero windows can never match, so reading one is waste
+    cs = parse_condition_set(text)
+    expected = sum_series_brute(cs, 20)
+    read = []
+
+    def spy(rule, window):
+        read.append((rule.width, tuple(window)))
+        return matches_at(rule, window)
+
+    monkeypatch.setattr(counting, "matches_at", spy)
+    assert sum_series_brute(cs, 20) == expected
+    assert read and all(len(w) == width and sum(w) > 0 for width, w in read)
 
 
 def test_zero_counts_share_one_walk():

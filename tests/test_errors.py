@@ -9,8 +9,8 @@ from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
-from flatpart.series import (ProductSpec, geom, one, product_from_exponents,
-                             product_series)
+from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
+                             product_from_exponents, product_series)
 
 
 def test_bad_input_raises_a_flatpart_error():
@@ -78,9 +78,24 @@ def test_non_integer_order_or_bound_is_refused(call):
     lambda: FlatRule(1, 2, 0.0, 2),
     lambda: geom(2, 5.5),
     lambda: geom(2.0, 5),
+    lambda: monomial(2.5, 4),
+    lambda: monomial(1, 4.0),
+    lambda: one(4).shift(1.5),
+    lambda: one(4).truncate("2"),
+    # coefficients are refused, never rounded
+    lambda: IntSeries([1.7, 2]),
+    lambda: IntSeries([1, "2"]),
 ], ids=["spec_exponent", "spec_modulus", "spec_residue", "exponent_float",
         "exponent_str", "set_min_part", "set_zeros", "set_rule_text",
-        "rule_index", "rule_residue", "geom_order", "geom_m"])
+        "rule_index", "rule_residue", "geom_order", "geom_m", "monomial_k",
+        "monomial_order", "shift", "truncate", "coeff_float", "coeff_str"])
 def test_non_integer_field_is_refused(call):
     with pytest.raises(PreconditionViolated):
         call()
+
+
+@pytest.mark.parametrize("k", [-1, -5])
+def test_negative_monomial_exponent_is_refused(k):
+    # a negative k would index the coefficient list from its end
+    with pytest.raises(PreconditionViolated, match="k must be an int >= 0"):
+        monomial(k, 4)
