@@ -17,15 +17,15 @@ the lcm of D/gcd(B, D) over the rules.  So the automaton reads values by
 phase, and at each value only the few classes of its phase are live.
 
 Only the fictitious zeros below the smallest part read the zero count.
-So the walk (_walk) is cached by the rules, the order and the part
-bounds, in a bounded lru_cache of 128 entries, and it ends with one row
-per zero count 0..cap; sum_series_dp picks its row.  A search box that
-tries several zero counts on one rule set, as every box does, walks once
-for all of them.
+So the walk (_walk), the only series cache (an lru_cache of 128), ends
+with one row per zero count 0..cap, and sum_series_dp picks its row.  It
+is keyed by the largest part it reads, min(order, largest_part), so a
+search box that tries several zero counts on one rule set, as every box
+does, walks once for all of them.
 
 Each series the walk carries is one Python int (Kronecker substitution):
 coefficient n sits in bits [n*b, (n+1)*b), b the bit length of p(order)
-(_field_bits, by Euler's pentagonal recurrence with no series expanded).
+(partition_bits, by Euler's pentagonal recurrence with no series expanded).
 Every count stored is a number of distinct partitions of its weight, so
 it lies in [0, p(order)] < 2**b and never carries into the next field.
 Multiplying by q**k is a shift by k*b bits and truncating past order is
@@ -42,7 +42,7 @@ from .automaton import automaton_rows
 from .conditions import ConditionSet, matches_at
 from .errors import CeilingExceeded, PreconditionViolated
 from .partitions import partitions_of
-from .series import IntSeries, partition_bits, require_order
+from .series import IntSeries, partition_bits, require_order, unpack
 
 BRUTE_CEILING = 60
 
@@ -98,21 +98,16 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     return IntSeries(counts)
 
 
-_field_bits = partition_bits  # p(order) < 2**b bounds every count
-
-
 @lru_cache(maxsize=128)
-def _walk(rules: tuple, order: int, largest_part: int | None,
-          min_part: int) -> tuple:
+def _walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
     """The rows of sum_series_dp, shared by every zero count.
 
     Returns cap+1 packed series, cap the widest rule's width: row mu0
-    holds the partitions that no window forbids when mu0 fictitious
-    zeros sit below the smallest part, coefficient n in bits
-    [n*b, (n+1)*b) with b = _field_bits(order).  They are counted on the
-    rule set's automaton, which a sweep over largest parts builds once."""
-    start = order if largest_part is None else min(order, largest_part)
-    return automaton_rows(rules, order, start, min_part, _field_bits(order))
+    holds the partitions of parts <= start that no window forbids when
+    mu0 fictitious zeros sit below the smallest part, coefficient n in
+    bits [n*b, (n+1)*b), b = partition_bits(order).  They are counted on
+    the rule set's automaton, which a sweep over largest parts builds once."""
+    return automaton_rows(rules, order, start, min_part, partition_bits(order))
 
 
 def sum_series_dp(cs: ConditionSet, order: int,
@@ -120,22 +115,15 @@ def sum_series_dp(cs: ConditionSet, order: int,
     """Exact counting series of satisfying partitions, parts at most
     largest_part when that is given.  Handles orders well beyond the
     brute ceiling (hundreds).  The arguments are checked before the
-    cache is read, so an unhashable one is refused like any other."""
+    walk's cache is read, so an unhashable one is refused like any other."""
     if largest_part is not None and not isinstance(largest_part, int):
         raise PreconditionViolated(
             "largest_part must be an int or None, got %r" % (largest_part,))
-    return _series_dp(cs, require_order(order), largest_part)
+    order = require_order(order)
+    start = order if largest_part is None else min(order, largest_part)
+    rows = _walk(cs.rules, order, start, cs.min_part)
+    return unpack(rows[min(cs.zeros, len(rows) - 1)], partition_bits(order), order)
 
 
-@lru_cache(maxsize=128)
-def _series_dp(cs: ConditionSet, order: int,
-               largest_part: int | None = None) -> IntSeries:
-    rows = _walk(cs.rules, order, largest_part, cs.min_part)
-    packed, b = rows[min(cs.zeros, len(rows) - 1)], _field_bits(order)
-    field = (1 << b) - 1
-    return IntSeries([packed >> n * b & field for n in range(order + 1)])
-
-
-# the statistics and the uncached body of the checked function's cache
-sum_series_dp.cache_info = _series_dp.cache_info
-sum_series_dp.__wrapped__ = _series_dp.__wrapped__
+# sum_series_dp keeps no cache of its own: these are the walk's statistics
+sum_series_dp.cache_info = _walk.cache_info

@@ -28,11 +28,7 @@ from .series import IntSeries, ProductSpec
 
 @dataclass(frozen=True)
 class EulerFactorization:
-    exponents: tuple     # c_1 .. c_N
-    source_order: int
-
-    def exponent(self, m: int) -> int:
-        return self.exponents[m - 1]
+    exponents: tuple     # c_1 .. c_N, N the order of the factored series
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class PeriodicVerdict:
     periodic: bool
     period: int                # 0 when aperiodic
     class_exponents: tuple     # ((residue, exponent), ...) for 0..period-1
-    max_abs_exponent: int
 
     def exponents_dict(self) -> dict:
         return dict(self.class_exponents)
@@ -77,29 +72,28 @@ def euler_exponents(series: IntSeries) -> EulerFactorization:
         if c:
             for j in range(2 * m, n + 1, m):
                 b[j] -= m * c
-    return EulerFactorization(tuple(exps), n)
+    return EulerFactorization(tuple(exps))
 
 
 def detect_period(fac: EulerFactorization, d_max: int, e_max: int = 4) -> PeriodicVerdict:
     """Smallest period d <= d_max with c_m depending only on m mod d and
-    |c_m| <= e_max throughout.  Requires order >= 3*d_max so that any
-    reported period is seen at least three times."""
+    |c_m| <= e_max throughout, else aperiodic (period 0, no classes).
+    Requires order >= 3*d_max: a reported period is seen three times."""
     if d_max < 1 or e_max < 0:
         raise PreconditionViolated(
             "period bounds need d_max >= 1 and e_max >= 0, got %d and %d"
             % (d_max, e_max))
-    n = fac.source_order
+    exps = fac.exponents
+    n = len(exps)
     if n < 3 * d_max:
         raise InsufficientOrder(
             "order %d cannot certify periods up to %d (need >= %d)"
             % (n, d_max, 3 * d_max))
-    exps = fac.exponents
-    if max((abs(c) for c in exps), default=0) > e_max:
-        return PeriodicVerdict(False, 0, (), max(abs(c) for c in exps))
+    if any(abs(c) > e_max for c in exps):
+        return PeriodicVerdict(False, 0, ())
     for d in range(1, d_max + 1):
         if all(exps[m - 1] == exps[(m - 1) % d] for m in range(1, n + 1)):
             classes = tuple(
                 sorted((m % d, exps[m - 1]) for m in range(1, d + 1)))
-            return PeriodicVerdict(True, d, classes,
-                                   max((abs(c) for c in exps), default=0))
-    return PeriodicVerdict(False, 0, (), max((abs(c) for c in exps), default=0))
+            return PeriodicVerdict(True, d, classes)
+    return PeriodicVerdict(False, 0, ())

@@ -20,7 +20,7 @@ from typing import Optional
 from .counting import sum_series_dp
 from .errors import UnknownRecursion
 from .families import canonical_name, get_identity
-from .series import IntSeries, first_difference, geom, monomial, one
+from .series import IntSeries, first_difference, geom, monomial, one, zero
 
 # offset tables: for each residue of j mod the table's length the terms
 # (offset, sign) in
@@ -46,7 +46,7 @@ def _q_over(j: int, order: int) -> IntSeries:
 
 def _offset_values(name: str, j_max: int, order: int) -> dict:
     table = _OFFSETS[name]
-    zero_s = IntSeries([0] * (order + 1))
+    zero_s = zero(order)
     values = {0: one(order)}
     for j in range(1, j_max + 1):
         acc = zero_s
@@ -84,10 +84,7 @@ def _fam8_step(shape: str, j: int, order: int) -> IntSeries:
 
 def _fam8_values(shape: str, start: int):
     def build(_name: str, j_max: int, order: int) -> dict:
-        if start == 0:
-            values = {0: one(order)}
-        else:
-            values = {1: IntSeries([1, 1, 1] + [0] * (order - 2))}
+        values = {0: one(order)} if start == 0 else _triangle_base(order)
         j = start
         while j + 3 <= j_max:
             j += 3
@@ -122,7 +119,7 @@ def _not3mod4_bases(order):
 
 
 def _triangle_base(order):
-    return {1: IntSeries([1, 1, 1] + [0] * (order - 2))}
+    return {1: one(order) + monomial(1, order) + monomial(2, order)}
 
 
 @dataclass(frozen=True)

@@ -134,9 +134,10 @@ def enumerate_condition_sets(bounds: SearchBounds) -> Iterator[ConditionSet]:
 
 @dataclass(frozen=True)
 class CandidateReport:
+    """A screened condition set and the verdict that names its product;
+    status and verified_to say how far that product has been checked."""
+
     condition_set: ConditionSet
-    screening_order: int
-    euler_exponents: tuple
     verdict: PeriodicVerdict
     status: str = "screened"
     verified_to: int = 0
@@ -168,16 +169,14 @@ def screen_condition_set(cs: ConditionSet, n_check: int, d_max: int,
                          e_max: int) -> Optional[CandidateReport]:
     """One screening pass; None when the series does not look like a
     congruence-class product."""
-    series = sum_series_dp(cs, n_check)
-    fac = euler_exponents(series)
+    fac = euler_exponents(sum_series_dp(cs, n_check))
     verdict = detect_period(fac, d_max, e_max)
     if not verdict.periodic:
         return None
-    exps = verdict.exponents_dict().values()
-    if any(e < 0 or e > e_max for e in exps):
+    # detect_period has bounded |c_m| by e_max; a product needs c_m >= 0
+    if any(e < 0 for _r, e in verdict.class_exponents):
         return None
-    return CandidateReport(cs, n_check, fac.exponents, verdict,
-                           status="screened", verified_to=n_check)
+    return CandidateReport(cs, verdict, status="screened", verified_to=n_check)
 
 
 def search(bounds: SearchBounds, nontrivial: bool = True) -> List[CandidateReport]:

@@ -147,7 +147,7 @@ class IntSeries:
 
 
 def zero(order: int) -> IntSeries:
-    return IntSeries((0,) * (order + 1))
+    return IntSeries((0,) * (require_order(order) + 1))
 
 
 def one(order: int) -> IntSeries:
@@ -216,6 +216,12 @@ def div_one_minus_qm(coeffs: list, m: int) -> None:
     """In place: divide a coefficient list by (1 - q^m)."""
     for i in range(m, len(coeffs)):
         coeffs[i] += coeffs[i - m]
+
+
+def unpack(x: int, b: int, order: int) -> IntSeries:
+    """The series packed in x, coefficient n in bits [n*b, (n+1)*b)."""
+    field = (1 << b) - 1
+    return IntSeries([x >> n * b & field for n in range(order + 1)])
 
 
 def packed_div_one_minus_qm(x: int, step: int, mask: int) -> int:
@@ -304,8 +310,7 @@ def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     for m, c in enumerate(used, 1):
         for _ in range(c):
             packed = packed_div_one_minus_qm(packed, m * b, mask)
-    field = (1 << b) - 1
-    coeffs = [packed >> n * b & field for n in range(order + 1)]
+    coeffs = list(unpack(packed, b, order))
     for m, c in enumerate(used, 1):
         for _ in range(-c):
             mul_one_minus_qm(coeffs, m)

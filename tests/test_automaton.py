@@ -17,10 +17,10 @@ from flatpart import automaton
 from flatpart.automaton import (_build, _checks_by_top, automaton_rows,
                                 minimal_automaton, period_bound)
 from flatpart.conditions import ConditionSet, parse_condition_set
-from flatpart.counting import _field_bits
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import kth_flattest
 from flatpart.search import SearchBounds, enumerate_condition_sets
+from flatpart.series import partition_bits
 
 SCREEN_BOXES = Path(__file__).resolve().parent.parent / "perfbench" / "screen_boxes.json"
 
@@ -96,7 +96,7 @@ def _profile_walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
 
     # No field carries into the next (see counting's docstring), so a
     # zero int is a zero series and its profile is dropped exactly.
-    b = _field_bits(order)
+    b = partition_bits(order)
     width = (order + 1) * b
     mask = (1 << width) - 1
     dp = {(0,) * window_span: 1}
@@ -148,7 +148,7 @@ def assert_product_equals_direct_build(rules, min_part, orders):
     assert ((len(product.moves), product.first, product.period, product.more)
             == (len(direct.moves), direct.first, direct.period, direct.more)), rules
     for order in orders:
-        b = _field_bits(order)
+        b = partition_bits(order)
         for start in (order // 3, order):
             rows = automaton_rows(rules, order, start, min_part, b)
             with pytest.MonkeyPatch.context() as patch:
@@ -184,7 +184,7 @@ def test_checks_repeat_with_the_period_past_the_bound():
 
 @pytest.mark.parametrize("order", [200, 600])
 def test_automaton_equals_the_profile_walk_on_the_registry(order):
-    b = _field_bits(order)
+    b = partition_bits(order)
     for rules, min_part in registry_forms():
         assert (automaton_rows(rules, order, order, min_part, b)
                 == _profile_walk(rules, order, order, min_part)), (rules, order)

@@ -17,12 +17,13 @@ from flatpart import automaton, conditions, counting
 from flatpart.automaton import _build, automaton_rows, minimal_automaton
 from flatpart.conditions import (ConditionSet, condition_set, matches_at,
                                  parse_condition_set, satisfies)
-from flatpart.counting import (_field_bits, _walk, count_by_predicate,
-                               sum_series_brute, sum_series_dp)
+from flatpart.counting import (_walk, count_by_predicate, sum_series_brute,
+                               sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
-from flatpart.series import IntSeries, ProductSpec, product_series
+from flatpart.series import (IntSeries, ProductSpec, partition_bits,
+                             product_series)
 
 
 def random_condition_set(rng):
@@ -104,7 +105,7 @@ def automaton_series(cs, order, largest_part=None):
     """sum_series_dp's series counted on the automaton, past every cache
     of counting."""
     start = order if largest_part is None else min(order, largest_part)
-    b = _field_bits(order)
+    b = partition_bits(order)
     rows = automaton_rows(cs.rules, order, start, cs.min_part, b)
     packed = rows[min(cs.zeros, len(rows) - 1)]
     return IntSeries([packed >> n * b & (1 << b) - 1 for n in range(order + 1)])
@@ -141,11 +142,11 @@ def test_product_automaton_equals_the_direct_build(cs, min_part):
     assert ((len(product.moves), product.first, product.period, product.more)
             == (len(direct.moves), direct.first, direct.period, direct.more))
     order = 24
-    rows = automaton_rows(cs.rules, order, order, min_part, _field_bits(order))
+    rows = automaton_rows(cs.rules, order, order, min_part, partition_bits(order))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
         assert automaton_rows(cs.rules, order, order, min_part,
-                              _field_bits(order)) == rows
+                              partition_bits(order)) == rows
 
 
 def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
@@ -158,8 +159,8 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached a DP or enumeration helper")
 
-    for name in ("_walk", "sum_series_dp", "_series_dp", "partitions_of",
-                 "automaton_rows", "count_by_predicate"):
+    for name in ("_walk", "sum_series_dp", "partitions_of", "automaton_rows",
+                 "count_by_predicate"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("_checks_by_top", "minimal_automaton", "rule_automaton",
                  "automaton_rows"):
@@ -188,10 +189,10 @@ def test_brute_reads_only_real_windows(monkeypatch, text):
 
 
 def test_zero_counts_share_one_walk():
-    # every zero count after the first reads the walk of the first; the
-    # uncached sum_series_dp reaches the walk cache on every call
+    # every zero count after the first reads the walk of the first;
+    # sum_series_dp keeps no cache of its own and reads the walk's
     assert _walk.cache_info().maxsize is not None
-    count = sum_series_dp.__wrapped__
+    count = sum_series_dp
     rng = random.Random(808)
     for _ in range(12):
         rules = []
@@ -215,6 +216,17 @@ def test_zero_counts_share_one_walk():
             assert (count(ConditionSet(rules, zeros, min_part), order, largest_part)
                     == count_by_predicate(pred, order)), (cs, largest_part, min_part)
         assert _walk.cache_info().hits - hits >= 2 * (cap + 2)
+
+
+def test_walk_is_keyed_by_the_part_bound_it_reads():
+    # no largest part and any largest part at or above the order read
+    # parts up to the order, so they share one walk
+    cs = parse_condition_set("1:2:1:2;2:3:0:2", zeros=1)
+    _walk.cache_clear()
+    free = sum_series_dp(cs, 30)
+    assert sum_series_dp(cs, 30, largest_part=30) == free
+    assert sum_series_dp(cs, 30, largest_part=45) == free
+    assert _walk.cache_info().misses == 1
 
 
 def test_dp_is_exact_at_every_order():

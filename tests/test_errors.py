@@ -10,7 +10,7 @@ from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
 from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
-                             product_from_exponents, product_series)
+                             product_from_exponents, product_series, zero)
 
 
 def test_bad_input_raises_a_flatpart_error():
@@ -82,13 +82,16 @@ def test_non_integer_order_or_bound_is_refused(call):
     lambda: monomial(1, 4.0),
     lambda: one(4).shift(1.5),
     lambda: one(4).truncate("2"),
+    lambda: zero(2.5),
+    lambda: zero("3"),
     # coefficients are refused, never rounded
     lambda: IntSeries([1.7, 2]),
     lambda: IntSeries([1, "2"]),
 ], ids=["spec_exponent", "spec_modulus", "spec_residue", "exponent_float",
         "exponent_str", "set_min_part", "set_zeros", "set_rule_text",
         "rule_index", "rule_residue", "geom_order", "geom_m", "monomial_k",
-        "monomial_order", "shift", "truncate", "coeff_float", "coeff_str"])
+        "monomial_order", "shift", "truncate", "zero_float", "zero_str",
+        "coeff_float", "coeff_str"])
 def test_non_integer_field_is_refused(call):
     with pytest.raises(PreconditionViolated):
         call()

@@ -1,11 +1,12 @@
 """Partition primitives: enumeration, the flatness order, conjugation."""
 
+import importlib
+import pkgutil
 from itertools import combinations_with_replacement
 
 import pytest
 
-from flatpart.automaton import minimal_automaton, rule_automaton
-from flatpart.counting import _field_bits, _walk, sum_series_dp
+import flatpart
 from flatpart.errors import PreconditionViolated
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
@@ -64,14 +65,19 @@ def test_kth_flattest_matches_sorted_enumeration():
 
 
 def test_caches_are_bounded():
-    # caches with a bound, never an unbounded store
-    assert partitions_of.cache_info().maxsize is not None
-    assert kth_flattest.cache_info().maxsize is not None
-    assert minimal_automaton.cache_info().maxsize is not None
-    assert rule_automaton.cache_info().maxsize is not None
-    assert _walk.cache_info().maxsize is not None
-    assert sum_series_dp.cache_info().maxsize is not None
-    assert _field_bits.cache_info().maxsize is not None
+    # every module-level cache in the package has a bound, never an
+    # unbounded store; __main__ is skipped because importing it runs the CLI
+    cached = {}
+    for info in pkgutil.iter_modules(flatpart.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("flatpart." + info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                cached["%s.%s" % (info.name, name)] = obj.cache_info().maxsize
+    assert {"counting._walk", "partitions.kth_flattest",
+            "automaton.minimal_automaton"} <= set(cached)
+    assert [name for name, maxsize in cached.items() if maxsize is None] == []
 
 
 def test_partition_cache_is_bounded_by_partitions_held():

@@ -4,7 +4,7 @@ import pytest
 
 from flatpart.errors import UnknownRecursion
 from flatpart.recursions import (RecursionReport, recursion_names,
-                                 verify_recursion)
+                                 recursion_values, verify_recursion)
 
 EXPECTED = {
     "FAM1_1_K2", "FAM1_2_K2", "FAM1_3_K2", "FAM3_K1", "FAM2_K1",
@@ -23,6 +23,13 @@ def test_every_recursion_verifies_to_order_sixty():
         assert report.passed, (name, report.first_mismatch)
         assert report.bases_ok
         assert report.levels[0] <= report.levels[-1]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 150])
+def test_every_level_has_the_asked_order(order):
+    for name in recursion_names():
+        orders = {j: p.order for j, p in recursion_values(name, 20, order).items()}
+        assert set(orders.values()) == {order}, (name, orders)
 
 
 def test_alias_resolution():

@@ -9,15 +9,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatpart.counting import _field_bits
 from flatpart.errors import NonUnitConstantTerm
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import partitions_of
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
                              first_difference, geom, load_series, monomial,
-                             mul_one_minus_qm, one, product_from_exponents,
-                             product_series, save_series, series_div,
-                             series_mul, zero)
+                             mul_one_minus_qm, one, partition_bits,
+                             product_from_exponents, product_series,
+                             save_series, series_div, series_mul, zero)
 
 
 def _list_product(exponents, order):
@@ -172,7 +171,7 @@ def test_field_bits_are_the_bit_length_of_p():
     for m in range(1, 601):
         for n in range(m, 601):
             p[n] += p[n - m]
-    assert [_field_bits(n) for n in range(601)] == [c.bit_length() for c in p]
+    assert [partition_bits(n) for n in range(601)] == [c.bit_length() for c in p]
 
 
 def test_save_and_load(tmp_path):
