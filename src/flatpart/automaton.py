@@ -56,11 +56,12 @@ product refined by phase is the automaton the set's own window table
 would give, at a fraction of the cost.
 
 automaton_rows counts on it by a downward pull: r = 1 on every class at
-the largest part, then for each value u going down,
-r(s) = sum over m of q**(m*u) * r(next(s, m)), in the packed-int form
-of counting.py (same field width and mask); the tail
-r(t) q**(more*u) / (1 - q**u) is summed once per value u and target
-class t.  Row z is r at the class reached after z zeros.
+the largest part, then r(s) = sum over m of q**(m*u) r(next(s, m)) for
+each value u going down, packed as in counting.py.  _fold splits a row
+into a head row[:k] and a tail (k, t), k the least index from which every
+move goes to t: r(s) is r(head[0]), unshifted, plus the shifted heads for
+0 < m < k, plus r(t) q**(k*u) / (1 - q**u), which is summed once per value
+u and distinct (k, t).  Row z is r at the class reached after z zeros.
 """
 
 from __future__ import annotations
@@ -274,6 +275,16 @@ def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
                     rule_automaton(rules[-1]))
 
 
+def _fold(row: tuple, more: int) -> tuple:
+    """A move row's (head, tail); tail None: any m past the head is forbidden."""
+    if len(row) <= more:
+        return row, None
+    k = more
+    while k and row[k - 1] == row[more]:
+        k -= 1
+    return row[:k], (k, row[more])
+
+
 def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
                    b: int) -> tuple:
     """counting._walk's rows, counted on the minimal automaton: row z
@@ -281,26 +292,26 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
     forbids when z fictitious zeros sit below the smallest part, packed
     in b-bit fields."""
     auto = minimal_automaton(rules, min_part)
-    more = auto.more
+    folded = [_fold(row, auto.more) for row in auto.moves]
     mask = (1 << (order + 1) * b) - 1
     r = [1] * len(auto.moves)
     for u in range(start, 0, -1):
-        step = u * b
+        step, fits = u * b, order // u + 1  # m < fits iff m*u <= order
         cls = auto.classes[auto.phase(u)]
-        tails = {}
-        pulled = []
+        tails, pulled = {}, []
         for c in cls:
-            row = auto.moves[c]
-            vec = 0
-            for mu in range(min(len(row), more, order // u + 1)):
-                vec += (r[row[mu]] << mu * step) & mask
-            if len(row) > more and more * u <= order:
-                if row[more] not in tails:  # r * q**(more*u) / (1 - q**u)
-                    tails[row[more]] = packed_div_one_minus_qm(
-                        (r[row[more]] << more * step) & mask, step, mask)
-                vec += tails[row[more]]
+            head, tail = folded[c]
+            vec = r[head[0]] if head else 0  # r lies within the mask
+            for mu in range(1, min(len(head), fits)):
+                vec += (r[head[mu]] << mu * step) & mask
+            if tail is not None and tail[0] < fits:
+                if tail not in tails:  # r[t] * q**(k*u) / (1 - q**u)
+                    k, t = tail
+                    tails[tail] = packed_div_one_minus_qm(
+                        (r[t] << k * step) & mask, step, mask)
+                vec += tails[tail]
             pulled.append(vec)
         for c, vec in zip(cls, pulled):
             r[c] = vec
     zeros = auto.moves[auto.start]
-    return tuple(r[zeros[z]] if z < len(zeros) else 0 for z in range(more))
+    return tuple(r[zeros[z]] if z < len(zeros) else 0 for z in range(auto.more))

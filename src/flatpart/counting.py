@@ -113,12 +113,12 @@ def _walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
 def sum_series_dp(cs: ConditionSet, order: int,
                   largest_part: int | None = None) -> IntSeries:
     """Exact counting series of satisfying partitions, parts at most
-    largest_part when that is given.  Handles orders well beyond the
+    largest_part >= 0 when that is given.  Handles orders well beyond the
     brute ceiling (hundreds).  The arguments are checked before the
     walk's cache is read, so an unhashable one is refused like any other."""
-    if largest_part is not None and not isinstance(largest_part, int):
+    if not (largest_part is None or isinstance(largest_part, int) and largest_part >= 0):
         raise PreconditionViolated(
-            "largest_part must be an int or None, got %r" % (largest_part,))
+            "largest_part must be an int >= 0 or None, got %r" % (largest_part,))
     order = require_order(order)
     start = order if largest_part is None else min(order, largest_part)
     rows = _walk(cs.rules, order, start, cs.min_part)

@@ -82,9 +82,14 @@ def _fam8_step(shape: str, j: int, order: int) -> IntSeries:
     return head * tail
 
 
+def _fam8_p1(order: int) -> IntSeries:
+    # P_1 = 1 + q + q^2, at most two 1s: where the odd mod-9 recursions start
+    return one(order) + monomial(1, order) + monomial(2, order)
+
+
 def _fam8_values(shape: str, start: int):
     def build(_name: str, j_max: int, order: int) -> dict:
-        values = {0: one(order)} if start == 0 else _triangle_base(order)
+        values = {0: one(order)} if start == 0 else {1: _fam8_p1(order)}
         j = start
         while j + 3 <= j_max:
             j += 3
@@ -119,7 +124,7 @@ def _not3mod4_bases(order):
 
 
 def _triangle_base(order):
-    return {1: one(order) + monomial(1, order) + monomial(2, order)}
+    return {1: (one(order) - monomial(3, order)) * geom(1, order)}  # (1-q^3)/(1-q)
 
 
 @dataclass(frozen=True)
@@ -170,11 +175,8 @@ def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:
     values = recursion_values(key, j_max, order)
     _builder, bases = _RECURSIONS[key]
 
-    bases_ok = True
-    if bases is not None:
-        for j, printed in bases(order).items():
-            if j in values and values[j] != printed:
-                bases_ok = False
+    printed = bases(order) if bases is not None else {}
+    bases_ok = all(values[j] == p for j, p in printed.items() if j in values)
 
     levels = tuple(sorted(values))
     for j in levels:

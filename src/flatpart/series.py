@@ -227,6 +227,8 @@ def unpack(x: int, b: int, order: int) -> IntSeries:
 def packed_div_one_minus_qm(x: int, step: int, mask: int) -> int:
     """Divide a series packed in mask's bits by (1 - q^m), step = m times
     the field width: multiply by (1+q^m)(1+q^(2m))(1+q^(4m))..."""
+    if step < 1:  # the doubling below would never end
+        raise PreconditionViolated("step must be >= 1, got %r" % (step,))
     while step < mask.bit_length():
         x += (x << step) & mask
         step <<= 1
@@ -317,9 +319,13 @@ def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     return IntSeries(coeffs)
 
 
-@lru_cache(maxsize=16)
 def partition_bits(n: int) -> int:
     """The bit length of p(n), by Euler's pentagonal recurrence."""
+    return _partition_bits(require_order(n))  # checked before the cache
+
+
+@lru_cache(maxsize=16)
+def _partition_bits(n: int) -> int:
     signed = [(g, 1 if k % 2 else -1) for k in range(1, n + 2)
               for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= n]
     p = [1]

@@ -1,6 +1,7 @@
 """The period lemma behind the minimal automaton, the product of
-per-rule automata against the build from a set's own window table, and
-the automaton's rows against a walk over capped profiles.
+per-rule automata against the build from a set's own window table, the
+fold of each class's moves into a head and a shared tail, and the
+automaton's rows against a walk over capped profiles.
 
 The lemma is checked on the patterns themselves, with no automaton: past
 T = (A+1)B(B-1) - B, adding B to a total adds 1 to every entry of each
@@ -12,9 +13,10 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatpart import automaton
-from flatpart.automaton import (_build, _checks_by_top, automaton_rows,
+from flatpart.automaton import (_build, _checks_by_top, _fold, automaton_rows,
                                 minimal_automaton, period_bound)
 from flatpart.conditions import ConditionSet, parse_condition_set
 from flatpart.families import get_identity, registered_names
@@ -208,3 +210,60 @@ def test_minimization_merges_profiles():
     # no rules: one class, every multiplicity allowed
     auto = minimal_automaton(parse_condition_set("").rules, 1)
     assert len(auto.moves) == 1 and len(auto.moves[0]) == auto.more + 1
+
+
+def assert_fold_reproduces_the_moves(auto):
+    """Every class's head and (k, t) tail give its move row back at every
+    multiplicity, k is the smallest index the tail can start at, and past
+    the head a class with no tail forbids the multiplicity (None)."""
+    more = auto.more
+    for row in auto.moves:
+        head, tail = _fold(row, more)
+        if tail is not None:
+            k, t = tail
+            assert len(head) == k and not (k and head[-1] == t), row
+        for m in range(more + 3):
+            capped = min(m, more)
+            expected = row[capped] if capped < len(row) else None
+            if m < len(head):
+                got = head[m]
+            else:
+                got = tail[1] if tail is not None else None
+            assert got == expected, (row, m)
+
+
+def test_fold_reproduces_every_move_row():
+    for rules, min_part in registry_forms():
+        assert_fold_reproduces_the_moves(minimal_automaton(rules, min_part))
+    for rules in screen_box_sets():
+        assert_fold_reproduces_the_moves(minimal_automaton(rules, 1))
+
+
+def test_fold_leaves_one_explicit_move_per_class():
+    # every class of FAM1_1_K3 moves to one class on 1, 2 and "3 or more",
+    # so the walk adds one unshifted series and one shared tail per class
+    auto = minimal_automaton(get_identity("FAM1_1_K3").flat.rules, 1)
+    assert max(len(_fold(row, auto.more)[0]) for row in auto.moves) == 1
+
+
+@st.composite
+def rule_sets(draw):
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 6))
+        text = "%d:%d:%d:%d" % (draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                                draw(st.integers(0, d - 1)), d)
+        rules.append(text + ("" if draw(st.booleans()) else ":n"))
+    return parse_condition_set(";".join(rules)).rules
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(rule_sets(), st.integers(1, 3), st.integers(0, 2))
+def test_automaton_equals_the_profile_walk_below_the_order(rules, min_part, which):
+    # a largest part below the order leaves tails that start past it:
+    # k*u > order on the high values, k*u <= order on the low ones
+    order = 150
+    bound, period = period_bound(rules, min_part)
+    start = min((1, bound + period - 1, order // 3)[which], order - 1)
+    assert (automaton_rows(rules, order, start, min_part, partition_bits(order))
+            == _profile_walk(rules, order, start, min_part)), (rules, start)

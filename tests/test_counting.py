@@ -78,6 +78,8 @@ def wide_condition_sets(draw, fewest_rules=1):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(wide_condition_sets(), st.integers(0, 24),
        st.none() | st.integers(0, 24), st.integers(1, 3))
+# largest part 0: the empty partition only
+@example(parse_condition_set("1:2:1:2"), 5, 0, 1)
 def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
     top = order if largest_part is None else largest_part
 

@@ -10,6 +10,7 @@ from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
 from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
+                             packed_div_one_minus_qm, partition_bits,
                              product_from_exponents, product_series, zero)
 
 
@@ -58,8 +59,9 @@ def test_negative_order_is_refused(call):
     lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=[2]),
     lambda: sum_series_brute(parse_condition_set("1:2:1:2"), "3"),
     lambda: product_series(ProductSpec(5, {1: 1}), 4.0),
+    lambda: partition_bits(2.5),
 ], ids=["dp_order", "dp_largest_part", "dp_order_list", "dp_largest_part_list",
-        "brute_order", "product_order"])
+        "brute_order", "product_order", "partition_bits"])
 def test_non_integer_order_or_bound_is_refused(call):
     with pytest.raises(PreconditionViolated, match="must be an int"):
         call()
@@ -102,3 +104,16 @@ def test_negative_monomial_exponent_is_refused(k):
     # a negative k would index the coefficient list from its end
     with pytest.raises(PreconditionViolated, match="k must be an int >= 0"):
         monomial(k, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 5, largest_part=-3),
+    lambda: partition_bits(-1),
+    # a zero step never doubles; with an empty mask an unchecked loop
+    # returns at once rather than spinning
+    lambda: packed_div_one_minus_qm(1, 0, 0),
+    lambda: packed_div_one_minus_qm(1, -3, (1 << 30) - 1),
+], ids=["dp_largest_part", "partition_bits", "div_zero_step", "div_negative_step"])
+def test_negative_bound_or_step_is_refused(call):
+    with pytest.raises(PreconditionViolated):
+        call()

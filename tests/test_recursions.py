@@ -2,9 +2,11 @@
 
 import pytest
 
+from flatpart import recursions
 from flatpart.errors import UnknownRecursion
 from flatpart.recursions import (RecursionReport, recursion_names,
                                  recursion_values, verify_recursion)
+from flatpart.series import one
 
 EXPECTED = {
     "FAM1_1_K2", "FAM1_2_K2", "FAM1_3_K2", "FAM3_K1", "FAM2_K1",
@@ -42,3 +44,11 @@ def test_alias_resolution():
 def test_unknown_recursion_raises():
     with pytest.raises(UnknownRecursion):
         verify_recursion("RR1", j_max=5, order=20)
+
+
+@pytest.mark.parametrize("name", ["FAM8_MOD9_S37", "FAM8_MOD9_S38"])
+def test_a_wrong_start_fails_the_printed_base(monkeypatch, name):
+    # the printed P_1 is stated apart from the series the recursion
+    # starts from, so a wrong start cannot agree with it
+    monkeypatch.setattr(recursions, "_fam8_p1", one)
+    assert not verify_recursion(name, j_max=10, order=30).bases_ok
