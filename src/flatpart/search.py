@@ -7,9 +7,14 @@ the box is screened by expanding its counting series, factoring it into
 small entries.  Survivors can then be re-verified at a much higher
 order against the product their verdict implies.
 
-Identical series reached through different rule sets are reported
-separately on purpose: recognizing that two condition sets coincide
-semantically is a harder problem than finding them.
+The screen feeds Euler's exponents into the period test as they are
+computed, so it stops at the first exponent that decides the verdict; a
+rejected set never computes its tail exponents.
+
+Identical series reached through different rule sets are still
+reported separately.  The per-set minimal automaton (refined without
+the phase seed) is an exact key for the sum side at every weight, but
+the search does not use it yet.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from typing import Iterable, Iterator, List, Optional
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
 from .counting import sum_series_dp
 from .errors import PreconditionViolated
-from .euler import PeriodicVerdict, detect_period, euler_exponents
+from .euler import PeriodicVerdict, detect_period, exponent_stream
+# unused here, but perfbench/rep.py rebinds search.euler_exponents in
+# its traced runs, so the name stays bound
+from .euler import euler_exponents  # noqa: F401
 from .series import first_difference, one, product_series
 
 DEFAULT_SCREEN_ORDER = 25
@@ -169,8 +177,9 @@ def screen_condition_set(cs: ConditionSet, n_check: int, d_max: int,
                          e_max: int) -> Optional[CandidateReport]:
     """One screening pass; None when the series does not look like a
     congruence-class product."""
-    fac = euler_exponents(sum_series_dp(cs, n_check))
-    verdict = detect_period(fac, d_max, e_max)
+    series = sum_series_dp(cs, n_check)
+    verdict = detect_period(exponent_stream(series), d_max, e_max,
+                            order=series.order)
     if not verdict.periodic:
         return None
     # detect_period has bounded |c_m| by e_max; a product needs c_m >= 0

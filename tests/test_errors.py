@@ -6,6 +6,7 @@ from flatpart.conditions import (ConditionSet, FlatRule, parse_condition_set,
                                  parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
+from flatpart.euler import detect_period, euler_exponents
 from flatpart.overpartitions import Overpartition
 from flatpart.partitions import as_partition, kth_flattest, parse_partition
 from flatpart.search import SearchBounds
@@ -89,11 +90,18 @@ def test_non_integer_order_or_bound_is_refused(call):
     # coefficients are refused, never rounded
     lambda: IntSeries([1.7, 2]),
     lambda: IntSeries([1, "2"]),
+    # a bool bound is refused, not read as 1
+    lambda: detect_period(euler_exponents(one(30)), 2.5),
+    lambda: detect_period(euler_exponents(one(30)), "3"),
+    lambda: detect_period(euler_exponents(one(30)), True),
+    lambda: detect_period(euler_exponents(one(30)), 3, 1.5),
+    lambda: detect_period(euler_exponents(one(30)), 3, True),
 ], ids=["spec_exponent", "spec_modulus", "spec_residue", "exponent_float",
         "exponent_str", "set_min_part", "set_zeros", "set_rule_text",
         "rule_index", "rule_residue", "geom_order", "geom_m", "monomial_k",
         "monomial_order", "shift", "truncate", "zero_float", "zero_str",
-        "coeff_float", "coeff_str"])
+        "coeff_float", "coeff_str", "period_d_max_float", "period_d_max_str",
+        "period_d_max_bool", "period_e_max_float", "period_e_max_bool"])
 def test_non_integer_field_is_refused(call):
     with pytest.raises(PreconditionViolated):
         call()

@@ -3,12 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from flatpart import search
 from flatpart.conditions import parse_condition_set
 from flatpart.counting import sum_series_dp
-from flatpart.errors import InsufficientOrder
-from flatpart.euler import detect_period, euler_exponents
+from flatpart.errors import (InsufficientOrder, NonUnitConstantTerm,
+                             PreconditionViolated)
+from flatpart.euler import (EulerFactorization, PeriodicVerdict, detect_period,
+                            euler_exponents, exponent_stream)
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm, geom,
                              mul_one_minus_qm, one, product_from_exponents,
                              product_series, series_div, series_mul)
@@ -34,6 +37,20 @@ def exponents_by_passes(series):
             else:
                 div_one_minus_qm(residual, m)
     return tuple(exps)
+
+
+def detect_period_by_definition(exps, d_max, e_max):
+    """The period test in two passes over all the exponents: any entry
+    above e_max rejects, else the smallest d <= d_max that every entry
+    repeats with.  The reference for detect_period's single pass."""
+    if any(abs(c) > e_max for c in exps):
+        return PeriodicVerdict(False, 0, ())
+    for d in range(1, d_max + 1):
+        if all(exps[m - 1] == exps[(m - 1) % d] for m in range(1, len(exps) + 1)):
+            classes = tuple(
+                sorted((m % d, exps[m - 1]) for m in range(1, d + 1)))
+            return PeriodicVerdict(True, d, classes)
+    return PeriodicVerdict(False, 0, ())
 
 
 def test_single_geometric_factor():
@@ -131,3 +148,61 @@ def test_large_exponents_cost_nothing_extra():
 def test_exponents_round_trip_through_the_product(exps):
     n = len(exps)
     assert euler_exponents(product_from_exponents(exps, n)).exponents == tuple(exps)
+
+
+@st.composite
+def exponent_runs(draw):
+    """(exponents, d_max, e_max): a repeated pattern, sometimes with an
+    entry or two changed, so that periodic and aperiodic runs both occur."""
+    d_max = draw(st.integers(1, 10))
+    e_max = draw(st.integers(0, 5))
+    n = draw(st.integers(3 * d_max, 40))
+    entries = st.integers(-6, 6)
+    pattern = draw(st.lists(entries, min_size=1, max_size=d_max + 2))
+    exps = [pattern[i % len(pattern)] for i in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        exps[i] = draw(entries)
+    return tuple(exps), d_max, e_max
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(exponent_runs())
+# periodic with period 2 until its last entry breaks every period
+@example(((1, 0) * 14 + (1, 1), 4, 1))
+# every period has died at c_3 before c_6 passes e_max
+@example(((0, 1, 2, 0, 0, 9, 0, 0, 0, 0, 0, 0), 2, 2))
+def test_single_pass_period_test_matches_its_definition(case):
+    exps, d_max, e_max = case
+    want = detect_period_by_definition(exps, d_max, e_max)
+    assert detect_period(EulerFactorization(exps), d_max, e_max) == want
+    assert detect_period(iter(exps), d_max, e_max, order=len(exps)) == want
+
+
+def test_screen_stops_at_the_deciding_exponent(monkeypatch):
+    read = []
+
+    def spy(series):
+        for c in exponent_stream(series):
+            read.append(c)
+            yield c
+
+    monkeypatch.setattr(search, "exponent_stream", spy)
+    assert search.screen_condition_set(NOT_A_PRODUCT, 40, 8, 4) is None
+    # c_7 = 7 is the first exponent above e_max
+    assert 0 < len(read) < 20
+    fac = euler_exponents(sum_series_dp(NOT_A_PRODUCT, 40))
+    assert fac.exponents[:len(read)] == tuple(read)
+    assert not detect_period(fac, 8, 4).periodic
+
+
+def test_non_series_input_is_refused_by_type():
+    with pytest.raises(PreconditionViolated, match="got list"):
+        euler_exponents([1, 2, 3])
+
+
+def test_stream_checks_the_constant_term_at_the_call():
+    # no next(): the check runs before the generator is first read
+    with pytest.raises(NonUnitConstantTerm):
+        exponent_stream(IntSeries([2, 1]))
+    with pytest.raises(NonUnitConstantTerm):
+        euler_exponents(IntSeries([2, 1]))

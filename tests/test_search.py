@@ -5,7 +5,9 @@ import json
 import pytest
 
 from flatpart.conditions import parse_condition_set
+from flatpart.counting import sum_series_dp
 from flatpart.errors import PreconditionViolated
+from flatpart.euler import detect_period, euler_exponents
 from flatpart.search import (CandidateReport, SearchBounds,
                              enumerate_condition_sets, reports_to_json,
                              screen_condition_set, search, verify_candidate)
@@ -87,6 +89,23 @@ def test_screening_keeps_periodic_emits_none_otherwise():
     miss = screen_condition_set(parse_condition_set("1:2:1:2", zeros=1),
                                 n_check=25, d_max=8, e_max=0)
     assert miss is None
+
+
+def test_streamed_screen_agrees_with_the_full_factorization():
+    # the first box the screen benchmark runs
+    bounds = SearchBounds(max_rules=2, a_range=(1, 2), b_range=(2, 3),
+                          d_range=(1, 4), zeros_range=(0, 1), n_check=30,
+                          d_max=10)
+    sets = list(enumerate_condition_sets(bounds))
+    assert len(sets) == 1640
+    for cs in sets:
+        report = screen_condition_set(cs, 30, 10, 4)
+        verdict = detect_period(euler_exponents(sum_series_dp(cs, 30)), 10, 4)
+        if report is None:
+            assert (not verdict.periodic
+                    or any(e < 0 for _r, e in verdict.class_exponents))
+        else:
+            assert report.verdict == verdict
 
 
 def test_search_rediscovers_the_consecutive_parts_identity():
