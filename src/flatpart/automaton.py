@@ -71,7 +71,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .conditions import ConditionSet
 from .partitions import kth_flattest
 from .series import packed_div_one_minus_qm
 
@@ -195,7 +194,7 @@ def _build(rules: tuple, min_part: int) -> Automaton:
         for s in range(1, longest):
             q = follow[q]
             begins[p].update((w[:-1], w[-1]) for w in groups[q] if len(w) == s + 1)
-    more = ConditionSet(rules).max_width() + 1
+    more = max((r.width for r in rules), default=1) + 1
 
     # the raw automaton, breadth first from value 0 with nothing read;
     # a window that m completes is completed by every larger m too

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
-from .errors import NotInProductClass, PreconditionViolated, UnknownFamily
+from .errors import NotInProductClass, PreconditionViolated, UnknownFamily, require_int
 from .families import family_row, get_identity
 from .partitions import as_partition, frequency_profile, partitions_of
 
@@ -137,8 +137,7 @@ def stockhofe_core(modulus: int) -> str:
 
 def stockhofe_map(modulus: int, parts) -> tuple:
     parts = as_partition(parts)
-    if modulus < 2:
-        raise PreconditionViolated("modulus must be at least 2")
+    require_int(modulus, "modulus", 2)
     if any(p % modulus == 0 for p in parts):
         raise PreconditionViolated(
             "input has a part divisible by %d" % modulus)
@@ -153,8 +152,7 @@ def stockhofe_map(modulus: int, parts) -> tuple:
 
 def stockhofe_inverse(modulus: int, parts) -> tuple:
     parts = as_partition(parts)
-    if modulus < 2:
-        raise PreconditionViolated("modulus must be at least 2")
+    require_int(modulus, "modulus", 2)
     if any(f >= modulus for f, _g in frequency_profile(parts).values()):
         raise PreconditionViolated("input repeats a part %d times" % modulus)
     if modulus == 2:

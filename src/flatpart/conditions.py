@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, require_int
 from .partitions import kth_flattest
 
 CONGRUENT = "congruent"
@@ -42,12 +42,10 @@ class FlatRule:
     mode: str = CONGRUENT
 
     def __post_init__(self):
-        a, b, c, d = self.flatness_index, self.width, self.residue, self.modulus
-        if not all(isinstance(x, int) for x in (a, b, c, d)):
-            raise PreconditionViolated("rule fields A, B, C, D must be ints")
-        if min(a, b, d) < 1:
-            raise PreconditionViolated(
-                "A, B and D must be >= 1, got %d:%d:%d:%d" % (a, b, c, d))
+        require_int(self.flatness_index, "A", 1)
+        require_int(self.width, "B", 1)
+        require_int(self.residue, "C")
+        require_int(self.modulus, "D", 1)
         if self.mode not in (CONGRUENT, NOT_CONGRUENT):
             raise PreconditionViolated("bad mode %r" % (self.mode,))
         object.__setattr__(self, "residue", self.residue % self.modulus)
@@ -109,10 +107,8 @@ class ConditionSet:
     min_part: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.zeros, int) or self.zeros < 0:
-            raise PreconditionViolated("zeros must be an int >= 0")
-        if not isinstance(self.min_part, int) or self.min_part < 1:
-            raise PreconditionViolated("min_part must be an int >= 1")
+        require_int(self.zeros, "zeros", 0)
+        require_int(self.min_part, "min_part", 1)
         seen = []
         for r in self.rules:
             if not isinstance(r, FlatRule):

@@ -40,7 +40,7 @@ from typing import Callable
 
 from .automaton import automaton_rows
 from .conditions import ConditionSet, matches_at
-from .errors import CeilingExceeded, PreconditionViolated
+from .errors import CeilingExceeded, require_int
 from .partitions import partitions_of
 from .series import IntSeries, partition_bits, require_order, unpack
 
@@ -116,11 +116,9 @@ def sum_series_dp(cs: ConditionSet, order: int,
     largest_part >= 0 when that is given.  Handles orders well beyond the
     brute ceiling (hundreds).  The arguments are checked before the
     walk's cache is read, so an unhashable one is refused like any other."""
-    if not (largest_part is None or isinstance(largest_part, int) and largest_part >= 0):
-        raise PreconditionViolated(
-            "largest_part must be an int >= 0 or None, got %r" % (largest_part,))
     order = require_order(order)
-    start = order if largest_part is None else min(order, largest_part)
+    start = (order if largest_part is None
+             else min(order, require_int(largest_part, "largest_part", 0)))
     rows = _walk(cs.rules, order, start, cs.min_part)
     return unpack(rows[min(cs.zeros, len(rows) - 1)], partition_bits(order), order)
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and require_int, the one
+check of every integer argument (an order, a rule field, a zero count, a
+modulus, a family index): an int and not a bool, or PreconditionViolated
+naming the argument."""
 
 
 class FlatpartError(Exception):
@@ -35,3 +38,13 @@ class PreconditionViolated(FlatpartError, ValueError):
 
 class InvalidSpecialization(FlatpartError):
     """A two-variable specialization would produce negative exponents."""
+
+
+def require_int(value, name: str, least: int | None = None) -> int:
+    """The value itself; one that is not an int, is a bool, or is below
+    least raises PreconditionViolated naming the argument."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or least is not None and value < least):
+        kind = "an integer" if least is None else "an int >= %d" % least
+        raise PreconditionViolated("%s must be %s, got %r" % (name, kind, value))
+    return value

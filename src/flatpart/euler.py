@@ -31,7 +31,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (InsufficientOrder, NonUnitConstantTerm,
-                     PreconditionViolated)
+                     PreconditionViolated, require_int)
 from .series import IntSeries, ProductSpec, require_order
 
 
@@ -97,11 +97,6 @@ def euler_exponents(series: IntSeries) -> EulerFactorization:
     return EulerFactorization(tuple(exponent_stream(series)))
 
 
-def _require_bound(value, name: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PreconditionViolated("%s must be an int, got %r" % (name, value))
-
-
 def detect_period(fac: Union[EulerFactorization, Iterable[int]], d_max: int,
                   e_max: int = 4, order: Optional[int] = None) -> PeriodicVerdict:
     """Smallest period d <= d_max with c_m depending only on m mod d and
@@ -111,12 +106,8 @@ def detect_period(fac: Union[EulerFactorization, Iterable[int]], d_max: int,
     fac is an EulerFactorization, or a stream of c_1, c_2, .. such as
     exponent_stream's together with its length as order.  The exponents
     are read once, forward, and only as far as the verdict needs."""
-    _require_bound(d_max, "d_max")
-    _require_bound(e_max, "e_max")
-    if d_max < 1 or e_max < 0:
-        raise PreconditionViolated(
-            "period bounds need d_max >= 1 and e_max >= 0, got %d and %d"
-            % (d_max, e_max))
+    require_int(d_max, "d_max", 1)
+    require_int(e_max, "e_max", 0)
     if order is None:
         exps, order = fac.exponents, len(fac.exponents)
     else:

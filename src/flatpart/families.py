@@ -28,7 +28,7 @@ from .conditions import ConditionSet, condition_set
 # count_by_predicate is re-exported as the enumeration route for any
 # entry's sum_pred; count_series itself always takes the DP
 from .counting import count_by_predicate, sum_series_dp  # noqa: F401
-from .errors import PreconditionViolated, UnknownFamily
+from .errors import PreconditionViolated, UnknownFamily, require_int
 from .partitions import as_partition, frequency_profile
 from .series import IntSeries, ProductSpec
 
@@ -198,7 +198,7 @@ def family_row(family: str, k: int):
     make = _FAMILY_ROWS.get(fam)
     if make is None:
         raise UnknownFamily("%r is not one of Families 1-7" % family)
-    if k < 1:
+    if require_int(k, "k") < 1:
         raise PreconditionViolated("%s needs k >= 1, got k=%d" % (fam, k))
     return make(k)
 

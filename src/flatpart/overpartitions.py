@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSpecialization, PreconditionViolated
+from .errors import InvalidSpecialization, PreconditionViolated, require_int
 from .partitions import as_partition, partitions_of
 from .series import IntSeries, div_one_minus_qm
 
@@ -158,10 +158,15 @@ class BiSeries:
                          for r in self.rows)
 
 
+def _require_table(k: int, n_max: int, m_max: int) -> None:
+    require_int(k, "k", 2)
+    require_int(n_max, "n_max", 0)
+    require_int(m_max, "m_max", 0)
+
+
 def count_A(k: int, n_max: int, m_max: int) -> BiSeries:
     """The overpartition table, by direct enumeration."""
-    if k < 2:
-        raise PreconditionViolated("k must be at least 2")
+    _require_table(k, n_max, m_max)
     # an overpartition of n <= n_max has every part <= n_max, so r_j's
     # bounds at j = n_max + k - 1 exclude nothing
     return r_enumeration(k, n_max + k - 1, n_max, m_max)
@@ -169,8 +174,7 @@ def count_A(k: int, n_max: int, m_max: int) -> BiSeries:
 
 def product_biseries(k: int, n_max: int, m_max: int) -> BiSeries:
     """Expansion of prod_{j>=0} (1 + a q^(jk+1)) / prod_{j>=1} (1 - q^j)."""
-    if k < 2:
-        raise PreconditionViolated("k must be at least 2")
+    _require_table(k, n_max, m_max)
     b = BiSeries.one(n_max, m_max)
     e = 1
     while e <= n_max:
@@ -205,8 +209,8 @@ def r_series(k: int, j_max: int, n_max: int, m_max: int) -> dict:
     equals product_biseries: heavier overpartitions can still hold an
     overline too large for level j (a single overlined j-k+2 is the
     first one), so the stabilization horizon trails the level by k - 1."""
-    if k < 2:
-        raise PreconditionViolated("k must be at least 2")
+    _require_table(k, n_max, m_max)
+    require_int(j_max, "j_max", 0)
     values = {0: BiSeries.one(n_max, m_max)}
     for j in range(1, j_max + 1):
         term = values[j - 1]
@@ -223,9 +227,9 @@ def specialize(k: int, s: int, t: int, n_max: int) -> IntSeries:
 
     Non-overlined parts become t*j and overlined ones t*j + s, so the
     smallest overlined part must stay positive."""
-    if t < 1:
+    if require_int(t, "t") < 1:
         raise InvalidSpecialization("q must map to a positive power")
-    if t + s < 1:
+    if require_int(s, "s") + t < 1:
         raise InvalidSpecialization(
             "overlined 1 would map to the non-positive part %d" % (t + s))
     table = product_biseries(k, n_max, n_max)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, require_int
 
 
 def as_partition(parts) -> tuple:
@@ -97,6 +97,9 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple:
     results used are cached, PARTITIONS_HELD partitions in all, and a
     longer result is not cached; callers must not mutate them.
     """
+    require_int(n, "n")
+    if max_part is not None:
+        require_int(max_part, "max_part")
     key = (n, max_part)
     stats = _partitions_stats
     found = _partitions.get(key)
@@ -127,11 +130,18 @@ partitions_of.cache_info = _partitions_info
 
 def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[tuple]:
     """Weakly decreasing nonnegative tuples of the given length and sum,
-    flattest first (= lexicographic order)."""
+    entries at most cap when that is given, flattest first (=
+    lexicographic order).  The arguments are checked here, at the call,
+    not at the first next()."""
+    require_int(length, "length")
+    require_int(total, "total")
+    cap = total if cap is None else require_int(cap, "cap")
+    return _flat_patterns(length, total, cap)
+
+
+def _flat_patterns(length: int, total: int, cap: int) -> Iterator[tuple]:
     if length < 1 or total < 0:
         return
-    if cap is None:
-        cap = total
     if length == 1:
         if total <= cap:
             yield (total,)
@@ -140,7 +150,7 @@ def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[t
     # filled recursively, so the whole stream is lexicographically sorted
     lo = -(-total // length)  # ceil
     for first in range(lo, min(total, cap) + 1):
-        for rest in flat_patterns(length - 1, total - first, first):
+        for rest in _flat_patterns(length - 1, total - first, first):
             yield (first,) + rest
 
 
@@ -149,15 +159,15 @@ def kth_flattest(k: int, length: int, total: int) -> tuple | None:
     """The k-th flattest weakly decreasing nonnegative tuple (1-indexed)
     of the given length and sum, or None when fewer than k exist.  Both
     answers are cached, the last 2**14 of them, so a missing pattern is
-    enumerated once."""
-    if k < 1:
-        raise PreconditionViolated("k is 1-indexed, got %d" % k)
+    enumerated once.  Arguments are checked on a miss, so a hit costs
+    nothing; the cache keys True as 1, so True passes if k=1 is cached."""
+    require_int(k, "k", 1)
     return next(islice(flat_patterns(length, total), k - 1, None), None)
 
 
 def conjugate(parts: Sequence[int]) -> tuple:
     """Conjugate partition via column counts of the Ferrers diagram."""
-    parts = tuple(parts)
+    parts = as_partition(parts)
     if not parts:
         return ()
     return tuple(
@@ -167,7 +177,7 @@ def conjugate(parts: Sequence[int]) -> tuple:
 
 def frequency_profile(parts: Sequence[int]) -> dict:
     """Map each part value to (frequency, number of strictly greater parts)."""
-    parts = tuple(parts)
+    parts = as_partition(parts)
     profile = {}
     greater = 0
     i = 0

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
 from .counting import sum_series_dp
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, require_int
 from .euler import PeriodicVerdict, detect_period, exponent_stream
 # unused here, but perfbench/rep.py rebinds search.euler_exponents in
 # its traced runs, so the name stays bound
@@ -63,9 +63,7 @@ class SearchBounds:
 
     def __post_init__(self):
         for name in ("max_rules", "n_check", "d_max", "e_max"):
-            if type(getattr(self, name)) is not int:
-                raise PreconditionViolated("%s must be an integer, got %r"
-                                           % (name, getattr(self, name)))
+            require_int(getattr(self, name), name)
         if type(self.allow_neq) is not bool:
             raise PreconditionViolated("allow_neq must be true or false, got %r"
                                        % (self.allow_neq,))

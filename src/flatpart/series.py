@@ -17,15 +17,13 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .errors import NonUnitConstantTerm, PreconditionViolated
+from .errors import NonUnitConstantTerm, PreconditionViolated, require_int
 
 
 def require_order(order: int) -> int:
     """The order itself; one that is not an int, or is negative, raises
     PreconditionViolated."""
-    if not isinstance(order, int):
-        raise PreconditionViolated("an order must be an int, got %r" % (order,))
-    if order < 0:
+    if require_int(order, "an order") < 0:
         raise PreconditionViolated("a series needs at least the q^0 coefficient")
     return order
 
@@ -79,9 +77,7 @@ class IntSeries:
 
     def shift(self, k: int) -> "IntSeries":
         """Multiply by q^k (k >= 0), keeping the order."""
-        if not isinstance(k, int) or k < 0:
-            raise PreconditionViolated("shift must be an int >= 0, got %r" % (k,))
-        if k == 0:
+        if require_int(k, "shift", 0) == 0:
             return self
         n = len(self.coeffs)
         return IntSeries(((0,) * min(k, n) + self.coeffs)[:n])
@@ -165,8 +161,7 @@ def first_difference(a: IntSeries, b: IntSeries) -> int | None:
 
 def monomial(k: int, order: int, coeff: int = 1) -> IntSeries:
     """coeff * q^k (k >= 0) truncated at the given order."""
-    if not isinstance(k, int) or k < 0:
-        raise PreconditionViolated("k must be an int >= 0, got %r" % (k,))
+    require_int(k, "k", 0)
     c = [0] * (require_order(order) + 1)
     if k <= order:
         c[k] = coeff
@@ -198,8 +193,7 @@ def series_div(a: IntSeries, b: IntSeries) -> IntSeries:
 
 def geom(m: int, order: int) -> IntSeries:
     """1/(1 - q^m): the generating series for parts equal to m."""
-    if not isinstance(m, int) or m < 1:
-        raise PreconditionViolated("m must be an int >= 1")
+    require_int(m, "m", 1)
     c = [0] * (require_order(order) + 1)
     for i in range(0, order + 1, m):
         c[i] = 1
@@ -243,18 +237,15 @@ class ProductSpec:
     residue_exponents: tuple  # sorted ((residue, exponent), ...)
 
     def __init__(self, modulus: int, residue_exponents):
-        if not isinstance(modulus, int) or modulus < 1:
-            raise PreconditionViolated("modulus must be an int >= 1")
+        require_int(modulus, "modulus", 1)
         if isinstance(residue_exponents, dict):
             items = residue_exponents.items()
         else:
             items = residue_exponents
         norm = {}
         for r, e in items:
-            if not (isinstance(r, int) and isinstance(e, int)) or e < 0:
-                raise PreconditionViolated(
-                    "residues must be ints and exponents nonnegative ints")
-            if e:
+            require_int(r, "a residue")
+            if require_int(e, "an exponent", 0):
                 norm[r % modulus] = norm.get(r % modulus, 0) + e
         if not norm:
             raise PreconditionViolated(
@@ -303,9 +294,7 @@ def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     n = n_1 + ... + n_E, so no field carries.  The multiplications follow
     on the unpacked list."""
     order = require_order(order)
-    used = list(exponents[:order])
-    if not all(isinstance(c, int) for c in used):
-        raise PreconditionViolated("exponents must be ints")
+    used = [require_int(c, "an exponent") for c in exponents[:order]]
     top = max([1] + used)
     b = top * partition_bits(order) + (top - 1) * (order + 1).bit_length()
     packed, mask = 1, (1 << (order + 1) * b) - 1

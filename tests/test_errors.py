@@ -1,14 +1,21 @@
 """Bad library input fails with a FlatpartError that is also a ValueError."""
 
+from functools import partial
+
 import pytest
 
+from flatpart.bijections import stockhofe_inverse, stockhofe_map
 from flatpart.conditions import (ConditionSet, FlatRule, parse_condition_set,
                                  parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import detect_period, euler_exponents
-from flatpart.overpartitions import Overpartition
-from flatpart.partitions import as_partition, kth_flattest, parse_partition
+from flatpart.families import family_row
+from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
+                                     r_series, specialize)
+from flatpart.partitions import (as_partition, conjugate, flat_patterns,
+                                 frequency_profile, kth_flattest,
+                                 parse_partition, partitions_of)
 from flatpart.search import SearchBounds
 from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
                              packed_div_one_minus_qm, partition_bits,
@@ -123,5 +130,60 @@ def test_negative_monomial_exponent_is_refused(k):
     lambda: packed_div_one_minus_qm(1, -3, (1 << 30) - 1),
 ], ids=["dp_largest_part", "partition_bits", "div_zero_step", "div_negative_step"])
 def test_negative_bound_or_step_is_refused(call):
+    with pytest.raises(PreconditionViolated):
+        call()
+
+
+def _kth_flattest_on_a_miss(k):
+    # the check runs on a cache miss, and the cache keys True as 1
+    kth_flattest.cache_clear()
+    return kth_flattest(k, 2, 3)
+
+
+BOX = dict(max_rules=1, a_range=(1, 1), b_range=(2, 2), d_range=(2, 2))
+
+# one call per integer argument, taking the value to pass
+INTEGER_ARGUMENTS = {
+    "order": lambda v: one(v),
+    "shift": lambda v: one(4).shift(v),
+    "monomial": lambda v: monomial(v, 4),
+    "geom": lambda v: geom(v, 5),
+    "spec_modulus": lambda v: ProductSpec(v, {0: 1}),
+    "spec_exponent": lambda v: ProductSpec(3, {1: v}),
+    "exponents": lambda v: product_from_exponents([v], 5),
+    "period_d_max": lambda v: detect_period(euler_exponents(one(30)), v),
+    "period_e_max": lambda v: detect_period(euler_exponents(one(30)), 3, v),
+    "dp_order": lambda v: sum_series_dp(parse_condition_set("1:2:1:2"), v),
+    "dp_largest_part":
+        lambda v: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=v),
+    "rule_index": lambda v: FlatRule(v, 2, 0, 1),
+    "rule_residue": lambda v: FlatRule(1, 2, v, 2),
+    "set_zeros": lambda v: ConditionSet((), v),
+    "set_min_part": lambda v: ConditionSet((), 0, v),
+    "bounds_d_max": lambda v: SearchBounds(**BOX, d_max=v),
+    "stockhofe_map": lambda v: stockhofe_map(v, (1,)),
+    "stockhofe_inverse": lambda v: stockhofe_inverse(v, (1,)),
+    "family_row": lambda v: family_row("FAM2", v),
+    "count_A": lambda v: count_A(v, 5, 2),
+    "biseries_n_max": lambda v: product_biseries(3, v, 2),
+    "r_series_m_max": lambda v: r_series(3, 4, 4, v),
+    "specialize_s": lambda v: specialize(2, v, 2, 10),
+    "specialize_t": lambda v: specialize(2, 1, v, 10),
+    "kth_flattest": _kth_flattest_on_a_miss,
+    "partitions_of": lambda v: partitions_of(v),
+    "flat_patterns": lambda v: flat_patterns(2, v),
+}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(partial(call, value), id="%s-%s" % (name, kind))
+    for name, call in INTEGER_ARGUMENTS.items()
+    for kind, value in (("bool", True), ("float", 2.5), ("str", "3"))
+] + [
+    # unsorted input is refused, never read as some other partition
+    pytest.param(lambda: conjugate((1, 3)), id="conjugate-unsorted"),
+    pytest.param(lambda: frequency_profile((1, 3)), id="frequency_profile-unsorted"),
+])
+def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):
         call()

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and the
-package imports nothing outside the standard library.
+"""Every name a library module imports is used in that module, the
+package imports nothing outside the standard library, and only errors.py
+refuses an argument for not being an int.
 
 No linter ships with the test extra, so this guard reads each module's
 syntax tree with the standard library's ast.  A name counts as used if
@@ -70,3 +71,16 @@ def test_only_the_standard_library_is_imported(path):
         outside.update(n for n in names
                        if n.split(".")[0] not in sys.stdlib_module_names)
     assert not outside, "%s imports %s" % (path.name, ", ".join(sorted(outside)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_integer_checks_go_through_require_int(path):
+    # errors.require_int is the one place that says "must be an int"
+    raises = [node for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise)]
+    own = sorted({text.lineno for node in raises for text in ast.walk(node)
+                  if isinstance(text, ast.Constant) and isinstance(text.value, str)
+                  and "must be an int" in text.value})
+    assert not own, "%s refuses non-ints itself on lines %s; use require_int" % (
+        path.name, own)
