@@ -61,7 +61,8 @@ each value u going down, packed as in counting.py.  _fold splits a row
 into a head row[:k] and a tail (k, t), k the least index from which every
 move goes to t: r(s) is r(head[0]), unshifted, plus the shifted heads for
 0 < m < k, plus r(t) q**(k*u) / (1 - q**u), which is summed once per value
-u and distinct (k, t).  Row z is r at the class reached after z zeros.
+u and distinct (k, t).  Row z is r at the class the start, class 0,
+reaches after z zeros.  These rows are the package's one series cache.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .partitions import kth_flattest
-from .series import packed_div_one_minus_qm
+from .partitions import _kth_flattest
+from .series import packed_div_one_minus_qm, partition_bits
 
 
 def period_bound(rules, min_part: int) -> tuple:
@@ -103,7 +104,7 @@ def _checks_by_top(rules, min_part: int, top: int) -> list:
         for t in range(1, rule.width * top + 1):
             if not rule.sum_matches(t):
                 continue
-            w = kth_flattest(rule.flatness_index, rule.width, t)
+            w = _kth_flattest(rule.flatness_index, rule.width, t)
             if w is not None and w[0] <= top:
                 counts = Counter(w)
                 groups[w[0]].add(tuple(counts[u] for u in range(w[0], w[-1] - 1, -1)))
@@ -117,9 +118,9 @@ class Automaton(NamedTuple):
     multiplicity m to moves[c][m] while m < len(moves[c]); any larger m
     completes a window.  Index more stands for every multiplicity >= more
     (cap + 1, cap the widest rule's width).  classes[p] lists the
-    classes whose next value has phase p; start is the class before
-    value 0 is read.  checks[p] holds the windows whose top value has
-    phase p, as _checks_by_top states them; a product reads them to
+    classes whose next value has phase p; class 0 is the start, the class
+    before value 0 is read.  checks[p] holds the windows whose top value
+    has phase p, as _checks_by_top states them; a product reads them to
     place its first phase."""
 
     first: int
@@ -127,24 +128,26 @@ class Automaton(NamedTuple):
     more: int
     classes: tuple
     moves: tuple
-    start: int
     checks: tuple
 
     def phase(self, u: int) -> int:
         return u if u < self.first else self.first + (u - self.first) % self.period
 
 
-def _follow(first: int, period: int) -> list:
-    """The phase of the value after one of each phase."""
+def _phases(checks, first: int, period: int) -> tuple:
+    """(U0, follow): the least U0 <= first with checks(u) == checks(u +
+    period) on [U0, first), and the phase after each phase."""
+    while first > 0 and checks(first - 1) == checks(first - 1 + period):
+        first -= 1
     phases = first + period
-    return [p + 1 if p + 1 < phases else first for p in range(phases)]
+    return first, [p + 1 if p + 1 < phases else first for p in range(phases)]
 
 
 def _minimize(first: int, period: int, more: int, phases: list, moves: list,
               checks: tuple) -> Automaton:
     """Moore refinement of a raw automaton whose state s has phase
-    phases[s] and moves moves[s], state 0 the start: seeded by phase,
-    split classes by the classes they move to."""
+    phases[s] and moves moves[s], state 0 the start (so class 0): seeded
+    by phase, split classes by the classes they move to."""
     label = list(phases)
     count = len(set(label))
     while True:
@@ -164,7 +167,7 @@ def _minimize(first: int, period: int, more: int, phases: list, moves: list,
             class_moves[c] = tuple(label[t] for t in row)
             classes[phases[s]].append(c)
     return Automaton(first, period, more, tuple(map(tuple, classes)),
-                     tuple(class_moves), label[0], checks)
+                     tuple(class_moves), checks)
 
 
 def _build(rules: tuple, min_part: int) -> Automaton:
@@ -178,11 +181,8 @@ def _build(rules: tuple, min_part: int) -> Automaton:
     what the values read so far tell every later window."""
     bound, period = period_bound(rules, min_part)
     groups = _checks_by_top(rules, min_part, bound + period - 1)
-    first = bound
-    while first > 0 and groups[first - 1] == groups[first - 1 + period]:
-        first -= 1
+    first, follow = _phases(groups.__getitem__, bound, period)
     phases = first + period
-    follow = _follow(first, period)
     # ends[p]: a window whose top has phase p completes on a multiplicity
     # >= these; begins[p]: windows whose bottom has phase p, as (what is
     # left after the bottom, the bottom's count)
@@ -227,10 +227,7 @@ def _product(x: Automaton, y: Automaton) -> Automaton:
     def checks(u):
         return x.checks[x.phase(u)] | y.checks[y.phase(u)]
 
-    first = max(x.first, y.first)
-    while first > 0 and checks(first - 1) == checks(first - 1 + period):
-        first -= 1
-    follow = _follow(first, period)
+    first, follow = _phases(checks, max(x.first, y.first), period)
     more = max(x.more, y.more)
 
     def widened(auto, c):
@@ -238,7 +235,7 @@ def _product(x: Automaton, y: Automaton) -> Automaton:
         row = auto.moves[c]
         return row + row[-1:] * (more - auto.more) if len(row) > auto.more else row
 
-    index = {(0, x.start, y.start): 0}
+    index = {(0, 0, 0): 0}
     states, moves = list(index), []
     for phase, a, b in states:  # grows as new states are found
         row = []
@@ -284,13 +281,14 @@ def _fold(row: tuple, more: int) -> tuple:
     return row[:k], (k, row[more])
 
 
-def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
-                   b: int) -> tuple:
-    """counting._walk's rows, counted on the minimal automaton: row z
-    holds the partitions with parts in min_part..start that no window
-    forbids when z fictitious zeros sit below the smallest part, packed
-    in b-bit fields."""
+@lru_cache(maxsize=128)
+def automaton_rows(rules: tuple, order: int, start: int, min_part: int) -> tuple:
+    """sum_series_dp's rows, cached for every zero count: row z holds the
+    partitions with parts in min_part..start that no window forbids when
+    z fictitious zeros sit below the smallest part, packed in b-bit
+    fields, b = partition_bits(order)."""
     auto = minimal_automaton(rules, min_part)
+    b = partition_bits(order)
     folded = [_fold(row, auto.more) for row in auto.moves]
     mask = (1 << (order + 1) * b) - 1
     r = [1] * len(auto.moves)
@@ -312,5 +310,5 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int,
             pulled.append(vec)
         for c, vec in zip(cls, pulled):
             r[c] = vec
-    zeros = auto.moves[auto.start]
+    zeros = auto.moves[0]
     return tuple(r[zeros[z]] if z < len(zeros) else 0 for z in range(auto.more))

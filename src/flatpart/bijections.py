@@ -40,6 +40,7 @@ RANK_CORE = "rank matching within (weight, type) classes"
 def length_type(parts, modulus: int) -> tuple:
     """Counts of parts in each nonzero residue class mod `modulus`."""
     parts = as_partition(parts)
+    require_int(modulus, "modulus", 2)
     if any(p % modulus == 0 for p in parts):
         raise PreconditionViolated(
             "length type undefined: part divisible by %d" % modulus)
@@ -53,6 +54,7 @@ def alternating_sum_type(parts, modulus: int) -> tuple:
     """Differences M_i - M_{i+1} of index-class part sums, where M_i sums
     the parts whose (1-based) index is congruent to i mod `modulus`."""
     parts = as_partition(parts)
+    require_int(modulus, "modulus", 2)
     if any(f >= modulus for f, _g in frequency_profile(parts).values()):
         raise PreconditionViolated(
             "alternating sum type undefined: a part repeats %d times" % modulus)

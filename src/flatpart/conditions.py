@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated, require_int
-from .partitions import kth_flattest
+from .partitions import _kth_flattest
 
 CONGRUENT = "congruent"
 NOT_CONGRUENT = "not_congruent"
@@ -94,7 +94,7 @@ def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
     total = sum(window)
     if not rule.sum_matches(total):
         return False
-    return window == kth_flattest(rule.flatness_index, rule.width, total)
+    return window == _kth_flattest(rule.flatness_index, rule.width, total)
 
 
 @dataclass(frozen=True)

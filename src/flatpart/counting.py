@@ -10,18 +10,19 @@ sum_series_dp chooses the multiplicity of every part value and counts
 the choices that complete no forbidden window.  It counts on the minimal
 automaton of the sum side (automaton.py), built once per rule set and
 smallest-part bound as the product of one cached automaton per rule.
-The walk (_walk, automaton.automaton_rows) goes from the largest allowed
-value down to 1.  A period lemma shows that past a bound U that depends
+The walk (automaton.automaton_rows) goes from the largest allowed value
+down to 1.  A period lemma shows that past a bound U that depends
 only on the rules, the windows whose top value is u repeat at u + L, L
 the lcm of D/gcd(B, D) over the rules.  So the automaton reads values by
 phase, and at each value only the few classes of its phase are live.
 
 Only the fictitious zeros below the smallest part read the zero count.
-So the walk (_walk), the only series cache (an lru_cache of 128), ends
-with one row per zero count 0..cap, and sum_series_dp picks its row.  It
-is keyed by the largest part it reads, min(order, largest_part), so a
-search box that tries several zero counts on one rule set, as every box
-does, walks once for all of them.
+So the walk, automaton_rows, the only series cache (an lru_cache of 128),
+ends with one row per zero count 0..cap, read at the class that the
+start, class 0, reaches after that many zeros; sum_series_dp picks its
+row.  It is keyed by the largest part it reads, min(order, largest_part),
+so a search box that tries several zero counts on one rule set, as every
+box does, walks once for all of them.
 
 Each series the walk carries is one Python int (Kronecker substitution):
 coefficient n sits in bits [n*b, (n+1)*b), b the bit length of p(order)
@@ -35,7 +36,6 @@ walk is compared against the brute oracle in the test suite.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable
 
 from .automaton import automaton_rows
@@ -98,18 +98,6 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     return IntSeries(counts)
 
 
-@lru_cache(maxsize=128)
-def _walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
-    """The rows of sum_series_dp, shared by every zero count.
-
-    Returns cap+1 packed series, cap the widest rule's width: row mu0
-    holds the partitions of parts <= start that no window forbids when
-    mu0 fictitious zeros sit below the smallest part, coefficient n in
-    bits [n*b, (n+1)*b), b = partition_bits(order).  They are counted on
-    the rule set's automaton, which a sweep over largest parts builds once."""
-    return automaton_rows(rules, order, start, min_part, partition_bits(order))
-
-
 def sum_series_dp(cs: ConditionSet, order: int,
                   largest_part: int | None = None) -> IntSeries:
     """Exact counting series of satisfying partitions, parts at most
@@ -119,9 +107,9 @@ def sum_series_dp(cs: ConditionSet, order: int,
     order = require_order(order)
     start = (order if largest_part is None
              else min(order, require_int(largest_part, "largest_part", 0)))
-    rows = _walk(cs.rules, order, start, cs.min_part)
+    rows = automaton_rows(cs.rules, order, start, cs.min_part)
     return unpack(rows[min(cs.zeros, len(rows) - 1)], partition_bits(order), order)
 
 
 # sum_series_dp keeps no cache of its own: these are the walk's statistics
-sum_series_dp.cache_info = _walk.cache_info
+sum_series_dp.cache_info = automaton_rows.cache_info

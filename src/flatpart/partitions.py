@@ -31,7 +31,8 @@ def as_partition(parts) -> tuple:
     except TypeError:
         raise PreconditionViolated(
             "a partition is a sequence of ints, got %r" % (parts,)) from None
-    if not all(isinstance(p, int) and p > 0 for p in parts):
+    if not all(isinstance(p, int) and not isinstance(p, bool) and p > 0
+               for p in parts):
         raise PreconditionViolated("parts must be positive ints: %r" % (parts,))
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise PreconditionViolated(
@@ -154,15 +155,24 @@ def _flat_patterns(length: int, total: int, cap: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=2**14)
 def kth_flattest(k: int, length: int, total: int) -> tuple | None:
     """The k-th flattest weakly decreasing nonnegative tuple (1-indexed)
     of the given length and sum, or None when fewer than k exist.  Both
     answers are cached, the last 2**14 of them, so a missing pattern is
-    enumerated once.  Arguments are checked on a miss, so a hit costs
-    nothing; the cache keys True as 1, so True passes if k=1 is cached."""
+    enumerated once.  The arguments are checked before the cache, which
+    keys True as 1; the package's own callers read the cache directly."""
     require_int(k, "k", 1)
-    return next(islice(flat_patterns(length, total), k - 1, None), None)
+    require_int(length, "length")
+    return _kth_flattest(k, length, require_int(total, "total"))
+
+
+@lru_cache(maxsize=2**14)
+def _kth_flattest(k: int, length: int, total: int) -> tuple | None:
+    return next(islice(_flat_patterns(length, total, total), k - 1, None), None)
+
+
+kth_flattest.cache_info = _kth_flattest.cache_info
+kth_flattest.cache_clear = _kth_flattest.cache_clear
 
 
 def conjugate(parts: Sequence[int]) -> tuple:

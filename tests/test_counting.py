@@ -17,7 +17,7 @@ from flatpart import automaton, conditions, counting
 from flatpart.automaton import _build, automaton_rows, minimal_automaton
 from flatpart.conditions import (ConditionSet, condition_set, matches_at,
                                  parse_condition_set, satisfies)
-from flatpart.counting import (_walk, count_by_predicate, sum_series_brute,
+from flatpart.counting import (count_by_predicate, sum_series_brute,
                                sum_series_dp)
 from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
@@ -108,7 +108,7 @@ def automaton_series(cs, order, largest_part=None):
     of counting."""
     start = order if largest_part is None else min(order, largest_part)
     b = partition_bits(order)
-    rows = automaton_rows(cs.rules, order, start, cs.min_part, b)
+    rows = automaton_rows.__wrapped__(cs.rules, order, start, cs.min_part)
     packed = rows[min(cs.zeros, len(rows) - 1)]
     return IntSeries([packed >> n * b & (1 << b) - 1 for n in range(order + 1)])
 
@@ -144,11 +144,10 @@ def test_product_automaton_equals_the_direct_build(cs, min_part):
     assert ((len(product.moves), product.first, product.period, product.more)
             == (len(direct.moves), direct.first, direct.period, direct.more))
     order = 24
-    rows = automaton_rows(cs.rules, order, order, min_part, partition_bits(order))
+    rows = automaton_rows(cs.rules, order, order, min_part)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
-        assert automaton_rows(cs.rules, order, order, min_part,
-                              partition_bits(order)) == rows
+        assert automaton_rows.__wrapped__(cs.rules, order, order, min_part) == rows
 
 
 def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
@@ -161,7 +160,7 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle reached a DP or enumeration helper")
 
-    for name in ("_walk", "sum_series_dp", "partitions_of", "automaton_rows",
+    for name in ("sum_series_dp", "partitions_of", "automaton_rows",
                  "count_by_predicate"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("_checks_by_top", "minimal_automaton", "rule_automaton",
@@ -193,7 +192,7 @@ def test_brute_reads_only_real_windows(monkeypatch, text):
 def test_zero_counts_share_one_walk():
     # every zero count after the first reads the walk of the first;
     # sum_series_dp keeps no cache of its own and reads the walk's
-    assert _walk.cache_info().maxsize is not None
+    assert automaton_rows.cache_info().maxsize is not None
     count = sum_series_dp
     rng = random.Random(808)
     for _ in range(12):
@@ -206,7 +205,7 @@ def test_zero_counts_share_one_walk():
         cap = max(r.width for r in rules)
         order = 20
         largest_part, min_part = rng.randrange(3, 12), rng.randrange(1, 4)
-        hits = _walk.cache_info().hits
+        hits = automaton_rows.cache_info().hits
         for zeros in range(cap + 3):
             cs = ConditionSet(rules, zeros)
             assert count(cs, order) == sum_series_brute(cs, order), cs
@@ -217,18 +216,18 @@ def test_zero_counts_share_one_walk():
 
             assert (count(ConditionSet(rules, zeros, min_part), order, largest_part)
                     == count_by_predicate(pred, order)), (cs, largest_part, min_part)
-        assert _walk.cache_info().hits - hits >= 2 * (cap + 2)
+        assert automaton_rows.cache_info().hits - hits >= 2 * (cap + 2)
 
 
 def test_walk_is_keyed_by_the_part_bound_it_reads():
     # no largest part and any largest part at or above the order read
     # parts up to the order, so they share one walk
     cs = parse_condition_set("1:2:1:2;2:3:0:2", zeros=1)
-    _walk.cache_clear()
+    automaton_rows.cache_clear()
     free = sum_series_dp(cs, 30)
     assert sum_series_dp(cs, 30, largest_part=30) == free
     assert sum_series_dp(cs, 30, largest_part=45) == free
-    assert _walk.cache_info().misses == 1
+    assert automaton_rows.cache_info().misses == 1
 
 
 def test_dp_is_exact_at_every_order():
@@ -247,7 +246,7 @@ def test_dp_is_exact_at_every_order():
     product = product_series(ident.product, order)
     automaton.minimal_automaton.cache_clear()
     for j in range(1, order + 1):
-        _walk.__wrapped__(rules, order, j, 1)
+        automaton_rows.__wrapped__(rules, order, j, 1)
     info = automaton.minimal_automaton.cache_info()
     assert (info.misses, info.hits) == (len(rules), order - 1)
     for j in range(1, order + 1):

@@ -4,7 +4,8 @@ from functools import partial
 
 import pytest
 
-from flatpart.bijections import stockhofe_inverse, stockhofe_map
+from flatpart.bijections import (alternating_sum_type, length_type,
+                                 stockhofe_inverse, stockhofe_map)
 from flatpart.conditions import (ConditionSet, FlatRule, parse_condition_set,
                                  parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
@@ -135,7 +136,7 @@ def test_negative_bound_or_step_is_refused(call):
 
 
 def _kth_flattest_on_a_miss(k):
-    # the check runs on a cache miss, and the cache keys True as 1
+    # a cold cache; the cache keys True as 1, so the warm case is its own
     kth_flattest.cache_clear()
     return kth_flattest(k, 2, 3)
 
@@ -163,6 +164,8 @@ INTEGER_ARGUMENTS = {
     "bounds_d_max": lambda v: SearchBounds(**BOX, d_max=v),
     "stockhofe_map": lambda v: stockhofe_map(v, (1,)),
     "stockhofe_inverse": lambda v: stockhofe_inverse(v, (1,)),
+    "length_type": lambda v: length_type((1,), v),
+    "alternating_sum_type": lambda v: alternating_sum_type((1,), v),
     "family_row": lambda v: family_row("FAM2", v),
     "count_A": lambda v: count_A(v, 5, 2),
     "biseries_n_max": lambda v: product_biseries(3, v, 2),
@@ -183,6 +186,10 @@ INTEGER_ARGUMENTS = {
     # unsorted input is refused, never read as some other partition
     pytest.param(lambda: conjugate((1, 3)), id="conjugate-unsorted"),
     pytest.param(lambda: frequency_profile((1, 3)), id="frequency_profile-unsorted"),
+    # True finds the equal int key 1 in the cache unless checked first
+    pytest.param(lambda: (kth_flattest(1, 2, 3), kth_flattest(True, 2, 3)),
+                 id="kth_flattest-bool-cached"),
+    pytest.param(lambda: as_partition((2, True)), id="as_partition-bool-part"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):

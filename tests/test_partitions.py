@@ -64,9 +64,9 @@ def test_kth_flattest_matches_sorted_enumeration():
                     assert kth_flattest(k, width, total) is None
 
 
-def test_caches_are_bounded():
-    # every module-level cache in the package has a bound, never an
-    # unbounded store; __main__ is skipped because importing it runs the CLI
+def cache_inventory() -> dict:
+    """Every module-level cache in the package, by module.name; __main__
+    is skipped because importing it runs the CLI."""
     cached = {}
     for info in pkgutil.iter_modules(flatpart.__path__):
         if info.name == "__main__":
@@ -74,10 +74,38 @@ def test_caches_are_bounded():
         module = importlib.import_module("flatpart." + info.name)
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
-                cached["%s.%s" % (info.name, name)] = obj.cache_info().maxsize
-    assert {"counting._walk", "partitions.kth_flattest",
+                cached["%s.%s" % (info.name, name)] = obj
+    return cached
+
+
+def test_caches_are_bounded():
+    # every cache has a bound, never an unbounded store
+    cached = {name: obj.cache_info().maxsize for name, obj in cache_inventory().items()}
+    assert {"automaton.automaton_rows", "partitions.kth_flattest",
             "automaton.minimal_automaton"} <= set(cached)
     assert [name for name, maxsize in cached.items() if maxsize is None] == []
+
+
+# one call per cached name the package exports, every integer argument 1
+PUBLIC_CACHED_CALLS = {
+    "kth_flattest": (1, 1, 1),
+    "partitions_of": (1, 1),
+    "sum_series_dp": (flatpart.parse_condition_set("1:2:1:2"), 1, 1),
+}
+
+
+def test_public_caches_check_before_the_cache():
+    # a cache keys True as 1, so a check behind it lets True through once
+    # 1 is cached: each integer argument must refuse True with 1 cached
+    public = {name.split(".")[1] for name, obj in cache_inventory().items()
+              if getattr(flatpart, name.split(".")[1], None) is obj}
+    assert public == set(PUBLIC_CACHED_CALLS)
+    for name, args in PUBLIC_CACHED_CALLS.items():
+        call = getattr(flatpart, name)
+        call(*args)
+        for i in [i for i, v in enumerate(args) if type(v) is int]:
+            with pytest.raises(PreconditionViolated):
+                call(*args[:i], True, *args[i + 1:])
 
 
 def test_partition_cache_is_bounded_by_partitions_held():
