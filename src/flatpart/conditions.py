@@ -66,8 +66,14 @@ class FlatRule:
         return text
 
 
+def _require_text(text, what: str) -> str:
+    if not isinstance(text, str):
+        raise PreconditionViolated("%s text must be a str, got %r" % (what, text))
+    return text
+
+
 def parse_rule(text: str) -> FlatRule:
-    fields = text.strip().split(":")
+    fields = _require_text(text, "rule").strip().split(":")
     if len(fields) == 5 and fields[4] == "n":
         mode = NOT_CONGRUENT
         fields = fields[:4]
@@ -97,6 +103,26 @@ def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
     return window == _kth_flattest(rule.flatness_index, rule.width, total)
 
 
+def matching_windows(rule: FlatRule, order: int) -> frozenset:
+    """Every window of weight at most order that matches_at accepts: the
+    A-th flattest B-tuple of each weight 1..order whose weight passes the
+    congruence, so at most order windows."""
+    if not isinstance(rule, FlatRule):
+        raise PreconditionViolated("a rule must be a FlatRule, got %r" % (rule,))
+    a, b = rule.flatness_index, rule.width
+    found = (_kth_flattest(a, b, t) for t in range(1, require_int(order, "order", 0) + 1)
+             if rule.sum_matches(t))
+    return frozenset(w for w in found if w is not None)
+
+
+def _require_iterable(rules):
+    try:
+        return iter(rules)
+    except TypeError:
+        raise PreconditionViolated(
+            "rules must be an iterable of rules, got %r" % (rules,)) from None
+
+
 @dataclass(frozen=True)
 class ConditionSet:
     """A deduplicated, canonically ordered set of rules plus a zero count
@@ -110,7 +136,7 @@ class ConditionSet:
         require_int(self.zeros, "zeros", 0)
         require_int(self.min_part, "min_part", 1)
         seen = []
-        for r in self.rules:
+        for r in _require_iterable(self.rules):
             if not isinstance(r, FlatRule):
                 raise PreconditionViolated("rules must be FlatRule instances")
             if r not in seen:
@@ -140,13 +166,17 @@ def condition_set(rules: Iterable, zeros: int = 0, min_part: int = 1) -> Conditi
     """Build a ConditionSet from FlatRules, tuples (A, B, C, D[, mode]), or
     rule text."""
     built = []
-    for r in rules:
+    for r in _require_iterable(rules):
         if isinstance(r, FlatRule):
             built.append(r)
         elif isinstance(r, str):
             built.append(parse_rule(r))
-        else:
+        elif isinstance(r, (tuple, list)) and len(r) in (4, 5):
             built.append(FlatRule(*r))
+        else:
+            raise PreconditionViolated(
+                "a rule must be a FlatRule, a tuple (A, B, C, D[, mode]) "
+                "or rule text, got %r" % (r,))
     return ConditionSet(tuple(built), zeros, min_part)
 
 
@@ -158,6 +188,7 @@ def parse_condition_set(text: str, zeros: int = 0) -> ConditionSet:
     or "(no rules)", then an optional " +Nz" zero count and an optional
     " parts>=N" smallest-part bound.  `zeros` gives the zero count when
     the text has no "+Nz"; giving both is an error."""
+    text = _require_text(text, "condition set")
     body, nz, bound = _SET_TEXT.fullmatch(" " + text.strip()).groups()
     if nz is not None:
         if zeros:

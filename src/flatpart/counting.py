@@ -2,9 +2,13 @@
 
 Two independent routes are provided on purpose.  sum_series_brute, the
 reference oracle, is a pruned literal enumeration: a partial partition
-reads each window it closes once with matches_at, never one made only
-of zeros, and is dropped at its first forbidden window.  It shares no
-table, automaton or walk with the DP; it stops above BRUTE_CEILING.
+reads each window it closes once, never one made only of zeros, and is
+dropped at its first forbidden window.  A window is forbidden when it
+lies in its width's table, built afresh at each call by
+conditions.matching_windows from matches_at's definition: the windows
+of weight at most the order that some rule of that width forbids, at
+most order per rule.  It shares no table, automaton or walk with the
+DP; it stops above BRUTE_CEILING.
 
 sum_series_dp chooses the multiplicity of every part value and counts
 the choices that complete no forbidden window.  It counts on the minimal
@@ -39,8 +43,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .automaton import automaton_rows
-from .conditions import ConditionSet, matches_at
-from .errors import CeilingExceeded, require_int
+from .conditions import ConditionSet, matching_windows
+from .errors import CeilingExceeded, PreconditionViolated, require_int
 from .partitions import partitions_of
 from .series import IntSeries, partition_bits, require_order, unpack
 
@@ -61,34 +65,46 @@ def count_by_predicate(pred: Callable, order: int) -> IntSeries:
                       for n in range(_under_ceiling(order) + 1)])
 
 
+def _require_set(cs) -> ConditionSet:
+    if not isinstance(cs, ConditionSet):
+        raise PreconditionViolated("a ConditionSet is needed, got %r" % (cs,))
+    return cs
+
+
 def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     """Count satisfying partitions of 0..order by pruned literal
     enumeration, up to order BRUTE_CEILING (read at call time).
 
     Parts are added largest first, each in cs.min_part..the part before
     it.  A rule's window ending at a new part never changes after it, so
-    the first that matches drops every extension.  A prefix counts once
-    its windows into the fictitious zeros pass too: its last k parts,
-    then width - k >= 1 zeros; no window of zeros alone is read.
-    Memory is O(order): nothing is cached."""
+    the first that is forbidden drops every extension.  A prefix counts
+    once its windows into the fictitious zeros pass too: its last k
+    parts, then width - k >= 1 zeros; no window of zeros alone is read.
+    Each window is one set lookup in its width's table, the union of
+    matching_windows over the rules of that width, built for this call
+    only.  Memory is O(order) per rule; nothing outlives the call."""
     counts = [0] * (_under_ceiling(order) + 1)
-    widths = [(r, r.width) for r in cs.rules]
-    ends = [(r, w - z, (0,) * z) for r, w in widths
+    tables = {}
+    for r in _require_set(cs).rules:
+        found = matching_windows(r, order)
+        tables[r.width] = tables[r.width] | found if r.width in tables else found
+    by_width = list(tables.items())
+    ends = [(table, w - z, (0,) * z) for w, table in by_width
             for z in range(1, min(w - 1, cs.zeros) + 1)]
     parts = []
 
     def grow(total, top):
         n = len(parts)
-        for r, k, pad in ends:
-            if k <= n and matches_at(r, tuple(parts[n - k:]) + pad):
+        for table, k, pad in ends:
+            if k <= n and tuple(parts[n - k:]) + pad in table:
                 break
         else:
             counts[total] += 1
         n += 1
         for part in range(min(top, order - total), cs.min_part - 1, -1):
             parts.append(part)
-            for r, w in widths:
-                if w <= n and matches_at(r, parts[n - w:]):
+            for w, table in by_width:
+                if w <= n and tuple(parts[n - w:]) in table:
                     break
             else:
                 grow(total + part, part)
@@ -107,7 +123,7 @@ def sum_series_dp(cs: ConditionSet, order: int,
     order = require_order(order)
     start = (order if largest_part is None
              else min(order, require_int(largest_part, "largest_part", 0)))
-    rows = automaton_rows(cs.rules, order, start, cs.min_part)
+    rows = automaton_rows(_require_set(cs).rules, order, start, cs.min_part)
     return unpack(rows[min(cs.zeros, len(rows) - 1)], partition_bits(order), order)
 
 

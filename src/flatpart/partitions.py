@@ -49,6 +49,8 @@ def render_partition(parts: Sequence[int]) -> str:
 
 def parse_partition(text: str) -> tuple:
     """Inverse of render_partition.  Accepts "-" or "" for the empty partition."""
+    if not isinstance(text, str):
+        raise PreconditionViolated("partition text must be a str, got %r" % (text,))
     text = text.strip()
     if text in ("-", ""):
         return ()

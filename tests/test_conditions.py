@@ -1,12 +1,16 @@
 """Forbidden-window rules and condition sets, including the text format."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatpart.conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet,
                                  FlatRule, condition_set, matches_at,
-                                 parse_condition_set, parse_rule, satisfies)
+                                 matching_windows, parse_condition_set,
+                                 parse_rule, satisfies)
 from flatpart.errors import PreconditionViolated
+from flatpart.partitions import flat_patterns
 
 
 def test_rule_text_round_trip():
@@ -82,6 +86,21 @@ def test_matches_at_picks_out_forbidden_windows():
     assert matches_at(rule, (3, 2))             # weight 5, (3,2) is flattest
     assert not matches_at(rule, (4, 1))
     assert not matches_at(rule, (5, 3))         # weight 8, wrong residue
+
+
+def test_matching_windows_tabulates_matches_at():
+    # every weakly decreasing window of the rule's width and of weight
+    # 0..order, zeros included, is in the table exactly when matches_at
+    # accepts it
+    rng = random.Random(2419)
+    for _ in range(60):
+        d = rng.randrange(1, 7)
+        rule = FlatRule(rng.randrange(1, 4), rng.randrange(1, 4), rng.randrange(d),
+                        d, rng.choice((CONGRUENT, NOT_CONGRUENT)))
+        order = rng.randrange(0, 31)
+        accepted = {w for t in range(order + 1)
+                    for w in flat_patterns(rule.width, t) if matches_at(rule, w)}
+        assert matching_windows(rule, order) == accepted, (rule, order)
 
 
 def test_all_zero_windows_are_exempt():

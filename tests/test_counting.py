@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from flatpart import automaton, conditions, counting
 from flatpart.automaton import _build, automaton_rows, minimal_automaton
-from flatpart.conditions import (ConditionSet, condition_set, matches_at,
+from flatpart.conditions import (ConditionSet, condition_set, matching_windows,
                                  parse_condition_set, satisfies)
 from flatpart.counting import (count_by_predicate, sum_series_brute,
                                sum_series_dp)
@@ -174,17 +174,23 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
 @pytest.mark.parametrize("text", ["1:2:1:2 +3z", "2:1:1:4;2:2:1:2 +2z",
                                   "1:3:0:1;2:2:1:2 +5z"])
 def test_brute_reads_only_real_windows(monkeypatch, text):
-    # every window the oracle reads is as wide as its rule and holds a
+    # every window the oracle reads is as wide as its table and holds a
     # part: all-zero windows can never match, so reading one is waste
     cs = parse_condition_set(text)
     expected = sum_series_brute(cs, 20)
     read = []
 
-    def spy(rule, window):
-        read.append((rule.width, tuple(window)))
-        return matches_at(rule, window)
+    class Recording(frozenset):
+        def __contains__(self, window):
+            read.append((self.width, window))
+            return frozenset.__contains__(self, window)
 
-    monkeypatch.setattr(counting, "matches_at", spy)
+    def spy(rule, order):
+        table = Recording(matching_windows(rule, order))
+        table.width = rule.width
+        return table
+
+    monkeypatch.setattr(counting, "matching_windows", spy)
     assert sum_series_brute(cs, 20) == expected
     assert read and all(len(w) == width and sum(w) > 0 for width, w in read)
 

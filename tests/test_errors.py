@@ -6,8 +6,8 @@ import pytest
 
 from flatpart.bijections import (alternating_sum_type, length_type,
                                  stockhofe_inverse, stockhofe_map)
-from flatpart.conditions import (ConditionSet, FlatRule, parse_condition_set,
-                                 parse_rule)
+from flatpart.conditions import (ConditionSet, FlatRule, condition_set,
+                                 parse_condition_set, parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import detect_period, euler_exponents
@@ -190,6 +190,18 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: (kth_flattest(1, 2, 3), kth_flattest(True, 2, 3)),
                  id="kth_flattest-bool-cached"),
     pytest.param(lambda: as_partition((2, True)), id="as_partition-bool-part"),
+    # a condition set is refused unless it is a ConditionSet, before any cache
+    pytest.param(lambda: sum_series_brute("1:2:1:2", 5), id="brute-set-text"),
+    pytest.param(lambda: sum_series_brute(None, 5), id="brute-set-none"),
+    pytest.param(lambda: sum_series_dp("1:2:1:2", 5), id="dp-set-text"),
+    # the parsers read text only
+    pytest.param(lambda: parse_rule(5), id="parse_rule-int"),
+    pytest.param(lambda: parse_condition_set(5), id="parse_condition_set-int"),
+    pytest.param(lambda: parse_partition(5), id="parse_partition-int"),
+    # rules come as an iterable of rules, each tuple with four or five fields
+    pytest.param(lambda: condition_set([(1, 2)]), id="condition_set-short-tuple"),
+    pytest.param(lambda: condition_set(5), id="condition_set-int"),
+    pytest.param(lambda: ConditionSet(None), id="ConditionSet-none"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):
