@@ -24,7 +24,6 @@ from .partitions import (as_partition, conjugate, flat_patterns,
                          frequency_profile, kth_flattest, parse_partition,
                          partitions_of, render_partition)
 from .series import (IntSeries, ProductSpec, geom, load_series, monomial,
-                     one, product_from_exponents, product_series,
-                     save_series, series_div, series_mul, zero)
+                     one, product_from_exponents, product_series, zero)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import NotInProductClass, PreconditionViolated, UnknownFamily, require_int
-from .families import family_row, get_identity
+from .families import family_row, get_identity, normalize_name
 from .partitions import as_partition, frequency_profile, partitions_of
 
 SYLVESTER_CORE = "structural hook dissection"
@@ -207,7 +207,7 @@ def wrapper_spec(family: str, k: int) -> WrapperSpec:
     """The wrapper of FAM1_1 .. FAM1_3 or FAM2 .. FAM7, from its table row.
     With r = (0, residues..., modulus), copies[i % core] = r_i - r_(i-1):
     the copy counts are the gaps between successive product classes."""
-    fam = family.strip().upper()
+    fam = normalize_name(family)
     row = family_row(fam, k)
     r = (0,) + row.residues + (row.modulus,)
     gaps = tuple(b - a for a, b in zip(r, r[1:]))
@@ -308,7 +308,8 @@ def verify_bijection(family: str, k: int, n_max: int) -> BijectionReport:
     """Exhaustively check the family's map on all weights up to n_max:
     forward lands in the conjugate class, weight is preserved, the round
     trip is the identity, and all three class sizes agree."""
-    fam = family.strip().upper()
+    fam = normalize_name(family)
+    require_int(n_max, "n_max", 0)
     fwd, inv, core = family_maps(fam, k)
     ident = get_identity("%s_K%d" % (fam, k))
     checked = 0

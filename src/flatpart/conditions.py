@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionViolated, require_int
+from .errors import PreconditionViolated, require_int, require_iterable
 from .partitions import _kth_flattest
 
 CONGRUENT = "congruent"
@@ -115,14 +115,6 @@ def matching_windows(rule: FlatRule, order: int) -> frozenset:
     return frozenset(w for w in found if w is not None)
 
 
-def _require_iterable(rules):
-    try:
-        return iter(rules)
-    except TypeError:
-        raise PreconditionViolated(
-            "rules must be an iterable of rules, got %r" % (rules,)) from None
-
-
 @dataclass(frozen=True)
 class ConditionSet:
     """A deduplicated, canonically ordered set of rules plus a zero count
@@ -136,7 +128,7 @@ class ConditionSet:
         require_int(self.zeros, "zeros", 0)
         require_int(self.min_part, "min_part", 1)
         seen = []
-        for r in _require_iterable(self.rules):
+        for r in require_iterable(self.rules, "rules", "rules"):
             if not isinstance(r, FlatRule):
                 raise PreconditionViolated("rules must be FlatRule instances")
             if r not in seen:
@@ -166,7 +158,7 @@ def condition_set(rules: Iterable, zeros: int = 0, min_part: int = 1) -> Conditi
     """Build a ConditionSet from FlatRules, tuples (A, B, C, D[, mode]), or
     rule text."""
     built = []
-    for r in _require_iterable(rules):
+    for r in require_iterable(rules, "rules", "rules"):
         if isinstance(r, FlatRule):
             built.append(r)
         elif isinstance(r, str):

@@ -9,7 +9,7 @@ class FlatpartError(Exception):
 
 
 class NonUnitConstantTerm(FlatpartError):
-    """Series division or factorization requires a constant term of +-1."""
+    """Euler factorization requires a constant term of 1."""
 
 
 class CeilingExceeded(FlatpartError):
@@ -48,3 +48,13 @@ def require_int(value, name: str, least: int | None = None) -> int:
         kind = "an integer" if least is None else "an int >= %d" % least
         raise PreconditionViolated("%s must be %s, got %r" % (name, kind, value))
     return value
+
+
+def require_iterable(value, name: str, of: str):
+    """An iterator over the value; one that is not iterable raises
+    PreconditionViolated naming the argument and what it should hold."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise PreconditionViolated("%s must be an iterable of %s, got %r"
+                                   % (name, of, value)) from None

@@ -194,7 +194,7 @@ _FAMILY_ROWS = {
 
 def family_row(family: str, k: int):
     """The row of FAM1_1 .. FAM1_3 or FAM2 .. FAM7 at k."""
-    fam = family.strip().upper()
+    fam = normalize_name(family)
     make = _FAMILY_ROWS.get(fam)
     if make is None:
         raise UnknownFamily("%r is not one of Families 1-7" % family)
@@ -622,7 +622,7 @@ def refuted_names() -> list:
 
 
 def get_refuted(name: str) -> RefutedConjecture:
-    key = name.strip().upper()
+    key = normalize_name(name)
     try:
         return _REFUTED[key]
     except KeyError:
@@ -633,9 +633,17 @@ def registered_names() -> list:
     return sorted(_REGISTRY)
 
 
+def normalize_name(name: str) -> str:
+    """A user-typed family or identity name, stripped and upper-cased; a
+    name that is not a str raises PreconditionViolated."""
+    if not isinstance(name, str):
+        raise PreconditionViolated("a name must be a str, got %r" % (name,))
+    return name.strip().upper()
+
+
 def canonical_name(name: str) -> str:
     """The registry key a user-typed identity name stands for."""
-    key = name.strip().upper()
+    key = normalize_name(name)
     return _ALIASES.get(key, key)
 
 

@@ -131,15 +131,13 @@ def _partitions_info():
 partitions_of.cache_info = _partitions_info
 
 
-def flat_patterns(length: int, total: int, cap: int | None = None) -> Iterator[tuple]:
+def flat_patterns(length: int, total: int) -> Iterator[tuple]:
     """Weakly decreasing nonnegative tuples of the given length and sum,
-    entries at most cap when that is given, flattest first (=
-    lexicographic order).  The arguments are checked here, at the call,
-    not at the first next()."""
+    flattest first (= lexicographic order).  The arguments are checked
+    here, at the call, not at the first next()."""
     require_int(length, "length")
     require_int(total, "total")
-    cap = total if cap is None else require_int(cap, "cap")
-    return _flat_patterns(length, total, cap)
+    return _flat_patterns(length, total, total)
 
 
 def _flat_patterns(length: int, total: int, cap: int) -> Iterator[tuple]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .counting import sum_series_dp
-from .errors import UnknownRecursion
+from .errors import UnknownRecursion, require_int
 from .families import canonical_name, get_identity
 from .series import IntSeries, first_difference, geom, monomial, one, zero
 
@@ -165,8 +165,9 @@ def recursion_values(name: str, j_max: int, order: int) -> dict:
     """All truncations P_j the recursion defines for j <= j_max,
     as a dict level -> IntSeries."""
     key = _resolve(name)
+    require_int(j_max, "j_max", 0)
     builder, _bases = _RECURSIONS[key]
-    return builder(key, j_max, order)
+    return {j: p for j, p in builder(key, j_max, order).items() if j <= j_max}
 
 
 def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:

@@ -1,10 +1,8 @@
 """Truncated power series with exact integer coefficients.
 
 An IntSeries holds coefficients of q^0 .. q^order as Python ints, so
-nothing ever overflows or rounds.  Binary operations truncate to the
-shorter operand's order.  Division requires the divisor to have constant
-term +1 or -1 (all the series we divide by are of this shape), and is
-exact long division.
+nothing ever overflows or rounds.  Sums, differences and products take
+two IntSeries and truncate to the shorter operand's order.
 
 A ProductSpec describes an infinite product prod_{m>=1} (1-q^m)^(-e(m mod M))
 by its modulus and the exponent attached to each residue class.
@@ -17,7 +15,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Sequence
 
-from .errors import NonUnitConstantTerm, PreconditionViolated, require_int
+from .errors import PreconditionViolated, require_int, require_iterable
 
 
 def require_order(order: int) -> int:
@@ -70,11 +68,6 @@ class IntSeries:
             head += ", ..."
         return "IntSeries([%s], order=%d)" % (head, self.order)
 
-    def truncate(self, order: int) -> "IntSeries":
-        if require_order(order) >= self.order:
-            return self
-        return IntSeries(self.coeffs[:order + 1])
-
     def shift(self, k: int) -> "IntSeries":
         """Multiply by q^k (k >= 0), keeping the order."""
         if require_int(k, "shift", 0) == 0:
@@ -82,46 +75,23 @@ class IntSeries:
         n = len(self.coeffs)
         return IntSeries(((0,) * min(k, n) + self.coeffs)[:n])
 
-    def _coerce(self, other):
-        if isinstance(other, IntSeries):
-            return other
-        if isinstance(other, int):
-            return IntSeries((other,) + (0,) * self.order)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(o.coeffs))
-        return IntSeries([self.coeffs[i] + o.coeffs[i] for i in range(n)])
-
-    __radd__ = __add__
+        n = min(len(self.coeffs), len(other.coeffs))
+        return IntSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(o.coeffs))
-        return IntSeries([self.coeffs[i] - o.coeffs[i] for i in range(n)])
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
-
-    def __neg__(self):
-        return IntSeries([-c for c in self.coeffs])
+        n = min(len(self.coeffs), len(other.coeffs))
+        return IntSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntSeries([c * other for c in self.coeffs])
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(o.coeffs))
-        a, b = self.coeffs, o.coeffs
+        n = min(len(self.coeffs), len(other.coeffs))
+        a, b = self.coeffs, other.coeffs
         out = [0] * n
         for i in range(n):
             ai = a[i]
@@ -132,14 +102,6 @@ class IntSeries:
                 if bj:
                     out[i + j] += ai * bj
         return IntSeries(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return series_div(self, o)
 
 
 def zero(order: int) -> IntSeries:
@@ -159,36 +121,13 @@ def first_difference(a: IntSeries, b: IntSeries) -> int | None:
     return None
 
 
-def monomial(k: int, order: int, coeff: int = 1) -> IntSeries:
-    """coeff * q^k (k >= 0) truncated at the given order."""
+def monomial(k: int, order: int) -> IntSeries:
+    """q^k (k >= 0) truncated at the given order."""
     require_int(k, "k", 0)
     c = [0] * (require_order(order) + 1)
     if k <= order:
-        c[k] = coeff
+        c[k] = 1
     return IntSeries(c)
-
-
-def series_mul(a: IntSeries, b: IntSeries) -> IntSeries:
-    return a * b
-
-
-def series_div(a: IntSeries, b: IntSeries) -> IntSeries:
-    """Exact long division; b must have constant term +1 or -1."""
-    lead = b.coeffs[0]
-    if lead not in (1, -1):
-        raise NonUnitConstantTerm(
-            "divisor constant term must be +-1, got %r" % (lead,))
-    n = min(len(a.coeffs), len(b.coeffs))
-    out = [0] * n
-    bc = b.coeffs
-    ac = a.coeffs
-    for i in range(n):
-        acc = ac[i]
-        for j in range(1, i + 1):
-            if bc[j]:
-                acc -= bc[j] * out[i - j]
-        out[i] = acc * lead  # divide by +-1
-    return IntSeries(out)
 
 
 def geom(m: int, order: int) -> IntSeries:
@@ -239,11 +178,14 @@ class ProductSpec:
     def __init__(self, modulus: int, residue_exponents):
         require_int(modulus, "modulus", 1)
         if isinstance(residue_exponents, dict):
-            items = residue_exponents.items()
-        else:
-            items = residue_exponents
+            residue_exponents = residue_exponents.items()
         norm = {}
-        for r, e in items:
+        for pair in require_iterable(residue_exponents, "residue classes",
+                                     "(residue, exponent) pairs"):
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise PreconditionViolated(
+                    "not a (residue, exponent) pair: %r" % (pair,))
+            r, e = pair
             require_int(r, "a residue")
             if require_int(e, "an exponent", 0):
                 norm[r % modulus] = norm.get(r % modulus, 0) + e
@@ -256,7 +198,8 @@ class ProductSpec:
 
     @classmethod
     def from_residues(cls, modulus: int, residues: Iterable[int]) -> "ProductSpec":
-        return cls(modulus, {r: 1 for r in residues})
+        return cls(modulus, {require_int(r, "a residue"): 1 for r in
+                             require_iterable(residues, "residues", "ints")})
 
     def exponent(self, m: int) -> int:
         r = m % self.modulus
@@ -265,14 +208,8 @@ class ProductSpec:
                 return e
         return 0
 
-    def exponents_dict(self) -> dict:
-        return dict(self.residue_exponents)
-
     def allows_part(self, p: int) -> bool:
         return self.exponent(p) > 0
-
-    def render_classes(self) -> str:
-        return ",".join("%d:%d" % (r, e) for r, e in self.residue_exponents)
 
 
 def product_series(spec: ProductSpec, order: int) -> IntSeries:
@@ -323,14 +260,18 @@ def _partition_bits(n: int) -> int:
     return p[n].bit_length()
 
 
-def save_series(series: IntSeries, path) -> None:
-    """One integer per line, first line the q^0 coefficient."""
-    with open(path, "w") as fh:
-        for c in series.coeffs:
-            fh.write("%d\n" % c)
-
-
 def load_series(path) -> IntSeries:
+    """One integer per line, first line the q^0 coefficient; blank lines
+    are skipped, and any other line that is not an integer raises
+    PreconditionViolated naming it."""
+    coeffs = []
     with open(path) as fh:
-        coeffs = [int(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    coeffs.append(int(line))
+                except ValueError:
+                    raise PreconditionViolated(
+                        "%s, line %d: not an integer: %r"
+                        % (path, number, line.strip())) from None
     return IntSeries(coeffs)

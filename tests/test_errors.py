@@ -5,22 +5,25 @@ from functools import partial
 import pytest
 
 from flatpart.bijections import (alternating_sum_type, length_type,
-                                 stockhofe_inverse, stockhofe_map)
+                                 stockhofe_inverse, stockhofe_map,
+                                 verify_bijection)
 from flatpart.conditions import (ConditionSet, FlatRule, condition_set,
                                  parse_condition_set, parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import detect_period, euler_exponents
-from flatpart.families import family_row
+from flatpart.families import family_row, get_identity, get_refuted
 from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
                                      r_series, specialize)
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
+from flatpart.recursions import verify_recursion
 from flatpart.search import SearchBounds
 from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
                              packed_div_one_minus_qm, partition_bits,
                              product_from_exponents, product_series, zero)
+from flatpart.verify import verify_identity
 
 
 def test_bad_input_raises_a_flatpart_error():
@@ -92,7 +95,6 @@ def test_non_integer_order_or_bound_is_refused(call):
     lambda: monomial(2.5, 4),
     lambda: monomial(1, 4.0),
     lambda: one(4).shift(1.5),
-    lambda: one(4).truncate("2"),
     lambda: zero(2.5),
     lambda: zero("3"),
     # coefficients are refused, never rounded
@@ -107,7 +109,7 @@ def test_non_integer_order_or_bound_is_refused(call):
 ], ids=["spec_exponent", "spec_modulus", "spec_residue", "exponent_float",
         "exponent_str", "set_min_part", "set_zeros", "set_rule_text",
         "rule_index", "rule_residue", "geom_order", "geom_m", "monomial_k",
-        "monomial_order", "shift", "truncate", "zero_float", "zero_str",
+        "monomial_order", "shift", "zero_float", "zero_str",
         "coeff_float", "coeff_str", "period_d_max_float", "period_d_max_str",
         "period_d_max_bool", "period_e_max_float", "period_e_max_bool"])
 def test_non_integer_field_is_refused(call):
@@ -167,6 +169,8 @@ INTEGER_ARGUMENTS = {
     "length_type": lambda v: length_type((1,), v),
     "alternating_sum_type": lambda v: alternating_sum_type((1,), v),
     "family_row": lambda v: family_row("FAM2", v),
+    "recursion_j_max": lambda v: verify_recursion("FAM3_K1", v, 20),
+    "bijection_n_max": lambda v: verify_bijection("FAM2", 1, v),
     "count_A": lambda v: count_A(v, 5, 2),
     "biseries_n_max": lambda v: product_biseries(3, v, 2),
     "r_series_m_max": lambda v: r_series(3, 4, 4, v),
@@ -202,6 +206,20 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: condition_set([(1, 2)]), id="condition_set-short-tuple"),
     pytest.param(lambda: condition_set(5), id="condition_set-int"),
     pytest.param(lambda: ConditionSet(None), id="ConditionSet-none"),
+    # registry names are strings
+    pytest.param(lambda: get_identity(5), id="get_identity-int"),
+    pytest.param(lambda: get_refuted(3), id="get_refuted-int"),
+    pytest.param(lambda: family_row(5, 1), id="family_row-int"),
+    pytest.param(lambda: verify_identity(None), id="verify_identity-none"),
+    pytest.param(lambda: verify_recursion(7, 10, 20), id="verify_recursion-int"),
+    pytest.param(lambda: verify_bijection(2, 1, 5), id="verify_bijection-int"),
+    # residue classes come as an iterable of (residue, exponent) pairs
+    pytest.param(lambda: ProductSpec(5, 3), id="ProductSpec-int"),
+    pytest.param(lambda: ProductSpec(5, [(1,)]), id="ProductSpec-short-pair"),
+    pytest.param(lambda: ProductSpec(5, [1, 4]), id="ProductSpec-bare-residues"),
+    pytest.param(lambda: ProductSpec.from_residues(5, 3), id="from_residues-int"),
+    pytest.param(lambda: ProductSpec.from_residues(5, [[1]]),
+                 id="from_residues-list-residue"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):

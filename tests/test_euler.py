@@ -14,7 +14,7 @@ from flatpart.euler import (EulerFactorization, PeriodicVerdict, detect_period,
                             euler_exponents, exponent_stream)
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm, geom,
                              mul_one_minus_qm, one, product_from_exponents,
-                             product_series, series_div, series_mul)
+                             product_series)
 
 # A sum side far from any product: max |c_m| is 546,172 at order 30 and
 # 104,008,536 at order 40, and has 142 digits at order 600.
@@ -96,16 +96,15 @@ def test_minimal_period_is_preferred():
 
 def test_aperiodic_series_is_rejected():
     # a single extra factor breaks every small period
-    f = series_mul(product_series(ProductSpec.from_residues(2, [1]), 40),
-                   geom(8, 40))
+    f = product_series(ProductSpec.from_residues(2, [1]), 40) * geom(8, 40)
     verdict = detect_period(euler_exponents(f), d_max=6)
     assert not verdict.periodic
 
 
 def test_negative_exponents_fail_the_screen():
     # (1-q) * 1/(q;q^2)-style series has exponent -1 at m=1
-    f = series_div(one(40), geom(1, 40))
-    fac = euler_exponents(series_mul(f, f))
+    f = product_from_exponents([-1], 40)
+    fac = euler_exponents(f * f)
     verdict = detect_period(fac, d_max=4)
     assert not verdict.periodic or any(fac.exponents)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from flatpart import recursions
-from flatpart.errors import UnknownRecursion
+from flatpart.errors import PreconditionViolated, UnknownRecursion
 from flatpart.recursions import (RecursionReport, recursion_names,
                                  recursion_values, verify_recursion)
 from flatpart.series import one
@@ -32,6 +32,19 @@ def test_every_level_has_the_asked_order(order):
     for name in recursion_names():
         orders = {j: p.order for j, p in recursion_values(name, 20, order).items()}
         assert set(orders.values()) == {order}, (name, orders)
+
+
+def test_no_level_above_j_max():
+    # the builders seed P_0 or P_1 whatever j_max is
+    assert recursion_values("FAM2_K1", 0, 10) == {}
+    assert recursion_values("FAM8_MOD9_S37", 0, 10) == {}
+    assert verify_recursion("FAM2_K1", 0, 10).levels == ()
+    for name in recursion_names():
+        for j_max in range(6):
+            levels = recursion_values(name, j_max, 10)
+            assert max(levels, default=0) <= j_max, (name, j_max, sorted(levels))
+    with pytest.raises(PreconditionViolated, match="j_max must be an int >= 0"):
+        recursion_values("FAM3_K1", -1, 10)
 
 
 def test_alias_resolution():

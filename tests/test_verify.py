@@ -2,7 +2,9 @@
 
 import pytest
 
+from flatpart import recursions
 from flatpart.errors import UnknownFamily
+from flatpart.series import one
 from flatpart.verify import VerifyReport, verify_all, verify_identity
 
 
@@ -33,6 +35,16 @@ def test_refuted_names_fail_with_counterexample():
     assert not report.passed
     assert any("not a theorem" in c.detail for c in report.checks)
     assert any("n=35" in c.detail for c in report.checks)
+
+
+def test_a_wrong_printed_base_fails_the_recursion_check(monkeypatch):
+    # every level agrees with the DP; only the printed P_2 is wrong
+    monkeypatch.setitem(recursions._RECURSIONS, "FAM3_K1",
+                        (recursions._offset_values, lambda order: {2: one(order)}))
+    report = verify_identity("FAM3_K1", nmax=40)
+    check = next(c for c in report.checks if c.label == "finite recursion")
+    assert not check.passed and not report.passed
+    assert check.detail == "levels 0..30 to order 150; printed base forms disagree"
 
 
 def test_unknown_name_raises():
