@@ -14,8 +14,7 @@ ORDER = 30
 for name in ("RR1", "RR2", "MACMAHON", "SCHUR", "GG", "CAPPARELLI1"):
     ident = get_identity(name)
     left = ident.count_series(ORDER)
-    right = ident.product_series(ORDER)
-    status = "ok" if left == right else "MISMATCH"
+    status = "ok" if ident.first_mismatch(ORDER) is None else "MISMATCH"
     print("%-12s %-52s %s" % (name, ident.summary, status))
     print("   first coefficients:", ",".join(str(c) for c in left.coeffs[:16]))
 

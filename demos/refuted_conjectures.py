@@ -8,15 +8,11 @@ failing weight; this script recomputes each counterexample from
 scratch, on both sides.
 """
 
-from flatpart.counting import sum_series_dp
 from flatpart.families import get_refuted, refuted_names
-from flatpart.series import product_series
 
 for name in refuted_names():
     entry = get_refuted(name)
-    n = entry.counterexample_n
-    sum_side = sum_series_dp(entry.flat(), n)
-    prod_side = product_series(entry.product(), n)
-    agree_below = sum_side.coeffs[:n] == prod_side.coeffs[:n]
+    n, sum_n, prod_n = entry.first_mismatch(entry.counterexample_n)
+    agree_below = n == entry.counterexample_n
     print("%-18s agrees to n=%-3d then %d != %d  (checked: %s)"
-          % (name, n - 1, sum_side[n], prod_side[n], agree_below))
+          % (name, n - 1, sum_n, prod_n, agree_below))

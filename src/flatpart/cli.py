@@ -70,7 +70,7 @@ def cmd_search(args) -> int:
     with open(args.bounds) as fh:
         bounds = SearchBounds.from_json(fh.read())
     reports = search(bounds, nontrivial=not args.include_trivial)
-    if args.verify:
+    if args.verify is not None:
         reports = [verify_candidate(r, args.verify) for r in reports]
     _emit(reports_to_json(reports), args.out)
     return 0

@@ -30,7 +30,7 @@ from .conditions import ConditionSet, condition_set
 from .counting import count_by_predicate, sum_series_dp  # noqa: F401
 from .errors import PreconditionViolated, UnknownFamily, require_int
 from .partitions import as_partition, frequency_profile
-from .series import IntSeries, ProductSpec
+from .series import IntSeries, ProductSpec, first_mismatch
 
 SUM = "sum"
 CONJUGATE = "conjugate"
@@ -38,26 +38,38 @@ PRODUCT = "product"
 
 
 @dataclass(frozen=True)
-class RegisteredIdentity:
-    name: str
-    summary: str
-    product: ProductSpec
-    sum_pred: Callable
+class Statement:
+    """The claim that the sum side, counted by the window form, equals
+    the product; a product of None is the empty product 1."""
     flat: ConditionSet
-    conj_pred: Optional[Callable] = None
-    family: str = ""
-    params: tuple = ()
-
-    def param(self, key, default=None):
-        return dict(self.params).get(key, default)
+    product: Optional[ProductSpec]
 
     def count_series(self, order: int) -> IntSeries:
         """Sum-side counting series by the DP over the window form."""
         return sum_series_dp(self.flat, order)
 
     def product_series(self, order: int) -> IntSeries:
-        from .series import product_series
+        from .series import one, product_series
+        if self.product is None:
+            return one(order)
         return product_series(self.product, order)
+
+    def first_mismatch(self, order: int) -> Optional[tuple]:
+        """(n, sum, product) at the first split up to order, or None."""
+        return first_mismatch(self.count_series(order), self.product_series(order))
+
+
+@dataclass(frozen=True)
+class RegisteredIdentity(Statement):
+    name: str
+    summary: str
+    sum_pred: Callable
+    conj_pred: Optional[Callable] = None
+    family: str = ""
+    params: tuple = ()
+
+    def param(self, key, default=None):
+        return dict(self.params).get(key, default)
 
 
 def _adjacent(parts):
@@ -585,21 +597,12 @@ def _mod11_name(s, zeros) -> str:
 
 
 @dataclass(frozen=True)
-class RefutedConjecture:
-    """A window/product class pair that fails: the sum side first exceeds
-    the product coefficient at `counterexample_n` (with the stated zeros,
-    and no other zero count rescues it)."""
+class RefutedConjecture(Statement):
+    """A window/product class pair whose sum side first exceeds the product
+    at `counterexample_n`, the first split that verify checks for (with the
+    stated zeros; no other zero count rescues it)."""
     name: str
-    residues: tuple
-    modulus: int
-    zeros: int
     counterexample_n: int
-
-    def flat(self) -> ConditionSet:
-        return fam8_flat(self.residues, self.modulus, 3, self.zeros)
-
-    def product(self) -> ProductSpec:
-        return fam8_product(self.residues, self.modulus)
 
 
 _REFUTED: dict = {}
@@ -611,7 +614,8 @@ def _refute(residues, modulus, counterexample_n, zeros=0):
     else:
         name = "FAM8_MOD%d_S%d%d" % ((modulus,) + tuple(residues))
     _REFUTED[name] = RefutedConjecture(
-        name, tuple(residues), modulus, zeros, counterexample_n)
+        fam8_flat(residues, modulus, 3, zeros), fam8_product(residues, modulus),
+        name, counterexample_n)
 
 
 _build_registry()

@@ -20,7 +20,7 @@ from typing import Optional
 from .counting import sum_series_dp
 from .errors import UnknownRecursion, require_int
 from .families import canonical_name, get_identity
-from .series import IntSeries, first_difference, geom, monomial, one, zero
+from .series import IntSeries, first_mismatch, geom, monomial, one, zero
 
 # offset tables: for each residue of j mod the table's length the terms
 # (offset, sign) in
@@ -182,11 +182,9 @@ def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:
     levels = tuple(sorted(values))
     for j in levels:
         via_dp = sum_series_dp(ident.flat, order, largest_part=j)
-        got = values[j]
-        n = first_difference(got, via_dp)
-        if n is not None:
-            return RecursionReport(key, order, levels, False,
-                                   (j, n, got.coeffs[n], via_dp.coeffs[n]),
+        split = first_mismatch(values[j], via_dp)
+        if split is not None:
+            return RecursionReport(key, order, levels, False, (j,) + split,
                                    bases_ok)
     return RecursionReport(key, order, levels, bases_ok,
                            None, bases_ok)

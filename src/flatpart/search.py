@@ -30,7 +30,7 @@ from .euler import PeriodicVerdict, detect_period, exponent_stream
 # unused here, but perfbench/rep.py rebinds search.euler_exponents in
 # its traced runs, so the name stays bound
 from .euler import euler_exponents  # noqa: F401
-from .series import first_difference, one, product_series
+from .families import Statement
 
 DEFAULT_SCREEN_ORDER = 25
 DEFAULT_VERIFY_ORDER = 200
@@ -208,13 +208,11 @@ def verify_candidate(report: CandidateReport,
                      n_big: int = DEFAULT_VERIFY_ORDER) -> CandidateReport:
     """Recompute the sum side at high order against the product the
     verdict promises, and stamp the outcome."""
-    series = sum_series_dp(report.condition_set, n_big)
-    if any(e for _r, e in report.verdict.class_exponents):
-        expected = product_series(report.verdict.to_product_spec(), n_big)
-    else:
-        expected = one(n_big)       # empty product: only the empty partition
-    n = first_difference(series, expected)
-    if n is not None:
+    spec = report.verdict.to_product_spec() if any(
+        e for _r, e in report.verdict.class_exponents) else None
+    split = Statement(report.condition_set, spec).first_mismatch(n_big)
+    if split is not None:
+        n = split[0]
         return replace(report, status="refuted-at-%d" % n,
                        verified_to=n - 1, failed_at=n)
     return replace(report, status="verified-to-%d" % n_big,

@@ -112,12 +112,12 @@ def one(order: int) -> IntSeries:
     return IntSeries((1,) + (0,) * require_order(order))
 
 
-def first_difference(a: IntSeries, b: IntSeries) -> int | None:
-    """First index where the coefficients differ, compared over the
-    shorter series; None when they agree there."""
+def first_mismatch(a: IntSeries, b: IntSeries) -> tuple | None:
+    """(n, a[n], b[n]) at the first index where the coefficients differ,
+    compared over the shorter series; None when they agree there."""
     for n, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            return n
+            return n, x, y
     return None
 
 
@@ -198,7 +198,9 @@ class ProductSpec:
 
     @classmethod
     def from_residues(cls, modulus: int, residues: Iterable[int]) -> "ProductSpec":
-        return cls(modulus, {require_int(r, "a residue"): 1 for r in
+        """Exponent 1 on each class named; congruent residues name one class."""
+        require_int(modulus, "modulus", 1)
+        return cls(modulus, {require_int(r, "a residue") % modulus: 1 for r in
                              require_iterable(residues, "residues", "ints")})
 
     def exponent(self, m: int) -> int:

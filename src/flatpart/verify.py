@@ -4,8 +4,8 @@ Each family name maps to a bundle of checks appropriate to what is
 known about it: the counting series against the product always (every
 entry counts by the DP over its window rules, to n = 200 unless another
 order is asked for), plus a finite recursion, an explicit bijection, or an overline specialization
-where one is on file.  Names from the refuted list get their
-counterexample reproduced instead, and the report says so plainly.
+where one is on file.  A refuted name instead has its counterexample
+checked as the first split of the two sides; the report says so plainly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import UnknownFamily, UnknownRecursion
 from . import recursions
 from .families import (get_identity, get_refuted, normalize_name, refuted_names,
                        registered_names)
-from .series import first_difference, product_series
+from .series import first_mismatch
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,10 @@ class VerifyReport:
 
 def _count_check(ident, nmax: Optional[int]) -> CheckResult:
     order = 200 if nmax is None else nmax
-    got = ident.count_series(order)
-    want = ident.product_series(order)
-    n = first_difference(got, want)
-    if n is not None:
-        return CheckResult(
-            "count vs product", False,
-            "first mismatch at n=%d: sum %d, product %d"
-            % (n, got[n], want[n]))
+    split = ident.first_mismatch(order)
+    if split is not None:
+        return CheckResult("count vs product", False,
+                           "first mismatch at n=%d: sum %d, product %d" % split)
     return CheckResult("count vs product", True, "exact to n=%d" % order)
 
 
@@ -96,26 +92,22 @@ def _specialization_check(ident) -> Optional[CheckResult]:
     s = 2 * ident.param("i") - 1
     order = 30
     series = specialize(ident.param("k"), s, 2, order)
-    want = ident.count_series(order)
-    n = first_difference(series, want)
-    if n is not None:
+    split = first_mismatch(series, ident.count_series(order))
+    if split is not None:
         return CheckResult(
             "overline specialization", False,
-            "a->q^%d, q->q^2 diverges at n=%d: %d vs %d"
-            % (s, n, series[n], want[n]))
+            "a->q^%d, q->q^2 diverges at n=%d: %d vs %d" % ((s,) + split))
     return CheckResult("overline specialization", True,
                        "a->q^%d, q->q^2 matches counts to n=%d" % (s, order))
 
 
 def _refuted_report(name: str) -> VerifyReport:
-    from .counting import sum_series_dp
     entry = get_refuted(name)
     n = entry.counterexample_n
-    got = sum_series_dp(entry.flat(), n)[n]
-    want = product_series(entry.product(), n)[n]
-    if got != want:
+    split = entry.first_mismatch(n)
+    if split is not None and split[0] == n:
         detail = ("not a theorem: sum side %d, product side %d at n=%d"
-                  % (got, want, n))
+                  % (split[1], split[2], n))
     else:
         detail = "recorded counterexample at n=%d did not reproduce" % n
     return VerifyReport(name, (CheckResult("identity holds", False, detail),))

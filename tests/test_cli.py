@@ -74,6 +74,14 @@ def test_product_from_residues(capsys):
     assert out == rr
 
 
+def test_product_congruent_residues_name_one_class(capsys):
+    # 1 and 6 are one class mod 5: parts = 1 mod 5, not that class twice
+    outs = [run(capsys, "product", "--residues", residues, "--modulus", "5",
+                "--order", "6")[1] for residues in ("1", "1,6", "1,1", "1,-4")]
+    assert [int(x) for x in outs[0].split()] == [1, 1, 1, 1, 1, 1, 2]
+    assert outs == [outs[0]] * 4
+
+
 def test_product_without_modulus_is_a_usage_error(capsys):
     for option, value in (("--residues", "1,4"), ("--classes", "1:1,4:1")):
         with pytest.raises(SystemExit) as exc:
@@ -146,6 +154,20 @@ def test_search_subcommand(tmp_path, capsys):
     hits = json.loads(out_file.read_text())
     assert any(h["rules"] == "1:2:1:2" and h["zeros"] == 1 and
                h["period"] == 6 for h in hits)
+
+
+def test_search_verify_zero_is_not_ignored(tmp_path, capsys):
+    bounds = {"max_rules": 1, "a_range": [1, 1], "b_range": [2, 2],
+              "d_range": [2, 2], "zeros_range": [0, 1], "n_check": 25}
+    bounds_file = tmp_path / "bounds.json"
+    bounds_file.write_text(json.dumps(bounds))
+    rc, out, _ = run(capsys, "search", "--bounds", str(bounds_file),
+                     "--verify", "0")
+    assert rc == 0
+    hits = json.loads(out)
+    assert hits
+    assert {(h["status"], h["verified_to"]) for h in hits} == {
+        ("verified-to-0", 0)}
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):

@@ -48,6 +48,8 @@ def test_readme_examples_keep_their_promises():
         "verdict.period": 6,
         "verdict.exponents_dict()": {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 0},
         "ident.count_series(200) == ident.product_series(200)": True,
+        "ident.first_mismatch(200)": None,
+        "refuted.first_mismatch(refuted.counterexample_n)": (35, 4728, 4727),
     }
     for expr, value in promises.items():
         assert eval(expr, namespace) == value, expr

@@ -1,11 +1,13 @@
 """The identity registry: flat forms, product sides, and the refuted list."""
 
+from dataclasses import replace
+
 import pytest
 
 from flatpart.conditions import satisfies
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import PreconditionViolated, UnknownFamily
-from flatpart.families import (CorRow, cor_product, family_row,
+from flatpart.families import (CorRow, Statement, cor_product, family_row,
                                family_satisfies, get_identity, get_refuted,
                                refuted_names, registered_names,
                                row_conj_pred, row_flat, row_product)
@@ -152,8 +154,8 @@ def test_refuted_catalog_counterexamples():
     for name in refuted_names():
         entry = get_refuted(name)
         n = entry.counterexample_n
-        sum_side = sum_series_dp(entry.flat(), n)
-        prod_side = product_series(entry.product(), n)
+        sum_side = sum_series_dp(entry.flat, n)
+        prod_side = product_series(entry.product, n)
         assert sum_side.coeffs[:n] == prod_side.coeffs[:n]
         assert sum_side[n] == prod_side[n] + 1
 
@@ -163,9 +165,45 @@ def test_refuted_counterexample_brute_route():
     entry = get_refuted("FAM8_MOD10_S39")
     n = entry.counterexample_n
     assert n == 35
-    brute = sum_series_brute(entry.flat(), n)
-    prod = product_series(entry.product(), n)
+    brute = sum_series_brute(entry.flat, n)
+    prod = product_series(entry.product, n)
     assert brute[n] == prod[n] + 1
+
+
+# the first split of each refuted entry: (n, sum side, product side)
+REFUTED_SPLITS = {
+    "FAM8_MOD10_S39": (35, 4728, 4727),
+    "FAM8_MOD10_S59": (45, 35591, 35590),
+    "FAM8_MOD11_S04": (40, 15342, 15341),
+    "FAM8_MOD11_S37": (45, 21042, 21041),
+    "FAM8_MOD11_S6_10": (50, 93945, 93944),
+    "FAM8_MOD11_Z1_S29": (55, 72409, 72408),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUTED_SPLITS))
+def test_no_zero_count_rescues_a_refuted_entry(name):
+    # width-3 walks keep rows 0-3, so zero counts 0-3 cover every count;
+    # each splits at the recorded n, except that FAM8_MOD11_Z1_S29
+    # without its zero splits already at n=2
+    entry = get_refuted(name)
+    n = entry.counterexample_n
+    assert entry.first_mismatch(n) == REFUTED_SPLITS[name]
+    for zeros in range(4):
+        moved = replace(entry, flat=replace(entry.flat, zeros=zeros))
+        want = REFUTED_SPLITS[name]
+        if (name, zeros) == ("FAM8_MOD11_Z1_S29", 0):
+            want = (2, 2, 1)
+        assert moved.first_mismatch(n) == want, zeros
+
+
+def test_a_statement_pairs_any_window_form_with_any_product():
+    # RR1's sum side against RR2's product: they split at once, at n=1
+    rr1, rr2 = get_identity("RR1"), get_identity("RR2")
+    assert Statement(rr1.flat, rr2.product).first_mismatch(10) == (1, 1, 0)
+    assert Statement(rr1.flat, rr1.product).first_mismatch(10) is None
+    # no product is the empty product 1: only the empty partition
+    assert Statement(rr1.flat, None).product_series(4).coeffs == (1, 0, 0, 0, 0)
 
 
 def test_refuted_names_are_not_registered():

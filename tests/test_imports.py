@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, the
-package imports nothing outside the standard library, and only errors.py
-refuses an argument for not being an int.
+package imports nothing outside the standard library, only errors.py
+refuses an argument for not being an int, and the module attributes
+perfbench rebinds stay bound and reached.
 
 No linter ships with the test extra, so this guard reads each module's
 syntax tree with the standard library's ast.  A name counts as used if
@@ -10,6 +11,7 @@ statement marked `# noqa: F401`.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -84,3 +86,39 @@ def test_integer_checks_go_through_require_int(path):
                   and "must be an int" in text.value})
     assert not own, "%s refuses non-ints itself on lines %s; use require_int" % (
         path.name, own)
+
+
+# perfbench/rep.py times layers by rebinding these module attributes, so
+# each must stay bound, and be called through its module
+REBOUND = [("families", "sum_series_dp"), ("families", "count_by_predicate"),
+           ("search", "sum_series_dp"), ("search", "euler_exponents"),
+           ("search", "detect_period"), ("series", "product_series"),
+           ("verify", "registered_names")]
+
+
+@pytest.mark.parametrize("module, name", REBOUND,
+                         ids=["%s.%s" % pair for pair in REBOUND])
+def test_the_names_perfbench_rebinds_stay_bound(module, name):
+    assert callable(getattr(importlib.import_module("flatpart." + module), name))
+
+
+@pytest.mark.parametrize("module, name, method, field", [
+    ("series", "product_series", "product_series", "product"),
+    ("families", "sum_series_dp", "count_series", "flat")])
+def test_a_statement_reaches_the_rebound_names(monkeypatch, module, name,
+                                               method, field):
+    # a statement looks both names up at call time, so a traced run
+    # times its product expansions and counts its DP calls
+    from flatpart.families import get_identity
+    bound = importlib.import_module("flatpart." + module)
+    calls = []
+    original = getattr(bound, name)
+
+    def counted(arg, order):
+        calls.append(order)
+        return original(arg, order)
+
+    monkeypatch.setattr(bound, name, counted)
+    rr1 = get_identity("RR1")
+    assert getattr(rr1, method)(10) == original(getattr(rr1, field), 10)
+    assert calls == [10]

@@ -161,6 +161,17 @@ def test_verification_promotes_and_refutes():
     assert refuted.verified_to == refuted.failed_at - 1
 
 
+def test_verification_of_an_empty_product_hit():
+    # 1:1:0:1 forbids every part: the count is 1, the empty product
+    bounds = small_bounds(b_range=(1, 1), d_range=(1, 1), zeros_range=(0, 0))
+    [hit] = [r for r in search(bounds, nontrivial=False)
+             if r.condition_set.render() == "1:1:0:1"]
+    assert not any(e for _r, e in hit.verdict.class_exponents)
+    deep = verify_candidate(hit, n_big=60)
+    assert deep.status == "verified-to-60"
+    assert deep.verified_to == 60 and deep.failed_at is None
+
+
 def test_report_json_shape():
     hit = screen_condition_set(parse_condition_set("1:2:1:2", zeros=1),
                                n_check=25, d_max=8, e_max=4)

@@ -13,7 +13,7 @@ from flatpart.errors import PreconditionViolated
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import partitions_of
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
-                             first_difference, geom, load_series, monomial,
+                             first_mismatch, geom, load_series, monomial,
                              mul_one_minus_qm, one, partition_bits,
                              product_from_exponents, product_series, zero)
 
@@ -60,12 +60,12 @@ def test_mixed_orders_truncate_to_the_shorter():
     assert (f * g).order == 1
 
 
-def test_first_difference_scans_the_shorter_series():
+def test_first_mismatch_scans_the_shorter_series():
     f = IntSeries((1, 2))
     g = IntSeries((1, 2, 3))
-    assert first_difference(f, g) is None
-    assert first_difference(g, IntSeries((1, 2, 4))) == 2
-    assert first_difference(IntSeries((0, 2)), g) == 0
+    assert first_mismatch(f, g) is None
+    assert first_mismatch(g, IntSeries((1, 2, 4))) == (2, 3, 4)
+    assert first_mismatch(IntSeries((0, 2)), g) == (0, 0, 1)
 
 
 def test_constructors():
@@ -96,6 +96,20 @@ def test_product_spec_helpers():
     assert spec.exponent(6) == 1 and spec.exponent(10) == 0
     assert spec.allows_part(4) and not spec.allows_part(5)
     assert spec.residue_exponents == ((1, 1), (4, 1))
+
+
+def test_from_residues_names_a_set_of_classes():
+    # congruent residues name one class, so no exponent piles up
+    once = ProductSpec.from_residues(5, [1])
+    assert ProductSpec.from_residues(5, [1, 6]) == once
+    assert ProductSpec.from_residues(5, [1, 1, -4, 11]) == once
+    assert ProductSpec.from_residues(5, [4, -1]).residue_exponents == ((4, 1),)
+
+
+def test_from_residues_checks_the_modulus_first():
+    for modulus in (0, -5):
+        with pytest.raises(PreconditionViolated):
+            ProductSpec.from_residues(modulus, [1])
 
 
 def test_product_spec_accepts_dict_or_pairs():

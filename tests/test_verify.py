@@ -1,8 +1,10 @@
 """The one-stop verification driver."""
 
+from dataclasses import replace
+
 import pytest
 
-from flatpart import recursions
+from flatpart import families, recursions
 from flatpart.errors import UnknownFamily
 from flatpart.series import one
 from flatpart.verify import VerifyReport, verify_all, verify_identity
@@ -35,6 +37,17 @@ def test_refuted_names_fail_with_counterexample():
     assert not report.passed
     assert any("not a theorem" in c.detail for c in report.checks)
     assert any("n=35" in c.detail for c in report.checks)
+
+
+def test_a_recorded_n_off_the_first_split_does_not_reproduce(monkeypatch):
+    # the sides still differ at n=36, but the first split is at n=35
+    entry = families.get_refuted("FAM8_MOD10_S39")
+    monkeypatch.setitem(families._REFUTED, "FAM8_MOD10_S39",
+                        replace(entry, counterexample_n=36))
+    report = verify_identity("FAM8_MOD10_S39")
+    assert not report.passed
+    assert [c.detail for c in report.checks] == [
+        "recorded counterexample at n=36 did not reproduce"]
 
 
 def test_a_wrong_printed_base_fails_the_recursion_check(monkeypatch):
