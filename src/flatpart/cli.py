@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="sweep a bounds box for candidates")
     p.add_argument("--bounds", required=True, help="JSON bounds file")
     p.add_argument("--verify", type=_nonnegative, metavar="N",
-                   help="re-check survivors to order N")
+                   help="re-check survivors to order N (at least the "
+                   "order they were screened to)")
     p.add_argument("--include-trivial", action="store_true")
     p.add_argument("--out", help="JSON report file (default stdout)")
     p.set_defaults(fn=cmd_search)

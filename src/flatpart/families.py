@@ -276,8 +276,9 @@ def fam8_flat(residues, modulus: int, width: int, zeros: int) -> ConditionSet:
         [(1, width, r, modulus) for r in residues], zeros=zeros)
 
 
-def fam8_product(residues, modulus: int) -> ProductSpec:
-    banned = set(r % modulus for r in residues)
+def _avoiding(classes, modulus: int) -> ProductSpec:
+    """Parts in none of the classes mod modulus."""
+    banned = set(r % modulus for r in classes)
     return ProductSpec.from_residues(
         modulus, [r for r in range(modulus) if r not in banned])
 
@@ -395,12 +396,6 @@ def bressoud_sum_pred(k: int, i: int) -> Callable:
     return pred
 
 
-def _avoiding(m: int, i: int) -> ProductSpec:
-    """Parts not congruent to 0 or +-i mod m."""
-    return ProductSpec.from_residues(
-        m, [r for r in range(m) if r not in (0, i % m, (m - i) % m)])
-
-
 def mod9_sum_pred(min_part: int) -> Callable:
     def pred(parts) -> bool:
         if parts and parts[-1] < min_part:
@@ -513,7 +508,7 @@ def _build_registry():
     _register(RegisteredIdentity(
         name="ANDREWS_236",
         summary="No consecutive integers, no ones, no part three times",
-        product=_avoiding(6, 1),
+        product=_avoiding((0, 1, -1), 6),
         sum_pred=bressoud_sum_pred(3, 1),
         flat=condition_set([(1, 2, 1, 2), (1, 3, 0, 3)], zeros=1),
         family="ANDREWS_236"))
@@ -547,7 +542,7 @@ def _build_registry():
             _register(RegisteredIdentity(
                 name="BRESSOUD_K%d_I%d" % (k, i),
                 summary="Even-modulus gap condition with a parity constraint",
-                product=_avoiding(2 * k, i),
+                product=_avoiding((0, i, -i), 2 * k),
                 sum_pred=bressoud_sum_pred(k, i),
                 flat=condition_set([(1, k, 0, 1), (1, k - 1, i % 2, 2)],
                                    zeros=k - i),
@@ -568,7 +563,7 @@ def _gordon(k: int, i: int) -> RegisteredIdentity:
     return RegisteredIdentity(
         name="GORDON_K%d_I%d" % (k, i),
         summary="Gordon-style gap condition at distance %d" % (k - 1),
-        product=_avoiding(2 * k + 1, i),
+        product=_avoiding((0, i, -i), 2 * k + 1),
         sum_pred=gordon_sum_pred(k, i),
         flat=condition_set([(1, k, 0, 1)], zeros=k - i),
         family="GORDON", params=(("k", k), ("i", i)),
@@ -580,7 +575,7 @@ def _fam8_entry(name, residues, modulus, width, zeros) -> RegisteredIdentity:
         name=name,
         summary="Flat %d-windows avoid sums in %r mod %d"
                 % (width, tuple(residues), modulus),
-        product=fam8_product(residues, modulus),
+        product=_avoiding(residues, modulus),
         sum_pred=fam8_sum_pred(residues, modulus, width, zeros),
         flat=fam8_flat(residues, modulus, width, zeros),
         family="FAM8",
@@ -614,7 +609,7 @@ def _refute(residues, modulus, counterexample_n, zeros=0):
     else:
         name = "FAM8_MOD%d_S%d%d" % ((modulus,) + tuple(residues))
     _REFUTED[name] = RefutedConjecture(
-        fam8_flat(residues, modulus, 3, zeros), fam8_product(residues, modulus),
+        fam8_flat(residues, modulus, 3, zeros), _avoiding(residues, modulus),
         name, counterexample_n)
 
 

@@ -7,9 +7,10 @@ factors as (-aq; q^k)_inf / (q; q)_inf.  A finite recursion in the
 largest allowed part builds each truncation r_j, and r_enumeration
 counts the same levels directly as its reference.
 
-Substituting a -> q^s, q -> q^t collapses the table to one variable.
-With t = 2 that turns each overline into a parity marker, which is how
-the odd/even families with spread conditions fall out as corollaries.
+Substituting a -> q^s, q -> q^t collapses the product to one variable,
+and specialize expands it as a one-variable product.  With t = 2 that
+turns each overline into a parity marker, which is how the odd/even
+families with spread conditions fall out as corollaries.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 from .errors import InvalidSpecialization, PreconditionViolated, require_int
 from .partitions import as_partition, partitions_of
-from .series import IntSeries, div_one_minus_qm
+from .series import IntSeries, div_one_minus_qm, product_from_exponents
 
 __all__ = [
     "Overpartition", "BiSeries", "overpartitions_of", "count_A",
@@ -137,21 +138,6 @@ class BiSeries:
                         + src[:max(0, self.n_max + 1 - e)])
         return BiSeries(rows, self.n_max, self.m_max)
 
-    def specialized(self, s: int, t: int, order: int) -> IntSeries:
-        """Collapse a^m q^n to q^(t*n + s*m)."""
-        coeffs = [0] * (order + 1)
-        for m, row in enumerate(self.rows):
-            for n, c in enumerate(row):
-                if not c:
-                    continue
-                e = t * n + s * m
-                if e < 0:
-                    raise InvalidSpecialization(
-                        "a^%d q^%d maps to exponent %d" % (m, n, e))
-                if e <= order:
-                    coeffs[e] += c
-        return IntSeries(coeffs)
-
     def __str__(self):
         width = max((len(str(c)) for r in self.rows for c in r), default=1)
         return "\n".join(" ".join(str(c).rjust(width) for c in r)
@@ -189,6 +175,8 @@ def product_biseries(k: int, n_max: int, m_max: int) -> BiSeries:
 
 def r_enumeration(k: int, j: int, n_max: int, m_max: int) -> BiSeries:
     """r_j(m, n): parts at most j and no overline above j - k + 1."""
+    _require_table(k, n_max, m_max)
+    require_int(j, "j", 0)
     table = BiSeries([], n_max, m_max)
     for n in range(n_max + 1):
         for op in overpartitions_of(n, max_part=j):
@@ -223,14 +211,21 @@ def r_series(k: int, j_max: int, n_max: int, m_max: int) -> dict:
 # -------------------------------------------------------- specialization
 
 def specialize(k: int, s: int, t: int, n_max: int) -> IntSeries:
-    """Single-variable series from a -> q^s, q -> q^t in the product.
-
-    Non-overlined parts become t*j and overlined ones t*j + s, so the
-    smallest overlined part must stay positive."""
+    """Single-variable series from a -> q^s, q -> q^t in the product:
+    prod_{j>=0} (1 + q^(t(jk+1)+s)) / prod_{j>=1} (1 - q^(tj)), expanded
+    with 1 + x = (1 - x^2)/(1 - x).  The smallest overlined part, t + s,
+    must stay positive."""
     if require_int(t, "t") < 1:
         raise InvalidSpecialization("q must map to a positive power")
     if require_int(s, "s") + t < 1:
         raise InvalidSpecialization(
             "overlined 1 would map to the non-positive part %d" % (t + s))
-    table = product_biseries(k, n_max, n_max)
-    return table.specialized(s, t, n_max)
+    require_int(k, "k", 2)
+    # room for every 2e; product_from_exponents reads the first n_max
+    exponents = [0] * (2 * require_int(n_max, "n_max", 0))
+    for m in range(t, n_max + 1, t):
+        exponents[m - 1] += 1
+    for e in range(t + s, n_max + 1, t * k):
+        exponents[e - 1] += 1
+        exponents[2 * e - 1] -= 1
+    return product_from_exponents(exponents, n_max)

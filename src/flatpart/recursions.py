@@ -15,28 +15,12 @@ in the comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .counting import sum_series_dp
 from .errors import UnknownRecursion, require_int
 from .families import canonical_name, get_identity
 from .series import IntSeries, first_mismatch, geom, monomial, one, zero
-
-# offset tables: for each residue of j mod the table's length the terms
-# (offset, sign) in
-#   P_j = P_{j-1} + q^j/(1-q^j) * sum(sign * P_{j-offset})
-_OFFSETS = {
-    "FAM1_1_K2": {0: ((2, 1), (4, -1), (5, 1)),
-                  1: ((3, 1), (4, -1), (5, 1)),
-                  2: ((2, 1),)},
-    "FAM1_2_K2": {0: ((2, 1),),
-                  1: ((2, 1), (4, -1), (5, 1)),
-                  2: ((3, 1), (4, -1), (5, 1))},
-    "FAM1_3_K2": {0: ((3, 1), (4, -1), (5, 1)),
-                  1: ((2, 1),),
-                  2: ((2, 1), (4, -1), (5, 1))},
-    "FAM3_K1": {0: ((2, 1),), 1: ((1, 1),)},
-}
 
 
 def _q_over(j: int, order: int) -> IntSeries:
@@ -44,58 +28,45 @@ def _q_over(j: int, order: int) -> IntSeries:
     return geom(j, order).shift(j)
 
 
-def _offset_values(name: str, j_max: int, order: int) -> dict:
-    table = _OFFSETS[name]
-    zero_s = zero(order)
-    values = {0: one(order)}
-    for j in range(1, j_max + 1):
+def _offsets(table: dict) -> Callable:
+    """The step of an offset table: for each residue of j mod the table's
+    length the terms (offset, sign) in
+
+        P_j = P_{j-1} + q^j/(1-q^j) * sum(sign * P_{j-offset})"""
+    def step(j: int, values: dict, order: int) -> IntSeries:
+        zero_s = zero(order)
         acc = zero_s
         for off, sign in table[j % len(table)]:
             prev = values.get(j - off, zero_s)
             acc = acc + prev if sign > 0 else acc - prev
-        values[j] = values[j - 1] + _q_over(j, order) * acc
-    return values
+        return values[j - 1] + _q_over(j, order) * acc
+    return step
 
 
-def _fam2k1_values(_name: str, j_max: int, order: int) -> dict:
-    # defined on odd truncation levels only
-    values = {1: one(order)}
-    j = 1
-    while j + 2 <= j_max:
-        j += 2
-        prev = values[j - 2]
-        values[j] = _q_over(j, order) * prev + geom(j - 1, order) * prev
-    return values
+def _fam2k1_step(j: int, values: dict, order: int) -> IntSeries:
+    prev = values[j - 2]
+    return _q_over(j, order) * prev + geom(j - 1, order) * prev
 
 
-def _fam8_step(shape: str, j: int, order: int) -> IntSeries:
-    """One advancement factor of the mod-9 class-pair recursions, taking
-    the truncation level from j-3 up to j."""
-    head = one(order) + monomial(j, order) + monomial(2 * j, order)
-    a, c = j - 1, j - 2
-    if shape == "low":
-        tail = _q_over(a, order) * (one(order) + monomial(c, order)) \
-            + geom(c, order)
-    else:
-        tail = geom(a, order).shift(2 * a) \
-            + geom(c, order) * (one(order) + monomial(a, order))
-    return head * tail
+def _fam8(shape: str) -> Callable:
+    """The step of the mod-9 class-pair recursions: one advancement
+    factor takes the truncation level from j-3 up to j."""
+    def step(j: int, values: dict, order: int) -> IntSeries:
+        head = one(order) + monomial(j, order) + monomial(2 * j, order)
+        a, c = j - 1, j - 2
+        if shape == "low":
+            tail = _q_over(a, order) * (one(order) + monomial(c, order)) \
+                + geom(c, order)
+        else:
+            tail = geom(a, order).shift(2 * a) \
+                + geom(c, order) * (one(order) + monomial(a, order))
+        return head * tail * values[j - 3]
+    return step
 
 
 def _fam8_p1(order: int) -> IntSeries:
     # P_1 = 1 + q + q^2, at most two 1s: where the odd mod-9 recursions start
     return one(order) + monomial(1, order) + monomial(2, order)
-
-
-def _fam8_values(shape: str, start: int):
-    def build(_name: str, j_max: int, order: int) -> dict:
-        values = {0: one(order)} if start == 0 else {1: _fam8_p1(order)}
-        j = start
-        while j + 3 <= j_max:
-            j += 3
-            values[j] = _fam8_step(shape, j, order) * values[j - 3]
-        return values
-    return build
 
 
 # printed starting truncations, as exact series builders keyed by j;
@@ -137,16 +108,37 @@ class RecursionReport:
     bases_ok: bool = True
 
 
+class Recursion(NamedTuple):
+    """P_first = start(order), then P_j = step(j, values, order) for
+    j = first + stride, first + 2*stride, ...; bases(order) gives the
+    printed truncations {j: P_j} the replay must regenerate."""
+    first: int
+    start: Callable
+    stride: int
+    step: Callable
+    bases: Callable = lambda order: {}
+
+
 _RECURSIONS = {
-    "FAM1_1_K2": (_offset_values, _fam1_1_bases),
-    "FAM1_2_K2": (_offset_values, _fam1_2_bases),
-    "FAM1_3_K2": (_offset_values, _fam1_3_bases),
-    "FAM3_K1": (_offset_values, _not3mod4_bases),
-    "FAM2_K1": (_fam2k1_values, None),
-    "FAM8_MOD9_S04": (_fam8_values("low", 0), None),
-    "FAM8_MOD9_S05": (_fam8_values("high", 0), None),
-    "FAM8_MOD9_S37": (_fam8_values("low", 1), _triangle_base),
-    "FAM8_MOD9_S38": (_fam8_values("high", 1), _triangle_base),
+    "FAM1_1_K2": Recursion(0, one, 1, _offsets({0: ((2, 1), (4, -1), (5, 1)),
+                                                1: ((3, 1), (4, -1), (5, 1)),
+                                                2: ((2, 1),)}), _fam1_1_bases),
+    "FAM1_2_K2": Recursion(0, one, 1, _offsets({0: ((2, 1),),
+                                                1: ((2, 1), (4, -1), (5, 1)),
+                                                2: ((3, 1), (4, -1), (5, 1))}),
+                           _fam1_2_bases),
+    "FAM1_3_K2": Recursion(0, one, 1, _offsets({0: ((3, 1), (4, -1), (5, 1)),
+                                                1: ((2, 1),),
+                                                2: ((2, 1), (4, -1), (5, 1))}),
+                           _fam1_3_bases),
+    "FAM3_K1": Recursion(0, one, 1, _offsets({0: ((2, 1),), 1: ((1, 1),)}),
+                         _not3mod4_bases),
+    # defined on odd truncation levels only
+    "FAM2_K1": Recursion(1, one, 2, _fam2k1_step),
+    "FAM8_MOD9_S04": Recursion(0, one, 3, _fam8("low")),
+    "FAM8_MOD9_S05": Recursion(0, one, 3, _fam8("high")),
+    "FAM8_MOD9_S37": Recursion(1, _fam8_p1, 3, _fam8("low"), _triangle_base),
+    "FAM8_MOD9_S38": Recursion(1, _fam8_p1, 3, _fam8("high"), _triangle_base),
 }
 
 
@@ -164,19 +156,19 @@ def _resolve(name: str) -> str:
 def recursion_values(name: str, j_max: int, order: int) -> dict:
     """All truncations P_j the recursion defines for j <= j_max,
     as a dict level -> IntSeries."""
-    key = _resolve(name)
+    row = _RECURSIONS[_resolve(name)]
     require_int(j_max, "j_max", 0)
-    builder, _bases = _RECURSIONS[key]
-    return {j: p for j, p in builder(key, j_max, order).items() if j <= j_max}
+    values = {row.first: row.start(order)}
+    for j in range(row.first + row.stride, j_max + 1, row.stride):
+        values[j] = row.step(j, values, order)
+    return {j: p for j, p in values.items() if j <= j_max}
 
 
 def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:
     key = _resolve(name)
     ident = get_identity(key)
     values = recursion_values(key, j_max, order)
-    _builder, bases = _RECURSIONS[key]
-
-    printed = bases(order) if bases is not None else {}
+    printed = _RECURSIONS[key].bases(order)
     bases_ok = all(values[j] == p for j, p in printed.items() if j in values)
 
     levels = tuple(sorted(values))

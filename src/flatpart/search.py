@@ -207,7 +207,10 @@ def search(bounds: SearchBounds, nontrivial: bool = True) -> List[CandidateRepor
 def verify_candidate(report: CandidateReport,
                      n_big: int = DEFAULT_VERIFY_ORDER) -> CandidateReport:
     """Recompute the sum side at high order against the product the
-    verdict promises, and stamp the outcome."""
+    verdict promises, and stamp the outcome.  An n_big below the order
+    already screened to verifies to that order instead, so verified_to
+    never drops."""
+    n_big = max(n_big, report.verified_to)
     spec = report.verdict.to_product_spec() if any(
         e for _r, e in report.verdict.class_exponents) else None
     split = Statement(report.condition_set, spec).first_mismatch(n_big)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flatpart.cli import main
+from flatpart.families import get_identity
 
 
 def run(capsys, *args):
@@ -166,8 +167,9 @@ def test_search_verify_zero_is_not_ignored(tmp_path, capsys):
     assert rc == 0
     hits = json.loads(out)
     assert hits
+    # a hit screened to 25 stays verified to 25
     assert {(h["status"], h["verified_to"]) for h in hits} == {
-        ("verified-to-0", 0)}
+        ("verified-to-25", 25)}
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -220,6 +222,14 @@ def test_overpartition_specialization(capsys):
     assert rc == 0
     rr = run(capsys, "count", "--family", "FAM9_K2", "--order", "12")[1]
     assert out == rr
+
+
+def test_overpartition_specialization_reaches_family_nine_at_k3(capsys):
+    rc, out, _ = run(capsys, "overpartition", "--k", "3", "--nmax", "200",
+                     "--specialize=-1,2")
+    assert rc == 0
+    want = get_identity("FAM9_K3").count_series(200)
+    assert [int(x) for x in out.split()] == list(want)
 
 
 def test_errors_go_to_stderr_with_exit_one(capsys):

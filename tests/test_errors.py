@@ -14,7 +14,7 @@ from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import detect_period, euler_exponents
 from flatpart.families import family_row, get_identity, get_refuted
 from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
-                                     r_series, specialize)
+                                     r_enumeration, r_series, specialize)
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
@@ -131,7 +131,11 @@ def test_negative_monomial_exponent_is_refused(k):
     # returns at once rather than spinning
     lambda: packed_div_one_minus_qm(1, 0, 0),
     lambda: packed_div_one_minus_qm(1, -3, (1 << 30) - 1),
-], ids=["dp_largest_part", "partition_bits", "div_zero_step", "div_negative_step"])
+    # a negative table size would return rows with no coefficients
+    lambda: r_enumeration(2, 3, -1, 1),
+    lambda: r_enumeration(2, -1, 3, 1),
+], ids=["dp_largest_part", "partition_bits", "div_zero_step", "div_negative_step",
+        "r_enumeration_n_max", "r_enumeration_j"])
 def test_negative_bound_or_step_is_refused(call):
     with pytest.raises(PreconditionViolated):
         call()
@@ -174,6 +178,9 @@ INTEGER_ARGUMENTS = {
     "count_A": lambda v: count_A(v, 5, 2),
     "biseries_n_max": lambda v: product_biseries(3, v, 2),
     "r_series_m_max": lambda v: r_series(3, 4, 4, v),
+    "r_enumeration_k": lambda v: r_enumeration(v, 3, 3, 1),
+    "r_enumeration_j": lambda v: r_enumeration(2, v, 3, 1),
+    "r_enumeration_n_max": lambda v: r_enumeration(2, 3, v, 1),
     "specialize_s": lambda v: specialize(2, v, 2, 10),
     "specialize_t": lambda v: specialize(2, 1, v, 10),
     "kth_flattest": _kth_flattest_on_a_miss,

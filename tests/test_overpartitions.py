@@ -3,12 +3,14 @@ finitization that converges to it."""
 
 import pytest
 
+from flatpart import overpartitions
 from flatpart.errors import InvalidSpecialization, PreconditionViolated
 from flatpart.overpartitions import (BiSeries, Overpartition, count_A,
                                      overpartitions_of, product_biseries,
                                      r_enumeration, r_series, specialize)
-from flatpart.families import get_identity
+from flatpart.families import cor_product, get_identity
 from flatpart.partitions import partitions_of
+from flatpart.series import product_series
 
 
 def test_overpartition_normalization_and_text():
@@ -99,6 +101,21 @@ def test_corner_family_matches_direct_specialization():
         got = specialize(3, s, 2, 22)
         want = get_identity("COR_K3_I%d" % i).count_series(22)
         assert got == want
+
+
+def test_specialization_builds_no_two_variable_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("specialize built the two-variable table")
+    monkeypatch.setattr(overpartitions, "product_biseries", refuse)
+    assert specialize(3, -1, 2, 40) == get_identity("FAM9_K3").count_series(40)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_parity_specialization_is_the_corollary_product(k):
+    # at t = 2 the image of a -> q^(2i-1) is the corollary's product side
+    for i in range(k):
+        want = product_series(cor_product(k, i), 80)
+        assert specialize(k, 2 * i - 1, 2, 80) == want, (k, i)
 
 
 def test_bad_specializations_are_rejected():

@@ -63,5 +63,6 @@ def test_unknown_recursion_raises():
 def test_a_wrong_start_fails_the_printed_base(monkeypatch, name):
     # the printed P_1 is stated apart from the series the recursion
     # starts from, so a wrong start cannot agree with it
-    monkeypatch.setattr(recursions, "_fam8_p1", one)
+    row = recursions._RECURSIONS[name]
+    monkeypatch.setitem(recursions._RECURSIONS, name, row._replace(start=one))
     assert not verify_recursion(name, j_max=10, order=30).bases_ok

@@ -172,6 +172,14 @@ def test_verification_of_an_empty_product_hit():
     assert deep.verified_to == 60 and deep.failed_at is None
 
 
+def test_verification_below_the_screened_order_keeps_it():
+    hit = screen_condition_set(parse_condition_set("1:2:1:2", zeros=1),
+                               n_check=25, d_max=8, e_max=4)
+    deep = verify_candidate(hit, n_big=10)
+    assert deep.status == "verified-to-25"
+    assert deep.verified_to == 25 and deep.failed_at is None
+
+
 def test_report_json_shape():
     hit = screen_condition_set(parse_condition_set("1:2:1:2", zeros=1),
                                n_check=25, d_max=8, e_max=4)

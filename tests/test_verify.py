@@ -52,8 +52,9 @@ def test_a_recorded_n_off_the_first_split_does_not_reproduce(monkeypatch):
 
 def test_a_wrong_printed_base_fails_the_recursion_check(monkeypatch):
     # every level agrees with the DP; only the printed P_2 is wrong
+    row = recursions._RECURSIONS["FAM3_K1"]
     monkeypatch.setitem(recursions._RECURSIONS, "FAM3_K1",
-                        (recursions._offset_values, lambda order: {2: one(order)}))
+                        row._replace(bases=lambda order: {2: one(order)}))
     report = verify_identity("FAM3_K1", nmax=40)
     check = next(c for c in report.checks if c.label == "finite recursion")
     assert not check.passed and not report.passed
