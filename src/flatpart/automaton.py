@@ -285,27 +285,27 @@ def _fold(row: tuple, more: int) -> tuple:
 def automaton_rows(rules: tuple, order: int, start: int, min_part: int) -> tuple:
     """sum_series_dp's rows, cached for every zero count: row z holds the
     partitions with parts in min_part..start that no window forbids when
-    z fictitious zeros sit below the smallest part, packed in b-bit
-    fields, b = partition_bits(order)."""
+    z fictitious zeros sit below the smallest part, packed high-first in
+    b-bit fields, b = partition_bits(order), as counting.py describes."""
     auto = minimal_automaton(rules, min_part)
     b = partition_bits(order)
     folded = [_fold(row, auto.more) for row in auto.moves]
-    mask = (1 << (order + 1) * b) - 1
-    r = [1] * len(auto.moves)
+    top = order * b
+    r = [1 << top] * len(auto.moves)
     for u in range(start, 0, -1):
         step, fits = u * b, order // u + 1  # m < fits iff m*u <= order
         cls = auto.classes[auto.phase(u)]
         tails, pulled = {}, []
         for c in cls:
             head, tail = folded[c]
-            vec = r[head[0]] if head else 0  # r lies within the mask
+            vec = r[head[0]] if head else 0
             for mu in range(1, min(len(head), fits)):
-                vec += (r[head[mu]] << mu * step) & mask
+                vec += r[head[mu]] >> mu * step
             if tail is not None and tail[0] < fits:
                 if tail not in tails:  # r[t] * q**(k*u) / (1 - q**u)
                     k, t = tail
                     tails[tail] = packed_div_one_minus_qm(
-                        (r[t] << k * step) & mask, step, mask)
+                        r[t] >> k * step, step, top)
                 vec += tails[tail]
             pulled.append(vec)
         for c, vec in zip(cls, pulled):

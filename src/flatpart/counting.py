@@ -28,14 +28,16 @@ row.  It is keyed by the largest part it reads, min(order, largest_part),
 so a search box that tries several zero counts on one rule set, as every
 box does, walks once for all of them.
 
-Each series the walk carries is one Python int (Kronecker substitution):
-coefficient n sits in bits [n*b, (n+1)*b), b the bit length of p(order)
-(partition_bits, by Euler's pentagonal recurrence with no series expanded).
-Every count stored is a number of distinct partitions of its weight, so
-it lies in [0, p(order)] < 2**b and never carries into the next field.
-Multiplying by q**k is a shift by k*b bits and truncating past order is
-a mask, so the counts stay exact Python ints at every order.  The
-walk is compared against the brute oracle in the test suite.
+Each series the walk carries is one Python int (Kronecker substitution),
+packed high-first: coefficient n sits in bits [(order-n)*b, (order-n+1)*b),
+b the bit length of p(order) (partition_bits, by Euler's pentagonal
+recurrence with no series expanded).  Every count stored is a number of
+distinct partitions of its weight, so it lies in [0, p(order)] < 2**b and
+never carries into the next field.  Multiplying by q**k is a right shift
+by k*b bits that drops every coefficient it moves past the order, so no
+mask is needed, no int outgrows (order+1)*b bits, and the counts stay
+exact Python ints at every order.  The walk is compared against the
+brute oracle in the test suite.
 """
 
 from __future__ import annotations

@@ -152,18 +152,20 @@ def div_one_minus_qm(coeffs: list, m: int) -> None:
 
 
 def unpack(x: int, b: int, order: int) -> IntSeries:
-    """The series packed in x, coefficient n in bits [n*b, (n+1)*b)."""
+    """The series packed in x high-first: coefficient n in bits
+    [(order-n)*b, (order-n+1)*b)."""
     field = (1 << b) - 1
-    return IntSeries([x >> n * b & field for n in range(order + 1)])
+    return IntSeries([x >> n * b & field for n in range(order, -1, -1)])
 
 
-def packed_div_one_minus_qm(x: int, step: int, mask: int) -> int:
-    """Divide a series packed in mask's bits by (1 - q^m), step = m times
-    the field width: multiply by (1+q^m)(1+q^(2m))(1+q^(4m))..."""
+def packed_div_one_minus_qm(x: int, step: int, top: int) -> int:
+    """Divide a series packed high-first in b-bit fields by (1 - q^m), with
+    step = m*b and top = order*b: multiply by (1+q^m)(1+q^(2m))(1+q^(4m))..,
+    each factor a right shift that drops what passes the order."""
     if step < 1:  # the doubling below would never end
         raise PreconditionViolated("step must be >= 1, got %r" % (step,))
-    while step < mask.bit_length():
-        x += (x << step) & mask
+    while step <= top:
+        x += x >> step
         step <<= 1
     return x
 
@@ -226,7 +228,8 @@ def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     One pass of dividing or multiplying by (1-q^m) per unit of |c_m|: this
     is the oracle route that euler_exponents, which never looks at the
     size of the exponents, is tested against.  The divisions run on one
-    int, coefficient n in bits [n*b, (n+1)*b).  With E the largest c_m,
+    int packed high-first as in unpack, so q^m is a right shift that
+    drops what passes the order, with no mask.  With E the largest c_m,
     b = E*bits(p(order)) + (E-1)*bitlen(order+1): every partial product is
     coefficientwise at most (q;q)**-E, whose q^n coefficient sums
     p(n_1)...p(n_E) <= p(n)**E over at most (n+1)**(E-1) ways to write
@@ -234,12 +237,12 @@ def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
     on the unpacked list."""
     order = require_order(order)
     used = [require_int(c, "an exponent") for c in exponents[:order]]
-    top = max([1] + used)
-    b = top * partition_bits(order) + (top - 1) * (order + 1).bit_length()
-    packed, mask = 1, (1 << (order + 1) * b) - 1
+    most = max([1] + used)
+    b = most * partition_bits(order) + (most - 1) * (order + 1).bit_length()
+    packed = 1 << order * b
     for m, c in enumerate(used, 1):
         for _ in range(c):
-            packed = packed_div_one_minus_qm(packed, m * b, mask)
+            packed = packed_div_one_minus_qm(packed, m * b, order * b)
     coeffs = list(unpack(packed, b, order))
     for m, c in enumerate(used, 1):
         for _ in range(-c):
@@ -254,11 +257,18 @@ def partition_bits(n: int) -> int:
 
 @lru_cache(maxsize=16)
 def _partition_bits(n: int) -> int:
-    signed = [(g, 1 if k % 2 else -1) for k in range(1, n + 2)
-              for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= n]
+    signed, k = [], 1
+    while k * (3 * k - 1) // 2 <= n:  # the generalized pentagonal numbers
+        signed += [(k * (3 * k + j) // 2, 1 if k % 2 else -1) for j in (-1, 1)]
+        k += 1
     p = [1]
     for m in range(1, n + 1):
-        p.append(sum(s * p[m - g] for g, s in signed if g <= m))
+        total = 0
+        for g, s in signed:  # ascending: stop at the first above m
+            if g > m:
+                break
+            total += s * p[m - g]
+        p.append(total)
     return p[n].bit_length()
 
 

@@ -96,12 +96,13 @@ def _profile_walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
     for v in range(1, min(min_part, start + 1)):
         windows[v].append((1, (), ()))  # any copy of v is one too many
 
-    # No field carries into the next (see counting's docstring), so a
-    # zero int is a zero series and its profile is dropped exactly.
+    # Series are packed high-first, coefficient n in bits [(order-n)*b,
+    # (order-n+1)*b), so q**k is a right shift.  No field carries into the
+    # next (see counting's docstring), so a zero int is a zero series and
+    # its profile is dropped exactly.
     b = partition_bits(order)
-    width = (order + 1) * b
-    mask = (1 << width) - 1
-    dp = {(0,) * window_span: 1}
+    top = order * b
+    dp = {(0,) * window_span: 1 << top}
 
     for v in range(start, 0, -1):
         checks = windows.get(v, ())
@@ -110,13 +111,13 @@ def _profile_walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
         for prof, vec in dp.items():
             lowest = _lowest_completion(prof, checks, more)
             for mu in range(min(cap, lowest - 1, order // v) + 1):
-                ndp[((mu,) + prof)[:window_span]] += (vec << mu * step) & mask
+                ndp[((mu,) + prof)[:window_span]] += vec >> mu * step
             if lowest == more and more * v <= order:
                 # vec * q**(more*v) / (1 - q**v), summed by doubling; each
                 # partial sum still counts distinct partitions, so no carry
-                tail, run = (vec << more * step) & mask, step
-                while run < width:
-                    tail += (tail << run) & mask
+                tail, run = vec >> more * step, step
+                while run <= top:
+                    tail += tail >> run
                     run <<= 1
                 ndp[((more,) + prof)[:window_span]] += tail
         dp = {prof: vec for prof, vec in ndp.items() if vec}
@@ -189,6 +190,16 @@ def test_automaton_equals_the_profile_walk_on_the_registry(order):
     for rules, min_part in registry_forms():
         assert (automaton_rows(rules, order, order, min_part)
                 == _profile_walk(rules, order, order, min_part)), (rules, order)
+
+
+def test_no_row_is_wider_than_its_fields():
+    # packed high-first, q**k drops what passes the order: no int grows
+    # past (order+1)*b bits
+    order = 200
+    width = (order + 1) * partition_bits(order)
+    for rules, min_part in registry_forms():
+        rows = automaton_rows(rules, order, order, min_part)
+        assert max(row.bit_length() for row in rows) <= width, rules
 
 
 def test_product_equals_the_direct_build():

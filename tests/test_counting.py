@@ -110,7 +110,9 @@ def automaton_series(cs, order, largest_part=None):
     b = partition_bits(order)
     rows = automaton_rows.__wrapped__(cs.rules, order, start, cs.min_part)
     packed = rows[min(cs.zeros, len(rows) - 1)]
-    return IntSeries([packed >> n * b & (1 << b) - 1 for n in range(order + 1)])
+    # packed high-first: coefficient n in bits [(order-n)*b, (order-n+1)*b)
+    return IntSeries([packed >> (order - n) * b & (1 << b) - 1
+                      for n in range(order + 1)])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

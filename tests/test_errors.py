@@ -127,8 +127,8 @@ def test_negative_monomial_exponent_is_refused(k):
 @pytest.mark.parametrize("call", [
     lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 5, largest_part=-3),
     lambda: partition_bits(-1),
-    # a zero step never doubles; with an empty mask an unchecked loop
-    # returns at once rather than spinning
+    # a zero step never grows, so an unchecked loop would spin even
+    # with a zero top
     lambda: packed_div_one_minus_qm(1, 0, 0),
     lambda: packed_div_one_minus_qm(1, -3, (1 << 30) - 1),
     # a negative table size would return rows with no coefficients

@@ -1,17 +1,19 @@
 """Product-side analysis: Euler exponents and periodicity detection."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flatpart import search
+from flatpart import euler, search
 from flatpart.conditions import parse_condition_set
 from flatpart.counting import sum_series_dp
 from flatpart.errors import (InsufficientOrder, NonUnitConstantTerm,
                              PreconditionViolated)
-from flatpart.euler import (EulerFactorization, PeriodicVerdict, detect_period,
-                            euler_exponents, exponent_stream)
+from flatpart.euler import (_BLOCK, EulerFactorization, PeriodicVerdict,
+                            detect_period, euler_exponents, exponent_stream)
+from flatpart.families import get_identity
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm, geom,
                              mul_one_minus_qm, one, product_from_exponents,
                              product_series)
@@ -36,6 +38,19 @@ def exponents_by_passes(series):
                 mul_one_minus_qm(residual, m)
             else:
                 div_one_minus_qm(residual, m)
+    return tuple(exps)
+
+
+def exponents_by_plain_convolution(series):
+    """The logarithmic-derivative recursion with every convolution summed
+    term by term, O(n^2): the reference for the blocked stream."""
+    a, n = series.coeffs, series.order
+    b, exps = [0] * (n + 1), []
+    for m in range(1, n + 1):
+        b[m] = m * a[m] - sum(b[j] * a[m - j] for j in range(1, m))
+        # m c_m is b_m less d c_d over the proper divisors d of m
+        exps.append((b[m] - sum(d * exps[d - 1] for d in range(1, m)
+                                if m % d == 0)) // m)
     return tuple(exps)
 
 
@@ -126,6 +141,73 @@ def test_verdict_converts_to_product_spec():
 def test_too_short_series_raises():
     with pytest.raises(InsufficientOrder):
         detect_period(euler_exponents(one(4)), d_max=8)
+
+
+def test_a_stream_shorter_than_its_order_certifies_no_period():
+    # two exponents cannot show a period three times over order 9
+    with pytest.raises(InsufficientOrder):
+        detect_period(iter([1, 1]), 3, 4, order=9)
+    # an entry above e_max decides the verdict before the stream ends
+    assert not detect_period(iter([1, 9]), 3, 4, order=9).periodic
+
+
+@pytest.mark.parametrize("order", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_convolution_equals_the_plain_sum(order, monkeypatch):
+    rnd = random.Random(order)
+    # random series with signed coefficients of up to 30 digits, whose
+    # b_j outgrow their coefficients and are summed term by term, and
+    # products with small exponents, as identities give, whose narrow
+    # b_j take the packed product: one with signed coefficients, one
+    # with coefficients of up to about 30 digits
+    cases = [IntSeries([1] + [rnd.randint(-10 ** digits, 10 ** digits)
+                              for _ in range(order)]) for digits in (1, 12, 30)]
+    cases += [product_from_exponents([rnd.randint(low, high) for _ in range(order)],
+                                     order) for low, high in ((-3, 3), (-2, 8))]
+    packed, pack = [], euler._pack
+    monkeypatch.setattr(euler, "_pack", lambda *args: packed.append(1) or pack(*args))
+    for series in cases:
+        assert (euler_exponents(series).exponents
+                == exponents_by_plain_convolution(series)), series
+    assert bool(packed) == (order > _BLOCK)
+
+
+@pytest.mark.parametrize("s", [_BLOCK + 1, 4 * _BLOCK + 1])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_block_sums_hold_the_largest_fields(s, signs):
+    # every b_j and a_l at the top of its bit length, one sign each, and
+    # bits(b) + bits(a) + bits(s) + 1 a whole number of bytes, so that
+    # the fields come as near their width as the values allow
+    end = s + _BLOCK
+    width = 8 - (s.bit_length() + 1) % 8
+    bits_b, bits_a = width // 2, width - width // 2
+    b = [0] + [signs[0] * ((1 << bits_b) - 1)] * (s - 1)
+    a = [1] + [signs[1] * ((1 << bits_a) - 1)] * (end - 1)
+    assert euler._block_sums(b, a, s, end) == [
+        sum(b[j] * a[i - j] for j in range(1, s)) for i in range(s, end)]
+
+
+def test_blocked_convolution_equals_the_plain_sum_at_order_600():
+    # c_m of up to 142 digits, summed term by term, and an identity's
+    # count, whose four blocks take the packed product
+    for series in (sum_series_dp(NOT_A_PRODUCT, 600),
+                   sum_series_dp(get_identity("FAM1_1_K3").flat, 600)):
+        assert (euler_exponents(series).exponents
+                == exponents_by_plain_convolution(series))
+
+
+def test_early_exponents_build_no_block_product(monkeypatch):
+    series = sum_series_dp(get_identity("FAM1_1_K3").flat, 600)
+    first = euler_exponents(series).exponents[:5]
+
+    def forbidden(*args):
+        raise AssertionError("a block product was built")
+
+    monkeypatch.setattr(euler, "_pack", forbidden)
+    assert tuple(islice(exponent_stream(series), 5)) == first
+    # an order up to _BLOCK, as every screen is, builds none at all
+    euler_exponents(sum_series_dp(get_identity("FAM1_1_K3").flat, _BLOCK))
+    with pytest.raises(AssertionError, match="block product"):
+        euler_exponents(series)
 
 
 def test_large_exponents_match_the_step_by_step_route():

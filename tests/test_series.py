@@ -14,8 +14,9 @@ from flatpart.families import get_identity, registered_names
 from flatpart.partitions import partitions_of
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
                              first_mismatch, geom, load_series, monomial,
-                             mul_one_minus_qm, one, partition_bits,
-                             product_from_exponents, product_series, zero)
+                             mul_one_minus_qm, one, packed_div_one_minus_qm,
+                             partition_bits, product_from_exponents,
+                             product_series, unpack, zero)
 
 
 def _list_product(exponents, order):
@@ -163,6 +164,25 @@ def test_packed_product_equals_the_list_expansion_on_the_registry():
     for spec, order in cases:
         exponents = [spec.exponent(m) for m in range(1, order + 1)]
         assert product_series(spec, order) == _list_product(exponents, order), spec
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 80))
+def test_packed_division_equals_the_list_division(data, order):
+    # m = order + 1 steps past the order and leaves the series as it is
+    m = data.draw(st.integers(1, order + 1))
+    coeffs = data.draw(st.lists(st.integers(0, 50), min_size=order + 1,
+                                max_size=order + 1))
+    # every quotient coefficient sums at most order + 1 of them: no carry
+    b = (50 * (order + 1)).bit_length()
+    packed = sum(c << (order - n) * b for n, c in enumerate(coeffs))
+    assert list(unpack(packed, b, order)) == coeffs
+    quotient = packed_div_one_minus_qm(packed, m * b, order * b)
+    div_one_minus_qm(coeffs, m)
+    # high-first: coefficient n in bits [(order-n)*b, (order-n+1)*b)
+    assert [quotient >> (order - n) * b & (1 << b) - 1
+            for n in range(order + 1)] == coeffs
+    assert quotient.bit_length() <= (order + 1) * b
 
 
 def test_field_bits_are_the_bit_length_of_p():
