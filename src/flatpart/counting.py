@@ -23,10 +23,11 @@ phase, and at each value only the few classes of its phase are live.
 Only the fictitious zeros below the smallest part read the zero count.
 So the walk, automaton_rows, the only series cache (an lru_cache of 128),
 ends with one row per zero count 0..cap, read at the class that the
-start, class 0, reaches after that many zeros; sum_series_dp picks its
-row.  It is keyed by the largest part it reads, min(order, largest_part),
-so a search box that tries several zero counts on one rule set, as every
-box does, walks once for all of them.
+start, class 0, reaches after that many zeros; packed_sum_series picks
+its row, and sum_series_dp unpacks it.  It is keyed by the largest part
+it reads, min(order, largest_part), so a search box that tries several
+zero counts on one rule set, as every box does, walks once for all of
+them.
 
 Each series the walk carries is one Python int (Kronecker substitution),
 packed high-first: coefficient n sits in bits [(order-n)*b, (order-n+1)*b),
@@ -38,6 +39,12 @@ by k*b bits that drops every coefficient it moves past the order, so no
 mask is needed, no int outgrows (order+1)*b bits, and the counts stay
 exact Python ints at every order.  The walk is compared against the
 brute oracle in the test suite.
+
+Since no field carries, Statement.first_mismatch compares the row
+packed_sum_series returns with the packed product as two ints: equal
+ints are equal series, and the highest bit of their XOR lies in the
+field of the first split (series.first_split).  It unpacks nothing
+unless a class exponent above 1 makes the product's fields wider.
 """
 
 from __future__ import annotations
@@ -116,17 +123,27 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     return IntSeries(counts)
 
 
-def sum_series_dp(cs: ConditionSet, order: int,
-                  largest_part: int | None = None) -> IntSeries:
-    """Exact counting series of satisfying partitions, parts at most
-    largest_part >= 0 when that is given.  Handles orders well beyond the
-    brute ceiling (hundreds).  The arguments are checked before the
-    walk's cache is read, so an unhashable one is refused like any other."""
+def packed_sum_series(cs: ConditionSet, order: int,
+                      largest_part: int | None = None) -> tuple:
+    """(row, b): the walk's row for cs.zeros, the counting series packed
+    high-first in b-bit fields, b = partition_bits(order), parts at most
+    largest_part >= 0 when that is given.  The arguments are checked
+    before the walk's cache is read, so an unhashable one is refused
+    like any other."""
     order = require_order(order)
     start = (order if largest_part is None
              else min(order, require_int(largest_part, "largest_part", 0)))
     rows = automaton_rows(_require_set(cs).rules, order, start, cs.min_part)
-    return unpack(rows[min(cs.zeros, len(rows) - 1)], partition_bits(order), order)
+    return rows[min(cs.zeros, len(rows) - 1)], partition_bits(order)
+
+
+def sum_series_dp(cs: ConditionSet, order: int,
+                  largest_part: int | None = None) -> IntSeries:
+    """Exact counting series of satisfying partitions, parts at most
+    largest_part >= 0 when that is given: packed_sum_series unpacked.
+    Handles orders well beyond the brute ceiling (hundreds)."""
+    row, b = packed_sum_series(cs, order, largest_part)
+    return unpack(row, b, order)
 
 
 # sum_series_dp keeps no cache of its own: these are the walk's statistics

@@ -27,10 +27,12 @@ from typing import Callable, Optional
 from .conditions import ConditionSet, condition_set
 # count_by_predicate is re-exported as the enumeration route for any
 # entry's sum_pred; count_series itself always takes the DP
-from .counting import count_by_predicate, sum_series_dp  # noqa: F401
+from .counting import count_by_predicate  # noqa: F401
+from .counting import packed_sum_series, sum_series_dp
 from .errors import PreconditionViolated, UnknownFamily, require_int
 from .partitions import as_partition, frequency_profile
-from .series import IntSeries, ProductSpec, first_mismatch
+from .series import (IntSeries, ProductSpec, first_mismatch, first_split,
+                     packed_product, require_order, unpack)
 
 SUM = "sum"
 CONJUGATE = "conjugate"
@@ -40,9 +42,29 @@ PRODUCT = "product"
 @dataclass(frozen=True)
 class Statement:
     """The claim that the sum side, counted by the window form, equals
-    the product; a product of None is the empty product 1."""
+    the product; a product of None is the empty product 1.
+
+    first_mismatch compares the two sides packed: the DP's row
+    (packed_sum_series) and the product's divisions (packed_product),
+    both high-first in b-bit fields.  When every class exponent is at
+    most 1, as for every registry entry, both use b = partition_bits
+    (order), every field lies in [0, 2**b) and none carries, so the sides
+    agree exactly when the two ints are equal, and the highest bit of
+    their XOR lies in the field of the first split (series.first_split);
+    nothing is unpacked.  A class exponent above 1 widens the product's
+    fields beyond the count's; only then are both sides unpacked and
+    compared coefficient by coefficient."""
     flat: ConditionSet
     product: Optional[ProductSpec]
+
+    def __post_init__(self):
+        if not isinstance(self.flat, ConditionSet):
+            raise PreconditionViolated(
+                "a statement's flat must be a ConditionSet, got %r" % (self.flat,))
+        if not (self.product is None or isinstance(self.product, ProductSpec)):
+            raise PreconditionViolated(
+                "a statement's product must be a ProductSpec or None, got %r"
+                % (self.product,))
 
     def count_series(self, order: int) -> IntSeries:
         """Sum-side counting series by the DP over the window form."""
@@ -56,7 +78,15 @@ class Statement:
 
     def first_mismatch(self, order: int) -> Optional[tuple]:
         """(n, sum, product) at the first split up to order, or None."""
-        return first_mismatch(self.count_series(order), self.product_series(order))
+        order = require_order(order)
+        row, b = packed_sum_series(self.flat, order)
+        if self.product is None:
+            packed, width = 1 << order * b, b
+        else:
+            packed, width = packed_product(self.product.exponents(order), order)
+        if width == b:
+            return first_split(row, packed, b, order)
+        return first_mismatch(unpack(row, b, order), unpack(packed, width, order))
 
 
 @dataclass(frozen=True)

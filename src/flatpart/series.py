@@ -6,13 +6,21 @@ two IntSeries and truncate to the shorter operand's order.
 
 A ProductSpec describes an infinite product prod_{m>=1} (1-q^m)^(-e(m mod M))
 by its modulus and the exponent attached to each residue class.
+
+A series can also be packed into one Python int high-first, b bits per
+coefficient (see unpack): the DP's rows (counting.packed_sum_series)
+and the product's divisions (packed_product) work on such ints.  When
+every coefficient lies in [0, 2**b), no field carries, so two series
+packed at one width agree exactly when their ints are equal, and the
+highest bit of their XOR lies in the field of the least n where they
+differ: first_split reads that n, and both coefficients, from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated, require_int, require_iterable
@@ -158,6 +166,20 @@ def unpack(x: int, b: int, order: int) -> IntSeries:
     return IntSeries([x >> n * b & field for n in range(order, -1, -1)])
 
 
+def first_split(x: int, y: int, b: int, order: int) -> tuple | None:
+    """(n, x[n], y[n]) at the least n where the series packed high-first
+    in x and y, b-bit fields to the given order, differ; None when x == y.
+    Exact only when every field of both lies in [0, 2**b): then field n
+    holds bits [(order-n)*b, (order-n+1)*b) of the int and nothing else,
+    so the highest differing bit lies in the field of the least n."""
+    diff = x ^ y
+    if not diff:
+        return None
+    low = (diff.bit_length() - 1) // b * b
+    field = (1 << b) - 1
+    return order - low // b, x >> low & field, y >> low & field
+
+
 def packed_div_one_minus_qm(x: int, step: int, top: int) -> int:
     """Divide a series packed high-first in b-bit fields by (1 - q^m), with
     step = m*b and top = order*b: multiply by (1+q^m)(1+q^(2m))(1+q^(4m))..,
@@ -205,6 +227,13 @@ class ProductSpec:
         return cls(modulus, {require_int(r, "a residue") % modulus: 1 for r in
                              require_iterable(residues, "residues", "ints")})
 
+    def exponents(self, order: int) -> list:
+        """[e(1), .., e(order)], read from one table of the residue classes."""
+        table = [0] * self.modulus
+        for r, e in self.residue_exponents:
+            table[r] = e
+        return [table[m % self.modulus] for m in range(1, require_order(order) + 1)]
+
     def exponent(self, m: int) -> int:
         r = m % self.modulus
         for rr, e in self.residue_exponents:
@@ -218,32 +247,42 @@ class ProductSpec:
 
 def product_series(spec: ProductSpec, order: int) -> IntSeries:
     """Expand the product exactly to the given order."""
-    return product_from_exponents(
-        [spec.exponent(m) for m in range(1, require_order(order) + 1)], order)
+    return unpack(*packed_product(spec.exponents(order), order), order)
 
 
-def product_from_exponents(exponents: Sequence[int], order: int) -> IntSeries:
-    """prod_m (1-q^m)^(-c_m) for explicit per-m exponents c_1..c_N (any sign).
+def packed_product(exponents: list, order: int) -> tuple:
+    """(x, b): prod_m (1-q^m)^(-c_m) for per-m ints c_1..c_order >= 0,
+    packed high-first in b-bit fields as in unpack.
+
+    One division by (1-q^m) per unit of c_m, each a right shift that
+    drops what passes the order, with no mask.  With E the largest c_m
+    (at least 1), b = E*bits(p(order)) + (E-1)*bitlen(order+1): every
+    partial product is coefficientwise at most (q;q)**-E, whose q^n
+    coefficient sums p(n_1)...p(n_E) <= p(n)**E over at most (n+1)**(E-1)
+    ways to write n = n_1 + ... + n_E, so no field carries.  With E = 1,
+    b is partition_bits(order), the DP's width."""
+    most = max([1] + exponents)
+    b = most * partition_bits(order) + (most - 1) * (order + 1).bit_length()
+    packed = 1 << order * b
+    for m, c in enumerate(exponents, 1):
+        for _ in range(c):
+            packed = packed_div_one_minus_qm(packed, m * b, order * b)
+    return packed, b
+
+
+def product_from_exponents(exponents: Iterable[int], order: int) -> IntSeries:
+    """prod_m (1-q^m)^(-c_m) for explicit per-m exponents c_1..c_N (any sign),
+    read from any iterable; only the first `order` are used.
 
     One pass of dividing or multiplying by (1-q^m) per unit of |c_m|: this
     is the oracle route that euler_exponents, which never looks at the
-    size of the exponents, is tested against.  The divisions run on one
-    int packed high-first as in unpack, so q^m is a right shift that
-    drops what passes the order, with no mask.  With E the largest c_m,
-    b = E*bits(p(order)) + (E-1)*bitlen(order+1): every partial product is
-    coefficientwise at most (q;q)**-E, whose q^n coefficient sums
-    p(n_1)...p(n_E) <= p(n)**E over at most (n+1)**(E-1) ways to write
-    n = n_1 + ... + n_E, so no field carries.  The multiplications follow
-    on the unpacked list."""
+    size of the exponents, is tested against.  The divisions are
+    packed_product's on the positive c_m; the multiplications follow on
+    the unpacked list."""
     order = require_order(order)
-    used = [require_int(c, "an exponent") for c in exponents[:order]]
-    most = max([1] + used)
-    b = most * partition_bits(order) + (most - 1) * (order + 1).bit_length()
-    packed = 1 << order * b
-    for m, c in enumerate(used, 1):
-        for _ in range(c):
-            packed = packed_div_one_minus_qm(packed, m * b, order * b)
-    coeffs = list(unpack(packed, b, order))
+    used = [require_int(c, "an exponent") for c in
+            islice(require_iterable(exponents, "exponents", "ints"), order)]
+    coeffs = list(unpack(*packed_product([max(c, 0) for c in used], order), order))
     for m, c in enumerate(used, 1):
         for _ in range(-c):
             mul_one_minus_qm(coeffs, m)

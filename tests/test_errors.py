@@ -12,7 +12,7 @@ from flatpart.conditions import (ConditionSet, FlatRule, condition_set,
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import detect_period, euler_exponents
-from flatpart.families import family_row, get_identity, get_refuted
+from flatpart.families import Statement, family_row, get_identity, get_refuted
 from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
                                      r_enumeration, r_series, specialize)
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
@@ -227,6 +227,16 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: ProductSpec.from_residues(5, 3), id="from_residues-int"),
     pytest.param(lambda: ProductSpec.from_residues(5, [[1]]),
                  id="from_residues-list-residue"),
+    pytest.param(lambda: product_from_exponents(5, 3),
+                 id="product_from_exponents-int"),
+    # a statement pairs a ConditionSet with a ProductSpec or None
+    pytest.param(lambda: Statement(get_identity("RR1").flat, 5),
+                 id="Statement-int-product"),
+    pytest.param(lambda: Statement(get_identity("RR1").flat, {1: 1}),
+                 id="Statement-dict-product"),
+    pytest.param(lambda: Statement("1:2:0:1", get_identity("RR1").product),
+                 id="Statement-text-flat"),
+    pytest.param(lambda: Statement(None, None), id="Statement-none-flat"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):

@@ -3,8 +3,11 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatpart.conditions import satisfies
+from flatpart import counting, families, series
+from flatpart.conditions import (CONGRUENT, NOT_CONGRUENT, condition_set,
+                                 satisfies)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import PreconditionViolated, UnknownFamily
 from flatpart.families import (CorRow, Statement, cor_product, family_row,
@@ -12,7 +15,7 @@ from flatpart.families import (CorRow, Statement, cor_product, family_row,
                                refuted_names, registered_names,
                                row_conj_pred, row_flat, row_product)
 from flatpart.partitions import conjugate, partitions_of
-from flatpart.series import product_series
+from flatpart.series import ProductSpec, first_mismatch, product_series
 
 
 def test_registry_is_populated_and_sorted():
@@ -204,6 +207,57 @@ def test_a_statement_pairs_any_window_form_with_any_product():
     assert Statement(rr1.flat, rr1.product).first_mismatch(10) is None
     # no product is the empty product 1: only the empty partition
     assert Statement(rr1.flat, None).product_series(4).coeffs == (1, 0, 0, 0, 0)
+
+
+@st.composite
+def statements(draw):
+    """1-3 window rules at 0-4 zeros, past the widest window's rows, and a
+    product with class exponents 0-3, or the empty product."""
+    rules = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 6))
+        rules.append((draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                      draw(st.integers(0, d - 1)), d,
+                      draw(st.sampled_from([CONGRUENT, NOT_CONGRUENT]))))
+    flat = condition_set(rules, zeros=draw(st.integers(0, 4)))
+    modulus = draw(st.integers(1, 6))
+    exponents = draw(st.lists(st.integers(0, 3), min_size=modulus,
+                              max_size=modulus))
+    product = (ProductSpec(modulus, enumerate(exponents)) if any(exponents)
+               else None)
+    return Statement(flat, product)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(statements(), st.integers(0, 90))
+def test_packed_comparison_equals_the_coefficient_scan(statement, order):
+    # exponents above 1 take the wider-field branch, the rest compare ints
+    assert statement.first_mismatch(order) == first_mismatch(
+        statement.count_series(order), statement.product_series(order))
+
+
+@pytest.mark.parametrize("zeros", range(4))
+@pytest.mark.parametrize("name", sorted(REFUTED_SPLITS))
+def test_packed_comparison_equals_the_scan_on_refuted_entries(name, zeros):
+    entry = get_refuted(name)
+    moved = replace(entry, flat=replace(entry.flat, zeros=zeros))
+    order = entry.counterexample_n + 5
+    assert moved.first_mismatch(order) == first_mismatch(
+        moved.count_series(order), moved.product_series(order))
+
+
+def test_equal_width_statements_never_unpack(monkeypatch):
+    # every class exponent is 1, so both sides share the DP's width and
+    # the split is read from the packed ints alone
+    def refuse(*args):
+        raise AssertionError("unpacked %r" % (args[1:],))
+
+    for module in (families, counting, series):
+        monkeypatch.setattr(module, "unpack", refuse)
+    for name in registered_names():
+        assert get_identity(name).first_mismatch(200) is None, name
+    entry = get_refuted("FAM8_MOD10_S39")
+    assert entry.first_mismatch(200) == REFUTED_SPLITS["FAM8_MOD10_S39"]
 
 
 def test_refuted_names_are_not_registered():

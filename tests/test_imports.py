@@ -107,8 +107,9 @@ def test_the_names_perfbench_rebinds_stay_bound(module, name):
     ("families", "sum_series_dp", "count_series", "flat")])
 def test_a_statement_reaches_the_rebound_names(monkeypatch, module, name,
                                                method, field):
-    # a statement looks both names up at call time, so a traced run
-    # times its product expansions and counts its DP calls
+    # count_series and product_series look both names up at call time,
+    # so a traced run times them; first_mismatch compares the packed
+    # sides and reaches neither name
     from flatpart.families import get_identity
     bound = importlib.import_module("flatpart." + module)
     calls = []

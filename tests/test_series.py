@@ -13,10 +13,11 @@ from flatpart.errors import PreconditionViolated
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import partitions_of
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
-                             first_mismatch, geom, load_series, monomial,
-                             mul_one_minus_qm, one, packed_div_one_minus_qm,
-                             partition_bits, product_from_exponents,
-                             product_series, unpack, zero)
+                             first_mismatch, first_split, geom, load_series,
+                             monomial, mul_one_minus_qm, one,
+                             packed_div_one_minus_qm, partition_bits,
+                             product_from_exponents, product_series, unpack,
+                             zero)
 
 
 def _list_product(exponents, order):
@@ -141,6 +142,19 @@ def test_product_from_exponents_agrees_with_spec_form():
             ProductSpec(d, expo), order)
 
 
+def test_product_from_exponents_reads_any_iterable():
+    want = product_from_exponents([1, 0, 2], 6)
+    assert product_from_exponents(iter([1, 0, 2]), 6) == want
+    assert product_from_exponents((c for c in [1, 0, 2, 5, 5]), 3) == (
+        product_from_exponents([1, 0, 2], 3))
+
+
+def test_exponents_read_the_residue_table():
+    spec = ProductSpec(7, {0: 2, 3: 1, 5: 3})
+    assert spec.exponents(30) == [spec.exponent(m) for m in range(1, 31)]
+    assert spec.exponents(0) == []
+
+
 def test_product_from_exponents_handles_negatives():
     # (1-q)^1 directly
     f = product_from_exponents([-1], 5)
@@ -183,6 +197,23 @@ def test_packed_division_equals_the_list_division(data, order):
     assert [quotient >> (order - n) * b & (1 << b) - 1
             for n in range(order + 1)] == coeffs
     assert quotient.bit_length() <= (order + 1) * b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 40), st.integers(1, 9))
+def test_first_split_reads_the_least_differing_field(data, order, b):
+    # the two series often share a prefix, and any field may be 0 or full
+    field = st.integers(0, (1 << b) - 1)
+    x = data.draw(st.lists(field, min_size=order + 1, max_size=order + 1))
+    cut = data.draw(st.integers(0, order + 1))
+    y = x[:cut] + data.draw(st.lists(field, min_size=order + 1 - cut,
+                                     max_size=order + 1 - cut))
+
+    def pack(coeffs):
+        return sum(c << (order - n) * b for n, c in enumerate(coeffs))
+
+    assert first_split(pack(x), pack(y), b, order) == first_mismatch(
+        IntSeries(x), IntSeries(y))
 
 
 def test_field_bits_are_the_bit_length_of_p():
