@@ -48,12 +48,14 @@ A partition avoids a rule set exactly when it avoids each rule and obeys
 the smallest-part bound, so the set's sum side is the intersection of
 linked partition ideals, one per rule and one for the bound.
 minimal_automaton builds it by the product construction of Rabin and
-Scott (1959): the bound's automaton and then each rule's, built once
-from its window table and cached, are read in lockstep, and the product
-completes a window when a factor does.  Its period is the lcm of the
-factors' periods, and U0 is placed on the union of their checks, so the
-product refined by phase is the automaton the set's own window table
-would give, at a fraction of the cost.
+Scott (1959): the automaton of the first rule with the bound, then that
+of each later rule, each built once from its window table, are read in
+lockstep, and the product completes a window when a factor does.  Its
+period is the lcm of the factors' periods, and U0 is placed on the union
+of their checks, so the product refined by phase is the automaton the
+set's own window table would give, at a fraction of the cost.  One cache
+holds every automaton, a rule's or a set's, and _minimize explores and
+refines the raw machine that _build or _product states.
 
 automaton_rows counts on it by a downward pull: r = 1 on every class at
 the largest part, then r(s) = sum over m of q**(m*u) r(next(s, m)) for
@@ -143,12 +145,24 @@ def _phases(checks, first: int, period: int) -> tuple:
     return first, [p + 1 if p + 1 < phases else first for p in range(phases)]
 
 
-def _minimize(first: int, period: int, more: int, phases: list, moves: list,
+def _minimize(start, successors, first: int, period: int, more: int,
               checks: tuple) -> Automaton:
-    """Moore refinement of a raw automaton whose state s has phase
-    phases[s] and moves moves[s], state 0 the start (so class 0): seeded
-    by phase, split classes by the classes they move to."""
-    label = list(phases)
+    """The one construction step: explore the raw automaton breadth first
+    from start, which becomes class 0, along successors(state), the states
+    reached on multiplicities 0, 1, .. (each state's first entry its
+    phase); then Moore refinement, seeded by phase, splits classes by the
+    classes they move to."""
+    index, states, moves = {start: 0}, [start], []
+    for state in states:  # grows as new states are found
+        row = []
+        for target in successors(state):
+            i = index.get(target)
+            if i is None:
+                i = index[target] = len(states)
+                states.append(target)
+            row.append(i)
+        moves.append(row)
+    phases = label = [state[0] for state in states]
     count = len(set(label))
     while True:
         signatures, of = {}, label.__getitem__
@@ -171,8 +185,8 @@ def _minimize(first: int, period: int, more: int, phases: list, moves: list,
 
 
 def _build(rules: tuple, min_part: int) -> Automaton:
-    """The phase-seeded minimal automaton of the rule set's sum side,
-    straight from its window table.
+    """The phase-seeded minimal automaton of any rule set's sum side with
+    any min_part, straight from its window table.
 
     A raw state is the phase of the next value and the set of windows
     begun below it that may still occur, each cut to the part not yet
@@ -196,24 +210,17 @@ def _build(rules: tuple, min_part: int) -> Automaton:
             begins[p].update((w[:-1], w[-1]) for w in groups[q] if len(w) == s + 1)
     more = max((r.width for r in rules), default=1) + 1
 
-    # the raw automaton, breadth first from value 0 with nothing read;
-    # a window that m completes is completed by every larger m too
-    index = {(0, frozenset()): 0}
-    states, moves = list(index), []
-    for phase, pending in states:  # grows as new states are found
+    def successors(state):
+        # a window that m completes is completed by every larger m too
+        phase, pending = state
         lowest = min([w[0] for w in pending if len(w) == 1] + list(ends[phase]),
                      default=more + 1)
-        row = []
-        for m in range(min(lowest, more + 1)):
-            state = (follow[phase],
-                     frozenset([w[:-1] for w in pending if len(w) > 1 and w[-1] == m]
-                               + [w for w, c0 in begins[phase] if m >= c0]))
-            if state not in index:
-                index[state] = len(states)
-                states.append(state)
-            row.append(index[state])
-        moves.append(row)
-    return _minimize(first, period, more, [phase for phase, _ in states], moves,
+        return [(follow[phase],
+                 frozenset([w[:-1] for w in pending if len(w) > 1 and w[-1] == m]
+                           + [w for w, c0 in begins[phase] if m >= c0]))
+                for m in range(min(lowest, more + 1))]
+
+    return _minimize((0, frozenset()), successors, first, period, more,
                      tuple(frozenset(groups[p]) for p in range(phases)))
 
 
@@ -230,45 +237,29 @@ def _product(x: Automaton, y: Automaton) -> Automaton:
     first, follow = _phases(checks, max(x.first, y.first), period)
     more = max(x.more, y.more)
 
-    def widened(auto, c):
-        # a multiplicity at or above a factor's more takes its tail move
-        row = auto.moves[c]
-        return row + row[-1:] * (more - auto.more) if len(row) > auto.more else row
+    # a multiplicity at or above a factor's more takes its tail move
+    x_moves, y_moves = ([row + row[-1:] * (more - f.more) if len(row) > f.more else row
+                         for row in f.moves] for f in (x, y))
 
-    index = {(0, 0, 0): 0}
-    states, moves = list(index), []
-    for phase, a, b in states:  # grows as new states are found
-        row = []
-        for pair in zip(widened(x, a), widened(y, b)):
-            state = (follow[phase],) + pair
-            if state not in index:
-                index[state] = len(states)
-                states.append(state)
-            row.append(index[state])
-        moves.append(row)
-    return _minimize(first, period, more, [phase for phase, _, _ in states], moves,
+    def successors(state):
+        phase, a, b = state
+        return [(follow[phase], s, t) for s, t in zip(x_moves[a], y_moves[b])]
+
+    return _minimize((0, 0, 0), successors, first, period, more,
                      tuple(checks(p) for p in range(first + period)))
 
 
 @lru_cache(maxsize=256)
-def rule_automaton(rule) -> Automaton:
-    """The minimal automaton of one rule's sum side."""
-    return _build((rule,), 1)
-
-
-@lru_cache(maxsize=128)
 def minimal_automaton(rules: tuple, min_part: int) -> Automaton:
-    """The phase-seeded minimal automaton of the rule set's sum side: the
-    smallest-part bound's automaton, times each rule's in turn, where a
-    lone rule with no bound is its own automaton.  Every prefix of rules
-    is cached on the way, so the sets of a depth-first enumeration,
-    which extend one another, share their products."""
-    if not rules:
-        return _build((), min_part)
-    if len(rules) == 1 and min_part == 1:
-        return rule_automaton(rules[0])
+    """The phase-seeded minimal automaton of the rule set's sum side: a set
+    of at most one rule built from its window table, bound included, and a
+    longer one the product of its prefix's automaton and its last rule's.
+    This one cache holds single rules and sets alike, so the sets of a
+    depth-first enumeration share their prefixes and their rules."""
+    if len(rules) <= 1:
+        return _build(rules, min_part)
     return _product(minimal_automaton(rules[:-1], min_part),
-                    rule_automaton(rules[-1]))
+                    minimal_automaton(rules[-1:], 1))
 
 
 def _fold(row: tuple, more: int) -> tuple:

@@ -13,7 +13,8 @@ DP; it stops above BRUTE_CEILING.
 sum_series_dp chooses the multiplicity of every part value and counts
 the choices that complete no forbidden window.  It counts on the minimal
 automaton of the sum side (automaton.py), built once per rule set and
-smallest-part bound as the product of one cached automaton per rule.
+smallest-part bound as the product of its prefix's automaton and its
+last rule's, both read from the one automaton cache.
 The walk (automaton.automaton_rows) goes from the largest allowed value
 down to 1.  A period lemma shows that past a bound U that depends
 only on the rules, the windows whose top value is u repeat at u + L, L

@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (InsufficientOrder, NonUnitConstantTerm,
-                     PreconditionViolated, require_int)
+                     PreconditionViolated, require_int, require_iterable)
 from .series import IntSeries, ProductSpec, require_order
 
 
@@ -148,13 +148,16 @@ def detect_period(fac: Union[EulerFactorization, Iterable[int]], d_max: int,
     |c_m| <= e_max throughout, else aperiodic (period 0, no classes).
     Requires order >= 3*d_max: a reported period is seen three times.
 
-    fac is an EulerFactorization, or a stream of c_1, c_2, .. such as
-    exponent_stream's together with its length as order.  The exponents
-    are read once, forward, and only as far as the verdict needs."""
+    fac is an EulerFactorization or an iterable of c_1, c_2, .., all read
+    when order is omitted; a stream such as exponent_stream's, given with
+    its length as order, is read once, forward, and only as far as the
+    verdict needs."""
     require_int(d_max, "d_max", 1)
     require_int(e_max, "e_max", 0)
     if order is None:
-        exps, order = fac.exponents, len(fac.exponents)
+        exps = (fac.exponents if isinstance(fac, EulerFactorization)
+                else tuple(require_iterable(fac, "the exponents", "ints")))
+        order = len(exps)
     else:
         exps, order = fac, require_order(order)
     if order < 3 * d_max:

@@ -31,6 +31,7 @@ from .euler import PeriodicVerdict, detect_period, exponent_stream
 # its traced runs, so the name stays bound
 from .euler import euler_exponents  # noqa: F401
 from .families import Statement
+from .series import require_order
 
 DEFAULT_SCREEN_ORDER = 25
 DEFAULT_VERIFY_ORDER = 200
@@ -210,7 +211,7 @@ def verify_candidate(report: CandidateReport,
     verdict promises, and stamp the outcome.  An n_big below the order
     already screened to verifies to that order instead, so verified_to
     never drops."""
-    n_big = max(n_big, report.verified_to)
+    n_big = max(require_order(n_big), report.verified_to)
     spec = report.verdict.to_product_spec() if any(
         e for _r, e in report.verdict.class_exponents) else None
     split = Statement(report.condition_set, spec).first_mismatch(n_big)

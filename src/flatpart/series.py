@@ -42,8 +42,9 @@ class IntSeries:
     def __init__(self, coeffs: Sequence[int]):
         coeffs = tuple(coeffs)
         require_order(len(coeffs) - 1)
-        if not all(map(isinstance, coeffs, repeat(int))):
-            raise PreconditionViolated("coefficients must be ints")
+        if (not all(map(isinstance, coeffs, repeat(int)))
+                or any(map(isinstance, coeffs, repeat(bool)))):
+            raise PreconditionViolated("coefficients must be ints, not bools")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):

@@ -21,7 +21,7 @@ from flatpart.automaton import (_build, _checks_by_top, _fold, automaton_rows,
 from flatpart.conditions import ConditionSet, parse_condition_set
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import kth_flattest
-from flatpart.search import SearchBounds, enumerate_condition_sets
+from flatpart.search import SearchBounds, enumerate_condition_sets, search
 from flatpart.series import partition_bits
 
 SCREEN_BOXES = Path(__file__).resolve().parent.parent / "perfbench" / "screen_boxes.json"
@@ -209,6 +209,30 @@ def test_product_equals_the_direct_build():
         assert_product_equals_direct_build(rules, 1, (30,))
     for rules, min_part in registry_forms():
         assert_product_equals_direct_build(rules, min_part, (30, 200))
+
+
+def test_screen_box_builds_each_rule_once_and_each_pair_once(monkeypatch):
+    # one cache holds single rules and sets alike: screen box 0's 40 rules
+    # are built from their window tables once each, and each of its 780
+    # two-rule sets is one product of two cached rules
+    with open(SCREEN_BOXES) as fh:
+        bounds = SearchBounds.from_json(json.dumps(json.load(fh)[0]["bounds"]))
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(automaton, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("_build", "_product"):
+        monkeypatch.setattr(automaton, name, counted(name))
+    automaton_rows.cache_clear()
+    minimal_automaton.cache_clear()
+    search(bounds)
+    assert calls == {"_build": 40, "_product": 780}
 
 
 def test_minimization_merges_profiles():

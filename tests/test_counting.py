@@ -165,8 +165,7 @@ def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):
     for name in ("sum_series_dp", "partitions_of", "automaton_rows",
                  "count_by_predicate"):
         monkeypatch.setattr(counting, name, forbidden)
-    for name in ("_checks_by_top", "minimal_automaton", "rule_automaton",
-                 "automaton_rows"):
+    for name in ("_checks_by_top", "minimal_automaton", "automaton_rows"):
         monkeypatch.setattr(automaton, name, forbidden)
     # the definition the pruned walk is tested against stays out of it
     monkeypatch.setattr(conditions, "satisfies", forbidden)
@@ -247,8 +246,9 @@ def test_dp_is_exact_at_every_order():
     for order in (300, 301, 405, 406):
         assert deep.coeffs[:order + 1] == sum_series_dp(ident.flat, order).coeffs
     # every walk counts on the automaton: a sweep over largest parts
-    # builds the set's product once (one build per nonempty prefix of its
-    # rules) and reads it from the cache after that
+    # builds the set's product once (one entry per nonempty prefix of its
+    # rules and one per later rule, in the one automaton cache) and reads
+    # it from the cache after that
     ident = get_identity("FAM1_1_K3")
     rules, order = ident.flat.rules, 40
     product = product_series(ident.product, order)
@@ -256,7 +256,7 @@ def test_dp_is_exact_at_every_order():
     for j in range(1, order + 1):
         automaton_rows.__wrapped__(rules, order, j, 1)
     info = automaton.minimal_automaton.cache_info()
-    assert (info.misses, info.hits) == (len(rules), order - 1)
+    assert (info.misses, info.hits) == (2 * len(rules) - 1, order - 1)
     for j in range(1, order + 1):
         capped = sum_series_dp(ident.flat, order, largest_part=j)
         # partitions of n <= j have no part above j

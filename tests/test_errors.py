@@ -11,7 +11,8 @@ from flatpart.conditions import (ConditionSet, FlatRule, condition_set,
                                  parse_condition_set, parse_rule)
 from flatpart.counting import sum_series_brute, sum_series_dp
 from flatpart.errors import FlatpartError, PreconditionViolated
-from flatpart.euler import detect_period, euler_exponents
+from flatpart.euler import (EulerFactorization, PeriodicVerdict,
+                            detect_period, euler_exponents)
 from flatpart.families import Statement, family_row, get_identity, get_refuted
 from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
                                      r_enumeration, r_series, specialize)
@@ -19,7 +20,7 @@ from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
 from flatpart.recursions import verify_recursion
-from flatpart.search import SearchBounds
+from flatpart.search import CandidateReport, SearchBounds, verify_candidate
 from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
                              packed_div_one_minus_qm, partition_bits,
                              product_from_exponents, product_series, zero)
@@ -147,6 +148,12 @@ def _kth_flattest_on_a_miss(k):
     return kth_flattest(k, 2, 3)
 
 
+# RR1's sum side screened to 25, with the verdict that names its product
+RR1_REPORT = CandidateReport(
+    get_identity("RR1").flat,
+    PeriodicVerdict(True, 5, ((0, 0), (1, 1), (2, 0), (3, 0), (4, 1))),
+    verified_to=25)
+
 BOX = dict(max_rules=1, a_range=(1, 1), b_range=(2, 2), d_range=(2, 2))
 
 # one call per integer argument, taking the value to pass
@@ -237,7 +244,30 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: Statement("1:2:0:1", get_identity("RR1").product),
                  id="Statement-text-flat"),
     pytest.param(lambda: Statement(None, None), id="Statement-none-flat"),
+    # exponents come as a factorization or an iterable
+    pytest.param(lambda: detect_period(5, 1), id="detect_period-int"),
+    # the verify order is an order, checked before the larger one is taken
+    pytest.param(lambda: verify_candidate(RR1_REPORT, "300"),
+                 id="verify_candidate-str"),
+    pytest.param(lambda: verify_candidate(RR1_REPORT, None),
+                 id="verify_candidate-none"),
+    pytest.param(lambda: verify_candidate(RR1_REPORT, 2.5),
+                 id="verify_candidate-float"),
+    pytest.param(lambda: verify_candidate(RR1_REPORT, True),
+                 id="verify_candidate-bool"),
+    # a bool coefficient is refused, never read as 0 or 1
+    pytest.param(lambda: IntSeries([True, 2]), id="IntSeries-bool"),
+    pytest.param(lambda: euler_exponents(IntSeries([True, 1, 1])),
+                 id="euler_exponents-bool"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):
         call()
+
+
+@pytest.mark.parametrize("exponents", [
+    EulerFactorization((1, 1, 1)), (1, 1, 1), [1, 1, 1], iter([1, 1, 1])],
+    ids=["factorization", "tuple", "list", "iterator"])
+def test_detect_period_reads_any_iterable_of_exponents(exponents):
+    # with no order, all the exponents given are read
+    assert detect_period(exponents, 1) == PeriodicVerdict(True, 1, ((0, 1),))
