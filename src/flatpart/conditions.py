@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated, require_int, require_iterable
-from .partitions import _kth_flattest
+from .partitions import _kth_flattest, as_partition
 
 CONGRUENT = "congruent"
 NOT_CONGRUENT = "not_congruent"
@@ -90,8 +90,15 @@ def parse_rule(text: str) -> FlatRule:
     return FlatRule(a, b, c, d, mode)
 
 
+def _require_rule(rule) -> FlatRule:
+    if not isinstance(rule, FlatRule):
+        raise PreconditionViolated("a rule must be a FlatRule, got %r" % (rule,))
+    return rule
+
+
 def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
     """Does this window (one entry per position, zeros allowed) match the rule?"""
+    _require_rule(rule)
     window = tuple(window)
     if len(window) != rule.width:
         return False
@@ -107,9 +114,7 @@ def matching_windows(rule: FlatRule, order: int) -> frozenset:
     """Every window of weight at most order that matches_at accepts: the
     A-th flattest B-tuple of each weight 1..order whose weight passes the
     congruence, so at most order windows."""
-    if not isinstance(rule, FlatRule):
-        raise PreconditionViolated("a rule must be a FlatRule, got %r" % (rule,))
-    a, b = rule.flatness_index, rule.width
+    a, b = _require_rule(rule).flatness_index, rule.width
     found = (_kth_flattest(a, b, t) for t in range(1, require_int(order, "order", 0) + 1)
              if rule.sum_matches(t))
     return frozenset(w for w in found if w is not None)
@@ -192,12 +197,21 @@ def parse_condition_set(text: str, zeros: int = 0) -> ConditionSet:
     return ConditionSet(tuple(rules), zeros, int(bound or 1))
 
 
+def _require_set(cs) -> ConditionSet:
+    if not isinstance(cs, ConditionSet):
+        raise PreconditionViolated("a ConditionSet is needed, got %r" % (cs,))
+    return cs
+
+
 def satisfies(cs: ConditionSet, parts: Sequence[int]) -> bool:
     """True when the smallest part is at least cs.min_part and no window
-    of the zero-padded partition matches any rule."""
+    of the zero-padded partition matches any rule; the parts must form a
+    partition (positive, weakly decreasing)."""
+    _require_set(cs)
+    parts = as_partition(parts)
     if parts and parts[-1] < cs.min_part:
         return False
-    extended = tuple(parts) + (0,) * cs.zeros
+    extended = parts + (0,) * cs.zeros
     n = len(extended)
     for rule in cs.rules:
         w = rule.width

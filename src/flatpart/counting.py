@@ -53,7 +53,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .automaton import automaton_rows
-from .conditions import ConditionSet, matching_windows
+from .conditions import ConditionSet, _require_set, matching_windows
 from .errors import CeilingExceeded, PreconditionViolated, require_int
 from .partitions import partitions_of
 from .series import IntSeries, partition_bits, require_order, unpack
@@ -71,14 +71,10 @@ def _under_ceiling(order: int) -> int:
 def count_by_predicate(pred: Callable, order: int) -> IntSeries:
     """Count the partitions of 0..order that pass `pred`, by enumeration,
     up to order BRUTE_CEILING (read at call time)."""
+    if not callable(pred):
+        raise PreconditionViolated("a predicate must be callable, got %r" % (pred,))
     return IntSeries([sum(1 for p in partitions_of(n) if pred(p))
                       for n in range(_under_ceiling(order) + 1)])
-
-
-def _require_set(cs) -> ConditionSet:
-    if not isinstance(cs, ConditionSet):
-        raise PreconditionViolated("a ConditionSet is needed, got %r" % (cs,))
-    return cs
 
 
 def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:

@@ -22,11 +22,11 @@ drains the stream.
 When the exponent sequence is periodic with small entries, the series
 is (to its order) the partition series of a congruence-restricted part
 set; detect_period looks for the smallest such period backed by at
-least three full repetitions.  It reads the exponents once, forward,
-and stops at the first one that decides its verdict: an entry above
-the bound, or the entry that breaks the last candidate period.  The
-search screen feeds it the live stream, so a rejected rule set never
-computes its tail exponents.
+least three full repetitions.  It reads at most order exponents (all of
+them when order is omitted) once, forward, and stops at the first one
+that decides its verdict: an entry above the bound, or the entry that
+breaks the last candidate period.  The search screen feeds it the live
+stream, so a rejected rule set never computes its tail exponents.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class PeriodicVerdict:
         if not self.periodic:
             raise PreconditionViolated(
                 "no product spec for an aperiodic factorization")
-        return ProductSpec(self.period, {r: e for r, e in self.class_exponents})
+        return ProductSpec(self.period, self.class_exponents)
 
 
 def exponent_stream(series: IntSeries) -> Iterator[int]:
@@ -148,26 +148,28 @@ def detect_period(fac: Union[EulerFactorization, Iterable[int]], d_max: int,
     |c_m| <= e_max throughout, else aperiodic (period 0, no classes).
     Requires order >= 3*d_max: a reported period is seen three times.
 
-    fac is an EulerFactorization or an iterable of c_1, c_2, .., all read
-    when order is omitted; a stream such as exponent_stream's, given with
-    its length as order, is read once, forward, and only as far as the
-    verdict needs."""
+    fac is an EulerFactorization or any iterable of int exponents c_1,
+    c_2, .., read once, forward, and only as far as the verdict needs:
+    at most order of them, or all of them, counted as the order, when
+    order is omitted (a stream is given with its length as order)."""
     require_int(d_max, "d_max", 1)
     require_int(e_max, "e_max", 0)
+    if isinstance(fac, EulerFactorization):
+        fac = fac.exponents
+    exps = require_iterable(fac, "the exponents", "ints")
     if order is None:
-        exps = (fac.exponents if isinstance(fac, EulerFactorization)
-                else tuple(require_iterable(fac, "the exponents", "ints")))
+        exps = tuple(exps)
         order = len(exps)
-    else:
-        exps, order = fac, require_order(order)
-    if order < 3 * d_max:
+    if require_order(order) < 3 * d_max:
         raise InsufficientOrder(
             "order %d cannot certify periods up to %d (need >= %d)"
             % (order, d_max, 3 * d_max))
     # the periods d with c_m == c_((m-1) mod d + 1) for every m read
     alive = range(1, d_max + 1)
     seen = []
-    for i, c in enumerate(exps):
+    for i, c in zip(range(order), exps):  # never asks for item order + 1
+        if type(c) is not int:  # the class test is the cheap one
+            require_int(c, "an exponent")
         if abs(c) > e_max:
             return PeriodicVerdict(False, 0, ())
         seen.append(c)

@@ -42,7 +42,7 @@ PRODUCT = "product"
 @dataclass(frozen=True)
 class Statement:
     """The claim that the sum side, counted by the window form, equals
-    the product; a product of None is the empty product 1.
+    the product (None is stored as the empty product, ProductSpec(1, ())).
 
     first_mismatch compares the two sides packed: the DP's row
     (packed_sum_series) and the product's divisions (packed_product),
@@ -55,13 +55,15 @@ class Statement:
     fields beyond the count's; only then are both sides unpacked and
     compared coefficient by coefficient."""
     flat: ConditionSet
-    product: Optional[ProductSpec]
+    product: ProductSpec
 
     def __post_init__(self):
         if not isinstance(self.flat, ConditionSet):
             raise PreconditionViolated(
                 "a statement's flat must be a ConditionSet, got %r" % (self.flat,))
-        if not (self.product is None or isinstance(self.product, ProductSpec)):
+        if self.product is None:
+            object.__setattr__(self, "product", ProductSpec(1, ()))
+        elif not isinstance(self.product, ProductSpec):
             raise PreconditionViolated(
                 "a statement's product must be a ProductSpec or None, got %r"
                 % (self.product,))
@@ -71,19 +73,14 @@ class Statement:
         return sum_series_dp(self.flat, order)
 
     def product_series(self, order: int) -> IntSeries:
-        from .series import one, product_series
-        if self.product is None:
-            return one(order)
+        from .series import product_series
         return product_series(self.product, order)
 
     def first_mismatch(self, order: int) -> Optional[tuple]:
         """(n, sum, product) at the first split up to order, or None."""
         order = require_order(order)
         row, b = packed_sum_series(self.flat, order)
-        if self.product is None:
-            packed, width = 1 << order * b, b
-        else:
-            packed, width = packed_product(self.product.exponents(order), order)
+        packed, width = packed_product(self.product.exponents(order), order)
         if width == b:
             return first_split(row, packed, b, order)
         return first_mismatch(unpack(row, b, order), unpack(packed, width, order))

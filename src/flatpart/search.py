@@ -117,6 +117,9 @@ def enumerate_condition_sets(bounds: SearchBounds) -> Iterator[ConditionSet]:
     lexicographically.  Sets stream out depth first over the sorted
     rules: a prefix sorts before its extensions, and the zero count is
     the last key."""
+    if not isinstance(bounds, SearchBounds):
+        raise PreconditionViolated(
+            "bounds must be a SearchBounds, got %r" % (bounds,))
     modes = (CONGRUENT, NOT_CONGRUENT) if bounds.allow_neq else (CONGRUENT,)
     rules = sorted(
         (FlatRule(a, b, c, d, mode)
@@ -211,10 +214,12 @@ def verify_candidate(report: CandidateReport,
     verdict promises, and stamp the outcome.  An n_big below the order
     already screened to verifies to that order instead, so verified_to
     never drops."""
+    if not isinstance(report, CandidateReport):
+        raise PreconditionViolated(
+            "report must be a CandidateReport, got %r" % (report,))
     n_big = max(require_order(n_big), report.verified_to)
-    spec = report.verdict.to_product_spec() if any(
-        e for _r, e in report.verdict.class_exponents) else None
-    split = Statement(report.condition_set, spec).first_mismatch(n_big)
+    split = Statement(report.condition_set,
+                      report.verdict.to_product_spec()).first_mismatch(n_big)
     if split is not None:
         n = split[0]
         return replace(report, status="refuted-at-%d" % n,

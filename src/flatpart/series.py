@@ -5,7 +5,7 @@ nothing ever overflows or rounds.  Sums, differences and products take
 two IntSeries and truncate to the shorter operand's order.
 
 A ProductSpec describes an infinite product prod_{m>=1} (1-q^m)^(-e(m mod M))
-by its modulus and the exponent attached to each residue class.
+by its modulus and each residue class's exponent; with none nonzero it is 1.
 
 A series can also be packed into one Python int high-first, b bits per
 coefficient (see unpack): the DP's rows (counting.packed_sum_series)
@@ -18,6 +18,7 @@ differ: first_split reads that n, and both coefficients, from it.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, repeat
@@ -40,6 +41,9 @@ class IntSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int]):
+        # checked apart: tuple() copies a list several times faster than
+        # it reads the list's iterator
+        require_iterable(coeffs, "coefficients", "ints")
         coeffs = tuple(coeffs)
         require_order(len(coeffs) - 1)
         if (not all(map(isinstance, coeffs, repeat(int)))
@@ -124,6 +128,10 @@ def one(order: int) -> IntSeries:
 def first_mismatch(a: IntSeries, b: IntSeries) -> tuple | None:
     """(n, a[n], b[n]) at the first index where the coefficients differ,
     compared over the shorter series; None when they agree there."""
+    for name, s in (("a", a), ("b", b)):
+        if not isinstance(s, IntSeries):
+            raise PreconditionViolated(
+                "%s must be an IntSeries, got %r" % (name, s))
     for n, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return n, x, y
@@ -195,7 +203,8 @@ def packed_div_one_minus_qm(x: int, step: int, top: int) -> int:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """prod_{m>=1} (1 - q^m)^(-e(m mod modulus)), e >= 0 per residue class."""
+    """prod_{m>=1} (1 - q^m)^(-e(m mod modulus)), e >= 0 per residue class;
+    with no e > 0 it is the empty product 1, which allows no part."""
 
     modulus: int
     residue_exponents: tuple  # sorted ((residue, exponent), ...)
@@ -214,9 +223,6 @@ class ProductSpec:
             require_int(r, "a residue")
             if require_int(e, "an exponent", 0):
                 norm[r % modulus] = norm.get(r % modulus, 0) + e
-        if not norm:
-            raise PreconditionViolated(
-                "at least one residue class must have a nonzero exponent")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "residue_exponents",
                            tuple(sorted(norm.items())))
@@ -236,7 +242,7 @@ class ProductSpec:
         return [table[m % self.modulus] for m in range(1, require_order(order) + 1)]
 
     def exponent(self, m: int) -> int:
-        r = m % self.modulus
+        r = require_int(m, "a part") % self.modulus
         for rr, e in self.residue_exponents:
             if rr == r:
                 return e
@@ -248,6 +254,9 @@ class ProductSpec:
 
 def product_series(spec: ProductSpec, order: int) -> IntSeries:
     """Expand the product exactly to the given order."""
+    if not isinstance(spec, ProductSpec):
+        raise PreconditionViolated(
+            "a product must be a ProductSpec, got %r" % (spec,))
     return unpack(*packed_product(spec.exponents(order), order), order)
 
 
@@ -315,7 +324,11 @@ def _partition_bits(n: int) -> int:
 def load_series(path) -> IntSeries:
     """One integer per line, first line the q^0 coefficient; blank lines
     are skipped, and any other line that is not an integer raises
-    PreconditionViolated naming it."""
+    PreconditionViolated naming it.  The path is a str or an os.PathLike:
+    an int would name an open file descriptor."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise PreconditionViolated(
+            "a series path must be a str or an os.PathLike, got %r" % (path,))
     coeffs = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):

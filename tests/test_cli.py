@@ -83,6 +83,14 @@ def test_product_congruent_residues_name_one_class(capsys):
     assert outs == [outs[0]] * 4
 
 
+def test_product_of_zero_classes_is_the_empty_product(capsys):
+    # a class with exponent 0 allows no part: the series 1
+    rc, out, _ = run(capsys, "product", "--classes", "1:0", "--modulus", "5",
+                     "--order", "6")
+    assert rc == 0
+    assert [int(x) for x in out.split()] == [1, 0, 0, 0, 0, 0, 0]
+
+
 def test_product_without_modulus_is_a_usage_error(capsys):
     for option, value in (("--residues", "1,4"), ("--classes", "1:1,4:1")):
         with pytest.raises(SystemExit) as exc:

@@ -8,8 +8,10 @@ from flatpart.bijections import (alternating_sum_type, length_type,
                                  stockhofe_inverse, stockhofe_map,
                                  verify_bijection)
 from flatpart.conditions import (ConditionSet, FlatRule, condition_set,
-                                 parse_condition_set, parse_rule)
-from flatpart.counting import sum_series_brute, sum_series_dp
+                                 matches_at, parse_condition_set, parse_rule,
+                                 satisfies)
+from flatpart.counting import (count_by_predicate, sum_series_brute,
+                               sum_series_dp)
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import (EulerFactorization, PeriodicVerdict,
                             detect_period, euler_exponents)
@@ -20,8 +22,10 @@ from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
 from flatpart.recursions import verify_recursion
-from flatpart.search import CandidateReport, SearchBounds, verify_candidate
-from flatpart.series import (IntSeries, ProductSpec, geom, monomial, one,
+from flatpart.search import (CandidateReport, SearchBounds, search,
+                             verify_candidate)
+from flatpart.series import (IntSeries, ProductSpec, first_mismatch, geom,
+                             load_series, monomial, one,
                              packed_div_one_minus_qm, partition_bits,
                              product_from_exponents, product_series, zero)
 from flatpart.verify import verify_identity
@@ -259,6 +263,31 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: IntSeries([True, 2]), id="IntSeries-bool"),
     pytest.param(lambda: euler_exponents(IntSeries([True, 1, 1])),
                  id="euler_exponents-bool"),
+    # an object of the wrong kind is refused, never met by a bare Python
+    # error; an int is no file name, since open() reads it as a descriptor
+    pytest.param(lambda: IntSeries(5), id="IntSeries-int"),
+    pytest.param(lambda: first_mismatch(5, 6), id="first_mismatch-int"),
+    pytest.param(lambda: first_mismatch(one(3), (1, 0)),
+                 id="first_mismatch-tuple"),
+    pytest.param(lambda: search(5), id="search-int"),
+    pytest.param(lambda: verify_candidate(5), id="verify_candidate-int"),
+    pytest.param(lambda: satisfies(5, (1,)), id="satisfies-int-set"),
+    pytest.param(lambda: satisfies(parse_condition_set("1:2:1:2"), "ab"),
+                 id="satisfies-str-parts"),
+    pytest.param(lambda: matches_at(5, (1,)), id="matches_at-int-rule"),
+    pytest.param(lambda: count_by_predicate(5, 5), id="count_by_predicate-int"),
+    pytest.param(lambda: load_series(5), id="load_series-descriptor"),
+    pytest.param(lambda: load_series(0), id="load_series-stdin"),
+    pytest.param(lambda: ProductSpec(5, {1: 1}).allows_part("x"),
+                 id="allows_part-str"),
+    pytest.param(lambda: product_series(None, 10), id="product_series-none"),
+    pytest.param(lambda: product_series(5, 10), id="product_series-int"),
+    pytest.param(lambda: detect_period(5, 1, order=3),
+                 id="detect_period-int-with-order"),
+    pytest.param(lambda: detect_period([1.0, 1.0, 1.0], 1),
+                 id="detect_period-float-exponents"),
+    pytest.param(lambda: detect_period(iter([1.5] * 3), 1, order=3),
+                 id="detect_period-float-stream"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):

@@ -287,3 +287,29 @@ def test_stream_checks_the_constant_term_at_the_call():
         exponent_stream(IntSeries([2, 1]))
     with pytest.raises(NonUnitConstantTerm):
         euler_exponents(IntSeries([2, 1]))
+
+
+def test_an_all_zero_verdict_is_the_empty_product():
+    # the unrestricted count's factorization of 1: every c_m is 0
+    verdict = detect_period(euler_exponents(one(30)), d_max=8)
+    assert verdict == PeriodicVerdict(True, 1, ((0, 0),))
+    assert verdict.to_product_spec() == ProductSpec(1, ())
+    assert product_series(verdict.to_product_spec(), 30) == one(30)
+
+
+def test_a_factorization_is_read_with_or_without_its_order():
+    fac = EulerFactorization((1, 1, 1))
+    assert detect_period(fac, 1, order=3) == PeriodicVerdict(True, 1, ((0, 1),))
+    assert detect_period(fac, 1, order=3) == detect_period(fac, 1)
+
+
+def test_order_bounds_the_read_of_a_stream():
+    # a stream that fails when asked for item order + 1: reading past the
+    # order, as an endless stream would be read, fails the test at once
+    def ones(order):
+        yield from (1,) * order
+        raise AssertionError("read past the order")
+
+    assert detect_period(ones(9), 3, order=9) == PeriodicVerdict(True, 1, ((0, 1),))
+    # an exponent past the order is not read, so it cannot break the verdict
+    assert detect_period(iter([1] * 24 + [9]), 8, order=24).period == 1

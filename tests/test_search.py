@@ -1,5 +1,6 @@
 """Parameter-space search: enumeration, screening, and deep verification."""
 
+import hashlib
 import json
 
 import pytest
@@ -194,3 +195,20 @@ def test_report_json_shape():
     assert entry["class_exponents"] == {"0": 1, "1": 0, "2": 1,
                                         "3": 1, "4": 1, "5": 0}
     assert entry["status"] == "screened"
+
+
+# box A holds B = 1 rules, so unlike either screen box of the benchmark
+# it reaches the empty product: 82 of its 749 hits
+BOX_A = SearchBounds(max_rules=2, a_range=(1, 2), b_range=(1, 2),
+                     d_range=(1, 4), zeros_range=(0, 1), n_check=30, d_max=10)
+
+
+def test_box_a_verified_report_is_pinned():
+    reports = [verify_candidate(r, 120) for r in search(BOX_A, nontrivial=False)]
+    assert len(reports) == 749
+    assert sum(not any(e for _r, e in r.verdict.class_exponents)
+               for r in reports) == 82
+    assert {r.status for r in reports} == {"verified-to-120"}
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == (
+        "196cd3d0b914c6b1d6fa79ef57034808971f841ea19301fd148fe7a378ee7215")

@@ -15,9 +15,9 @@ from flatpart.partitions import partitions_of
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
                              first_mismatch, first_split, geom, load_series,
                              monomial, mul_one_minus_qm, one,
-                             packed_div_one_minus_qm, partition_bits,
-                             product_from_exponents, product_series, unpack,
-                             zero)
+                             packed_div_one_minus_qm, packed_product,
+                             partition_bits, product_from_exponents,
+                             product_series, unpack, zero)
 
 
 def _list_product(exponents, order):
@@ -237,3 +237,20 @@ def test_load_series_names_a_bad_line(tmp_path):
     path.write_text("1\n1\nx\n2\n")
     with pytest.raises(PreconditionViolated, match="line 3: not an integer: 'x'"):
         load_series(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProductSpec(5, {}), lambda: ProductSpec(5, {1: 0}),
+    lambda: ProductSpec.from_residues(5, [])],
+    ids=["no-classes", "zero-class", "no-residues"])
+def test_the_empty_product_is_a_product_spec(make):
+    # no nonzero class is the empty product 1, which allows no part
+    spec = make()
+    assert spec == ProductSpec(5, ()) and spec.residue_exponents == ()
+    assert spec.exponents(12) == [0] * 12
+    assert not any(spec.allows_part(p) for p in range(1, 30))
+    assert product_series(spec, 8) == one(8)
+    assert product_series(spec, 0) == one(0)
+    packed, b = packed_product(spec.exponents(8), 8)
+    assert b == partition_bits(8) and packed == 1 << 8 * b
+    assert unpack(packed, b, 8) == one(8)

@@ -1,6 +1,7 @@
 """The one-stop verification driver."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -73,3 +74,15 @@ def test_verify_all_streams_reports():
         if seen >= 8:
             break
     assert seen == 8
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "verify.txt"
+
+
+def test_verify_text_is_byte_identical_to_the_golden_file():
+    # what `flatpart verify --all`, then `flatpart verify --family NAME`
+    # for each refuted entry and each recursion (each list sorted), print
+    text = "".join(str(report) + "\n" for report in verify_all())
+    for name in families.refuted_names() + recursions.recursion_names():
+        text += str(verify_identity(name)) + "\n"
+    assert text.encode() == GOLDEN.read_bytes()
