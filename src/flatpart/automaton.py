@@ -61,10 +61,16 @@ automaton_rows counts on it by a downward pull: r = 1 on every class at
 the largest part, then r(s) = sum over m of q**(m*u) r(next(s, m)) for
 each value u going down, packed as in counting.py.  _fold splits a row
 into a head row[:k] and a tail (k, t), k the least index from which every
-move goes to t: r(s) is r(head[0]), unshifted, plus the shifted heads for
-0 < m < k, plus r(t) q**(k*u) / (1 - q**u), which is summed once per value
-u and distinct (k, t).  Row z is r at the class the start, class 0,
-reaches after z zeros.  These rows are the package's one series cache.
+move goes to t, and once per walk each phase's classes become a stage
+table of entries (class, head[0], the heads (mu, target) for 0 < mu < k,
+the tail).  At value u the walk reads stages[phase(u)]: r(s) is
+r(head[0]), unshifted, plus each shifted head up to the first mu*u past
+the order, plus r(t) q**(k*u) / (1 - q**u), which is divided once per
+value u and distinct (k, t).  Each new r(s) is written in place, and the
+reads come from prev, a copy of r's references taken before value u,
+since a period-1 automaton's classes past U0 move within their own
+phase.  Row z is r at the class the start, class 0, reaches after z
+zeros.  These rows are the package's one series cache.
 """
 
 from __future__ import annotations
@@ -277,29 +283,38 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int) -> tuple
     """sum_series_dp's rows, cached for every zero count: row z holds the
     partitions with parts in min_part..start that no window forbids when
     z fictitious zeros sit below the smallest part, packed high-first in
-    b-bit fields, b = partition_bits(order), as counting.py describes."""
+    b-bit fields, b = partition_bits(order), as counting.py describes.
+
+    Each phase's stage table is folded once from the move rows; each value
+    u pulls its stage's rows from prev, the snapshot of the rows of u + 1,
+    into r."""
     auto = minimal_automaton(rules, min_part)
     b = partition_bits(order)
-    folded = [_fold(row, auto.more) for row in auto.moves]
     top = order * b
+    stages = []
+    for cls in auto.classes:
+        stage = []
+        for c in cls:
+            head, tail = _fold(auto.moves[c], auto.more)
+            stage.append((c, head[0] if head else None,
+                          tuple(enumerate(head))[1:], tail))
+        stages.append(stage)
     r = [1 << top] * len(auto.moves)
     for u in range(start, 0, -1):
-        step, fits = u * b, order // u + 1  # m < fits iff m*u <= order
-        cls = auto.classes[auto.phase(u)]
-        tails, pulled = {}, []
-        for c in cls:
-            head, tail = folded[c]
-            vec = r[head[0]] if head else 0
-            for mu in range(1, min(len(head), fits)):
-                vec += r[head[mu]] >> mu * step
-            if tail is not None and tail[0] < fits:
+        step, most = u * b, order // u  # m*u <= order iff m <= most
+        prev, tails = r[:], {}
+        for c, h0, heads, tail in stages[auto.phase(u)]:
+            vec = prev[h0] if h0 is not None else 0
+            for mu, t in heads:
+                if mu > most:
+                    break
+                vec += prev[t] >> mu * step
+            if tail is not None and tail[0] <= most:
                 if tail not in tails:  # r[t] * q**(k*u) / (1 - q**u)
                     k, t = tail
                     tails[tail] = packed_div_one_minus_qm(
-                        r[t] >> k * step, step, top)
+                        prev[t] >> k * step, step, top)
                 vec += tails[tail]
-            pulled.append(vec)
-        for c, vec in zip(cls, pulled):
             r[c] = vec
     zeros = auto.moves[0]
     return tuple(r[zeros[z]] if z < len(zeros) else 0 for z in range(auto.more))

@@ -99,7 +99,11 @@ def _require_rule(rule) -> FlatRule:
 def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
     """Does this window (one entry per position, zeros allowed) match the rule?"""
     _require_rule(rule)
-    window = tuple(window)
+    try:
+        window = tuple(window)
+    except TypeError:
+        raise PreconditionViolated("a window must be an iterable of ints, got %r"
+                                   % (window,)) from None
     if len(window) != rule.width:
         return False
     if not any(window):

@@ -153,6 +153,17 @@ class CandidateReport:
     verified_to: int = 0
     failed_at: Optional[int] = None
 
+    def __post_init__(self):
+        for name, kind in (("condition_set", ConditionSet),
+                           ("verdict", PeriodicVerdict), ("status", str)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise PreconditionViolated("%s must be a %s, got %r"
+                                           % (name, kind.__name__, value))
+        require_int(self.verified_to, "verified_to", 0)
+        if self.failed_at is not None:
+            require_int(self.failed_at, "failed_at")
+
     def to_json_dict(self) -> dict:
         return {
             "rules": self.condition_set.render(),

@@ -270,7 +270,11 @@ def packed_product(exponents: list, order: int) -> tuple:
     partial product is coefficientwise at most (q;q)**-E, whose q^n
     coefficient sums p(n_1)...p(n_E) <= p(n)**E over at most (n+1)**(E-1)
     ways to write n = n_1 + ... + n_E, so no field carries.  With E = 1,
-    b is partition_bits(order), the DP's width."""
+    b is partition_bits(order), the DP's width.  A c_m that is not an
+    int >= 0 raises PreconditionViolated: this route only divides."""
+    if set(map(type, exponents)) - {int} or exponents and min(exponents) < 0:
+        for c in exponents:  # names the first bad one
+            require_int(c, "an exponent", 0)
     most = max([1] + exponents)
     b = most * partition_bits(order) + (most - 1) * (order + 1).bit_length()
     packed = 1 << order * b

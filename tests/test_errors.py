@@ -1,5 +1,6 @@
 """Bad library input fails with a FlatpartError that is also a ValueError."""
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -26,7 +27,8 @@ from flatpart.search import (CandidateReport, SearchBounds, search,
                              verify_candidate)
 from flatpart.series import (IntSeries, ProductSpec, first_mismatch, geom,
                              load_series, monomial, one,
-                             packed_div_one_minus_qm, partition_bits,
+                             packed_div_one_minus_qm, packed_product,
+                             partition_bits,
                              product_from_exponents, product_series, zero)
 from flatpart.verify import verify_identity
 
@@ -275,6 +277,22 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: satisfies(parse_condition_set("1:2:1:2"), "ab"),
                  id="satisfies-str-parts"),
     pytest.param(lambda: matches_at(5, (1,)), id="matches_at-int-rule"),
+    pytest.param(lambda: matches_at(parse_rule("1:2:1:2"), 5),
+                 id="matches_at-int-window"),
+    # a report's fields are checked when it is made, and again by replace()
+    pytest.param(lambda: verify_candidate(CandidateReport(5, 6)),
+                 id="CandidateReport-int-fields"),
+    pytest.param(lambda: CandidateReport(RR1_REPORT.condition_set, None),
+                 id="CandidateReport-none-verdict"),
+    pytest.param(lambda: replace(RR1_REPORT, status=5),
+                 id="CandidateReport-int-status"),
+    pytest.param(lambda: replace(RR1_REPORT, verified_to=-1),
+                 id="CandidateReport-negative-verified_to"),
+    pytest.param(lambda: replace(RR1_REPORT, failed_at=2.5),
+                 id="CandidateReport-float-failed_at"),
+    # a negative exponent is refused, never dropped as if it were 0
+    pytest.param(lambda: packed_product([-1], 3), id="packed_product-negative"),
+    pytest.param(lambda: packed_product([1.5], 3), id="packed_product-float"),
     pytest.param(lambda: count_by_predicate(5, 5), id="count_by_predicate-int"),
     pytest.param(lambda: load_series(5), id="load_series-descriptor"),
     pytest.param(lambda: load_series(0), id="load_series-stdin"),
