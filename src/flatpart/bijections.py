@@ -30,7 +30,7 @@ from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import NotInProductClass, PreconditionViolated, UnknownFamily, require_int
-from .families import family_row, get_identity, normalize_name
+from .families import family_row, normalize_name, row_conj_pred, row_product
 from .partitions import as_partition, frequency_profile, partitions_of
 
 SYLVESTER_CORE = "structural hook dissection"
@@ -311,16 +311,17 @@ def verify_bijection(family: str, k: int, n_max: int) -> BijectionReport:
     fam = normalize_name(family)
     require_int(n_max, "n_max", 0)
     fwd, inv, core = family_maps(fam, k)
-    ident = get_identity("%s_K%d" % (fam, k))
+    row = family_row(fam, k)  # the three classes the registry builds
+    product, conj_pred, sum_pred = row_product(row), row_conj_pred(row), row.sum_pred()
     checked = 0
     for n in range(n_max + 1):
         prod_class, conj_class, sum_class = [], [], []
         for p in partitions_of(n):
-            if all(ident.product.allows_part(x) for x in p):
+            if all(product.allows_part(x) for x in p):
                 prod_class.append(p)
-            if ident.conj_pred(p):
+            if conj_pred(p):
                 conj_class.append(p)
-            if ident.sum_pred(p):
+            if sum_pred(p):
                 sum_class.append(p)
         if not (len(prod_class) == len(conj_class) == len(sum_class)):
             return BijectionReport(

@@ -52,10 +52,16 @@ def cmd_product(args) -> int:
 
 
 def cmd_euler(args) -> int:
+    from .errors import InsufficientOrder
     from .euler import detect_period, euler_exponents
     from .series import load_series
     fac = euler_exponents(load_series(args.series))
-    verdict = detect_period(fac, args.dmax, args.emax)
+    try:
+        verdict = detect_period(fac, args.dmax, args.emax)
+    except InsufficientOrder as exc:  # the exponents stand without a verdict
+        _emit("\n".join(map(str, fac.exponents)), args.out)
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
     _emit("\n".join(map(str, fac.exponents)), args.out)
     if verdict.periodic:
         classes = ",".join("%d:%d" % c for c in verdict.class_exponents)

@@ -73,7 +73,8 @@ def _require_text(text, what: str) -> str:
 
 
 def parse_rule(text: str) -> FlatRule:
-    fields = _require_text(text, "rule").strip().split(":")
+    text = _require_text(text, "rule").strip()  # every message quotes this
+    fields = text.split(":")
     if len(fields) == 5 and fields[4] == "n":
         mode = NOT_CONGRUENT
         fields = fields[:4]

@@ -1,15 +1,17 @@
 """Truncation recursions for selected identities.
 
 P_j here always means the generating function for the identity's sum
-side restricted to partitions whose largest part is at most j.  The
-recursions below build P_j from earlier truncations using only exact
-series arithmetic; verify_recursion replays them and compares every
-computed P_j against the window-condition DP with the same largest-part
-bound, reporting the first (j, n) disagreement.
-
-Four of the mod-9 family recursions advance j by 3; the rest advance
-by 1 or 2.  Values of j the recursion never defines are simply skipped
-in the comparison.
+side restricted to partitions whose largest part is at most j.  Every
+recursion below has one form (see Recursion): P_j is a sum of terms
+sign * q^shift * prod(1 - q^up) / prod(1 - q^down) * P_{j-k}, each
+exponent affine in j.  One loop replays all nine with the in-place
+(1 - q^m) multiplications and divisions of the product side, and
+verify_recursion compares every computed P_j against the
+window-condition DP with the same largest-part bound, reporting the
+first (j, n) disagreement.  The offset tables advance j by 1, FAM2_K1
+by 2 and the mod-9 class-pair recursions by 3, each of the last five
+in one term, telescoped from its printed sum; values of j a recursion
+never defines are skipped in the comparison.
 """
 
 from __future__ import annotations
@@ -20,82 +22,42 @@ from typing import Callable, NamedTuple, Optional
 from .counting import sum_series_dp
 from .errors import UnknownRecursion, require_int
 from .families import canonical_name, get_identity
-from .series import IntSeries, first_mismatch, geom, monomial, one, zero
+from .series import (IntSeries, div_one_minus_qm, first_mismatch,
+                     mul_one_minus_qm, one, require_order)
 
 
-def _q_over(j: int, order: int) -> IntSeries:
-    """q^j / (1 - q^j), truncated."""
-    return geom(j, order).shift(j)
+def _combine(terms, order: int) -> IntSeries:
+    """The sum of sign * q^shift * prod(1 - q^up) / prod(1 - q^down) * p
+    over the terms (p, sign, shift, up, down), truncated at the order."""
+    acc = [0] * (order + 1)
+    for p, sign, shift, up, down in terms:
+        c = list(p.coeffs[:max(order + 1 - shift, 0)])
+        for m in up:
+            mul_one_minus_qm(c, m)
+        for m in down:
+            div_one_minus_qm(c, m)
+        for i, x in enumerate(c, shift):
+            acc[i] += sign * x
+    return IntSeries(acc)
 
 
 def _offsets(table: dict) -> Callable:
-    """The step of an offset table: for each residue of j mod the table's
-    length the terms (offset, sign) in
+    """The terms of an offset table: for each residue of j mod the table's
+    length the pairs (offset, sign) in
 
         P_j = P_{j-1} + q^j/(1-q^j) * sum(sign * P_{j-offset})"""
-    def step(j: int, values: dict, order: int) -> IntSeries:
-        zero_s = zero(order)
-        acc = zero_s
-        for off, sign in table[j % len(table)]:
-            prev = values.get(j - off, zero_s)
-            acc = acc + prev if sign > 0 else acc - prev
-        return values[j - 1] + _q_over(j, order) * acc
-    return step
+    return lambda j: ((1, 1, 0, (), ()),) + tuple(
+        (off, sign, j, (), (j,)) for off, sign in table[j % len(table)])
 
 
-def _fam2k1_step(j: int, values: dict, order: int) -> IntSeries:
-    prev = values[j - 2]
-    return _q_over(j, order) * prev + geom(j - 1, order) * prev
-
-
-def _fam8(shape: str) -> Callable:
-    """The step of the mod-9 class-pair recursions: one advancement
-    factor takes the truncation level from j-3 up to j."""
-    def step(j: int, values: dict, order: int) -> IntSeries:
-        head = one(order) + monomial(j, order) + monomial(2 * j, order)
-        a, c = j - 1, j - 2
-        if shape == "low":
-            tail = _q_over(a, order) * (one(order) + monomial(c, order)) \
-                + geom(c, order)
-        else:
-            tail = geom(a, order).shift(2 * a) \
-                + geom(c, order) * (one(order) + monomial(a, order))
-        return head * tail * values[j - 3]
-    return step
+def _mod9(s: int) -> Callable:
+    """The telescoped mod-9 step (see Recursion), s = 5 low and 4 high."""
+    return lambda j: ((3, 1, 0, (3 * j, 3 * j - s), (j, j - 1, j - 2)),)
 
 
 def _fam8_p1(order: int) -> IntSeries:
     # P_1 = 1 + q + q^2, at most two 1s: where the odd mod-9 recursions start
-    return one(order) + monomial(1, order) + monomial(2, order)
-
-
-# printed starting truncations, as exact series builders keyed by j;
-# verify_recursion checks the recursion regenerates each of these
-def _fam1_1_bases(order):
-    g2, g3 = geom(2, order), geom(3, order)
-    return {1: one(order), 2: g2, 3: g3 + g2 - one(order)}
-
-
-def _fam1_2_bases(order):
-    g3 = geom(3, order)
-    return {1: one(order), 2: one(order), 3: g3, 4: g3,
-            5: geom(5, order) + g3 - one(order)}
-
-
-def _fam1_3_bases(order):
-    g2 = geom(2, order)
-    p3 = (one(order) - monomial(5, order)) * geom(3, order) * g2
-    p4 = p3 + geom(4, order).shift(4) * g2
-    p5 = p4 + _q_over(5, order) * p3
-    return {1: one(order), 2: g2, 3: p3, 4: p4, 5: p5}
-
-
-def _not3mod4_bases(order):
-    return {2: (one(order) - monomial(3, order)) * geom(1, order) * geom(2, order)}
-
-
-def _triangle_base(order):
-    return {1: (one(order) - monomial(3, order)) * geom(1, order)}  # (1-q^3)/(1-q)
+    return IntSeries(([1, 1, 1] + [0] * require_order(order))[:order + 1])
 
 
 @dataclass(frozen=True)
@@ -109,36 +71,71 @@ class RecursionReport:
 
 
 class Recursion(NamedTuple):
-    """P_first = start(order), then P_j = step(j, values, order) for
-    j = first + stride, first + 2*stride, ...; bases(order) gives the
-    printed truncations {j: P_j} the replay must regenerate."""
+    """P_first = start(order), then for j = first + stride, first + 2*stride,
+    ... P_j sums the terms (k, sign, shift, up, down) of terms(j), each
+
+        sign * q^shift * prod_{m in up} (1 - q^m) / prod_{m in down} (1 - q^m) * P_{j-k}
+
+    with every exponent affine in j; a level not yet defined counts as 0.
+    bases(order) gives the printed truncations {j: P_j} the replay must
+    regenerate.
+
+    The printed mod-9 step is (1 + q^j + q^2j) * T * P_{j-3}, where
+    1 + q^j + q^2j = (1 - q^3j)/(1 - q^j) and, with a = j-1 and c = j-2,
+    T telescopes to one quotient through q^a(1 - q^2c) + (1 - q^a) =
+    1 - q^(a+2c) (low) and q^2a(1 - q^c) + (1 - q^2a) = 1 - q^(2a+c) (high):
+
+        low:  q^a/(1-q^a) (1 + q^c) + 1/(1-q^c) = (1 - q^(3j-5)) / ((1-q^a)(1-q^c))
+        high: q^2a/(1-q^a) + (1 + q^a)/(1-q^c) = (1 - q^(3j-4)) / ((1-q^a)(1-q^c))
+
+    FAM2_K1's printed step (q^j/(1-q^j) + 1/(1-q^(j-1))) * P_{j-2} is
+    (1 - q^(2j-1)) / ((1-q^j)(1-q^(j-1))) * P_{j-2}, through
+    q^j(1 - q^(j-1)) + (1 - q^j) = 1 - q^(2j-1)."""
     first: int
     start: Callable
     stride: int
-    step: Callable
+    terms: Callable
     bases: Callable = lambda order: {}
 
+
+def _printed(table: dict) -> Callable:
+    """bases(order) of printed truncations {j: terms (sign, shift, up, down) over 1}."""
+    return lambda order: {j: _combine(((one(order),) + t for t in terms), order)
+                          for j, terms in table.items()}
+
+
+_ONE, _MINUS_ONE = (1, 0, (), ()), (-1, 0, (), ())
+_G2, _G3 = (1, 0, (), (2,)), (1, 0, (), (3,))  # 1/(1 - q^2), 1/(1 - q^3)
+_P3 = (1, 0, (5,), (3, 2))  # FAM1_3_K2's (1 - q^5) / ((1 - q^3)(1 - q^2))
+_TRIANGLE = _printed({1: ((1, 0, (3,), (1,)),)})  # (1 - q^3)/(1 - q)
 
 _RECURSIONS = {
     "FAM1_1_K2": Recursion(0, one, 1, _offsets({0: ((2, 1), (4, -1), (5, 1)),
                                                 1: ((3, 1), (4, -1), (5, 1)),
-                                                2: ((2, 1),)}), _fam1_1_bases),
+                                                2: ((2, 1),)}),
+                           _printed({1: (_ONE,), 2: (_G2,),
+                                     3: (_G3, _G2, _MINUS_ONE)})),
     "FAM1_2_K2": Recursion(0, one, 1, _offsets({0: ((2, 1),),
                                                 1: ((2, 1), (4, -1), (5, 1)),
                                                 2: ((3, 1), (4, -1), (5, 1))}),
-                           _fam1_2_bases),
+                           _printed({1: (_ONE,), 2: (_ONE,), 3: (_G3,), 4: (_G3,),
+                                     5: ((1, 0, (), (5,)), _G3, _MINUS_ONE)})),
     "FAM1_3_K2": Recursion(0, one, 1, _offsets({0: ((3, 1), (4, -1), (5, 1)),
                                                 1: ((2, 1),),
                                                 2: ((2, 1), (4, -1), (5, 1))}),
-                           _fam1_3_bases),
+                           _printed({1: (_ONE,), 2: (_G2,), 3: (_P3,),
+                                     4: (_P3, (1, 4, (), (4, 2))),
+                                     5: (_P3, (1, 4, (), (4, 2)),
+                                         (1, 5, (5,), (5, 3, 2)))})),
     "FAM3_K1": Recursion(0, one, 1, _offsets({0: ((2, 1),), 1: ((1, 1),)}),
-                         _not3mod4_bases),
+                         _printed({2: ((1, 0, (3,), (1, 2)),)})),
     # defined on odd truncation levels only
-    "FAM2_K1": Recursion(1, one, 2, _fam2k1_step),
-    "FAM8_MOD9_S04": Recursion(0, one, 3, _fam8("low")),
-    "FAM8_MOD9_S05": Recursion(0, one, 3, _fam8("high")),
-    "FAM8_MOD9_S37": Recursion(1, _fam8_p1, 3, _fam8("low"), _triangle_base),
-    "FAM8_MOD9_S38": Recursion(1, _fam8_p1, 3, _fam8("high"), _triangle_base),
+    "FAM2_K1": Recursion(1, one, 2,
+                         lambda j: ((2, 1, 0, (2 * j - 1,), (j, j - 1)),)),
+    "FAM8_MOD9_S04": Recursion(0, one, 3, _mod9(5)),
+    "FAM8_MOD9_S05": Recursion(0, one, 3, _mod9(4)),
+    "FAM8_MOD9_S37": Recursion(1, _fam8_p1, 3, _mod9(5), _TRIANGLE),
+    "FAM8_MOD9_S38": Recursion(1, _fam8_p1, 3, _mod9(4), _TRIANGLE),
 }
 
 
@@ -160,7 +157,8 @@ def recursion_values(name: str, j_max: int, order: int) -> dict:
     require_int(j_max, "j_max", 0)
     values = {row.first: row.start(order)}
     for j in range(row.first + row.stride, j_max + 1, row.stride):
-        values[j] = row.step(j, values, order)
+        values[j] = _combine(((values[j - k], *rest) for k, *rest in row.terms(j)
+                              if j - k in values), order)
     return {j: p for j, p in values.items() if j <= j_max}
 
 

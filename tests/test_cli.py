@@ -140,6 +140,20 @@ def test_euler_aperiodic(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "aperiodic"
 
 
+def test_euler_on_a_short_series_writes_the_exponents(tmp_path, capsys):
+    # 13 coefficients are too few to certify periods up to 8, not to factor
+    series_file, out_file = tmp_path / "s.txt", tmp_path / "e.txt"
+    rc, _, _ = run(capsys, "count", "--rules", "1:2:1:2 +1z",
+                   "--order", "12", "--out", str(series_file))
+    assert rc == 0
+    exponents = "0 1 1 1 0 1 0 1 1 1 0 1".split()
+    rc, out, err = run(capsys, "euler", str(series_file))
+    assert rc == 1 and out.splitlines() == exponents
+    assert err == "error: order 12 cannot certify periods up to 8 (need >= 24)\n"
+    rc, out, _ = run(capsys, "euler", str(series_file), "--out", str(out_file))
+    assert rc == 1 and out == "" and out_file.read_text().split() == exponents
+
+
 def test_euler_on_a_series_with_huge_exponents(tmp_path, capsys):
     # its exponents reach 10**8 by m = 40; a pass per unit of |c_m| hangs
     series_file = tmp_path / "h.txt"

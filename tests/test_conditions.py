@@ -28,6 +28,17 @@ def test_rule_rejects_garbage():
             parse_rule(text)
 
 
+@pytest.mark.parametrize("parse", [parse_rule, parse_condition_set])
+@pytest.mark.parametrize("text, quoted", [
+    ("1:2:1:2 +1z junk", "'1:2:1:2 +1z junk'"),
+    ("  1:2 ", "'1:2'"),
+])
+def test_rule_errors_quote_the_rule_as_typed(parse, text, quoted):
+    with pytest.raises(PreconditionViolated) as exc:
+        parse(text)
+    assert str(exc.value).endswith("got %s" % quoted)
+
+
 def test_rule_parser_reduces_residues():
     assert parse_rule("1:2:5:2") == parse_rule("1:2:1:2")
     assert parse_rule("1:2:-1:4") == parse_rule("1:2:3:4")

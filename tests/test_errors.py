@@ -22,7 +22,7 @@ from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
-from flatpart.recursions import verify_recursion
+from flatpart.recursions import recursion_values, verify_recursion
 from flatpart.search import (CandidateReport, SearchBounds, search,
                              verify_candidate)
 from flatpart.series import (IntSeries, ProductSpec, first_mismatch, geom,
@@ -199,6 +199,8 @@ INTEGER_ARGUMENTS = {
     "kth_flattest": _kth_flattest_on_a_miss,
     "partitions_of": lambda v: partitions_of(v),
     "flat_patterns": lambda v: flat_patterns(2, v),
+    # the odd mod-9 recursions start from a literal series, not from one()
+    "recursion_order": lambda v: recursion_values("FAM8_MOD9_S37", 5, v),
 }
 
 

@@ -1,5 +1,7 @@
 """Registered coefficient recursions for the counting sequences."""
 
+import hashlib
+
 import pytest
 
 from flatpart import recursions
@@ -32,6 +34,18 @@ def test_every_level_has_the_asked_order(order):
     for name in recursion_names():
         orders = {j: p.order for j, p in recursion_values(name, 20, order).items()}
         assert set(orders.values()) == {order}, (name, orders)
+
+
+def test_replayed_values_are_pinned():
+    # every level of all nine replays, to j = 40 at five orders, hashed
+    digest = hashlib.sha256()
+    for name in recursion_names():
+        for order in (0, 1, 2, 30, 150):
+            values = recursion_values(name, 40, order)
+            digest.update(repr(sorted((j, p.coeffs) for j, p in values.items()))
+                          .encode())
+    assert digest.hexdigest() == (
+        "38fa97792d1ff19a5246a8856e2e7fc15bbb1b5948503d841f46b5a878084f71")
 
 
 def test_no_level_above_j_max():
