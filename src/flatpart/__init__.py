@@ -23,7 +23,7 @@ from .families import (family_satisfies, get_identity, get_refuted,
 from .partitions import (as_partition, conjugate, flat_patterns,
                          frequency_profile, kth_flattest, parse_partition,
                          partitions_of, render_partition)
-from .series import (IntSeries, ProductSpec, geom, load_series, monomial,
-                     one, product_from_exponents, product_series, zero)
+from .series import (IntSeries, ProductSpec, load_series, one,
+                     product_from_exponents, product_series)
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidSpecialization, PreconditionViolated, require_int
+from .errors import (InvalidSpecialization, PreconditionViolated, require_int,
+                     require_iterable)
 from .partitions import as_partition, partitions_of
 from .series import IntSeries, div_one_minus_qm, product_from_exponents
 
@@ -42,7 +43,8 @@ class Overpartition:
     def __post_init__(self):
         parts = as_partition(self.parts)
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "overlined", frozenset(self.overlined))
+        object.__setattr__(self, "overlined", frozenset(require_iterable(
+            self.overlined, "overlined", "part values")))
         if not self.overlined <= set(parts):
             raise PreconditionViolated("overlined a value that is not a part")
 
@@ -92,6 +94,8 @@ class BiSeries:
     __slots__ = ("rows", "n_max", "m_max")
 
     def __init__(self, rows, n_max: int, m_max: int):
+        require_int(n_max, "n_max", 0)
+        require_int(m_max, "m_max", 0)
         self.rows = [list(r[:n_max + 1]) + [0] * (n_max + 1 - len(r))
                      for r in rows[:m_max + 1]]
         while len(self.rows) < m_max + 1:
@@ -106,6 +110,8 @@ class BiSeries:
         return b
 
     def coeff(self, m: int, n: int) -> int:
+        require_int(m, "m")
+        require_int(n, "n")
         if 0 <= m <= self.m_max and 0 <= n <= self.n_max:
             return self.rows[m][n]
         return 0
@@ -117,6 +123,8 @@ class BiSeries:
                 and self.rows == other.rows)
 
     def __add__(self, other):
+        if not isinstance(other, BiSeries):
+            return NotImplemented
         if (self.n_max, self.m_max) != (other.n_max, other.m_max):
             raise PreconditionViolated("mismatched truncations")
         return BiSeries([[x + y for x, y in zip(r, s)]
@@ -130,7 +138,8 @@ class BiSeries:
         return BiSeries(rows, self.n_max, self.m_max)
 
     def times_a_power(self, e: int) -> "BiSeries":
-        """Multiply by a * q^e (truncating at the table edges)."""
+        """Multiply by a * q^e, e >= 0 (truncating at the table edges)."""
+        require_int(e, "e", 0)
         rows = [[0] * (self.n_max + 1)]
         for m in range(1, self.m_max + 1):
             src = self.rows[m - 1]

@@ -1,8 +1,8 @@
 """Truncated power series with exact integer coefficients.
 
 An IntSeries holds coefficients of q^0 .. q^order as Python ints, so
-nothing ever overflows or rounds.  Sums, differences and products take
-two IntSeries and truncate to the shorter operand's order.
+nothing ever overflows or rounds.  It has no arithmetic: series work runs
+on coefficient lists (mul_one_minus_qm, div_one_minus_qm) or packed ints.
 
 A ProductSpec describes an infinite product prod_{m>=1} (1-q^m)^(-e(m mod M))
 by its modulus and each residue class's exponent; with none nonzero it is 1.
@@ -81,45 +81,6 @@ class IntSeries:
             head += ", ..."
         return "IntSeries([%s], order=%d)" % (head, self.order)
 
-    def shift(self, k: int) -> "IntSeries":
-        """Multiply by q^k (k >= 0), keeping the order."""
-        if require_int(k, "shift", 0) == 0:
-            return self
-        n = len(self.coeffs)
-        return IntSeries(((0,) * min(k, n) + self.coeffs)[:n])
-
-    def __add__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return IntSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
-
-    def __sub__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return IntSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
-
-    def __mul__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        out = [0] * n
-        for i in range(n):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return IntSeries(out)
-
-
-def zero(order: int) -> IntSeries:
-    return IntSeries((0,) * (require_order(order) + 1))
-
 
 def one(order: int) -> IntSeries:
     return IntSeries((1,) + (0,) * require_order(order))
@@ -138,32 +99,16 @@ def first_mismatch(a: IntSeries, b: IntSeries) -> tuple | None:
     return None
 
 
-def monomial(k: int, order: int) -> IntSeries:
-    """q^k (k >= 0) truncated at the given order."""
-    require_int(k, "k", 0)
-    c = [0] * (require_order(order) + 1)
-    if k <= order:
-        c[k] = 1
-    return IntSeries(c)
-
-
-def geom(m: int, order: int) -> IntSeries:
-    """1/(1 - q^m): the generating series for parts equal to m."""
-    require_int(m, "m", 1)
-    c = [0] * (require_order(order) + 1)
-    for i in range(0, order + 1, m):
-        c[i] = 1
-    return IntSeries(c)
-
-
 def mul_one_minus_qm(coeffs: list, m: int) -> None:
-    """In place: multiply a coefficient list by (1 - q^m)."""
+    """In place: multiply a coefficient list by (1 - q^m), m >= 1."""
+    require_int(m, "m", 1)
     for i in range(len(coeffs) - 1, m - 1, -1):
         coeffs[i] -= coeffs[i - m]
 
 
 def div_one_minus_qm(coeffs: list, m: int) -> None:
-    """In place: divide a coefficient list by (1 - q^m)."""
+    """In place: divide a coefficient list by (1 - q^m), m >= 1."""
+    require_int(m, "m", 1)
     for i in range(m, len(coeffs)):
         coeffs[i] += coeffs[i - m]
 

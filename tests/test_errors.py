@@ -17,19 +17,20 @@ from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import (EulerFactorization, PeriodicVerdict,
                             detect_period, euler_exponents)
 from flatpart.families import Statement, family_row, get_identity, get_refuted
-from flatpart.overpartitions import (Overpartition, count_A, product_biseries,
-                                     r_enumeration, r_series, specialize)
+from flatpart.overpartitions import (BiSeries, Overpartition, count_A,
+                                     product_biseries, r_enumeration, r_series,
+                                     specialize)
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
 from flatpart.recursions import recursion_values, verify_recursion
 from flatpart.search import (CandidateReport, SearchBounds, search,
                              verify_candidate)
-from flatpart.series import (IntSeries, ProductSpec, first_mismatch, geom,
-                             load_series, monomial, one,
-                             packed_div_one_minus_qm, packed_product,
-                             partition_bits,
-                             product_from_exponents, product_series, zero)
+from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
+                             first_mismatch, load_series, mul_one_minus_qm,
+                             one, packed_div_one_minus_qm, packed_product,
+                             partition_bits, product_from_exponents,
+                             product_series)
 from flatpart.verify import verify_identity
 
 
@@ -97,13 +98,6 @@ def test_non_integer_order_or_bound_is_refused(call):
     lambda: ConditionSet(("1:2:1:2",)),
     lambda: FlatRule("1", 2, 0, 2),
     lambda: FlatRule(1, 2, 0.0, 2),
-    lambda: geom(2, 5.5),
-    lambda: geom(2.0, 5),
-    lambda: monomial(2.5, 4),
-    lambda: monomial(1, 4.0),
-    lambda: one(4).shift(1.5),
-    lambda: zero(2.5),
-    lambda: zero("3"),
     # coefficients are refused, never rounded
     lambda: IntSeries([1.7, 2]),
     lambda: IntSeries([1, "2"]),
@@ -115,20 +109,11 @@ def test_non_integer_order_or_bound_is_refused(call):
     lambda: detect_period(euler_exponents(one(30)), 3, True),
 ], ids=["spec_exponent", "spec_modulus", "spec_residue", "exponent_float",
         "exponent_str", "set_min_part", "set_zeros", "set_rule_text",
-        "rule_index", "rule_residue", "geom_order", "geom_m", "monomial_k",
-        "monomial_order", "shift", "zero_float", "zero_str",
-        "coeff_float", "coeff_str", "period_d_max_float", "period_d_max_str",
+        "rule_index", "rule_residue", "coeff_float", "coeff_str", "period_d_max_float", "period_d_max_str",
         "period_d_max_bool", "period_e_max_float", "period_e_max_bool"])
 def test_non_integer_field_is_refused(call):
     with pytest.raises(PreconditionViolated):
         call()
-
-
-@pytest.mark.parametrize("k", [-1, -5])
-def test_negative_monomial_exponent_is_refused(k):
-    # a negative k would index the coefficient list from its end
-    with pytest.raises(PreconditionViolated, match="k must be an int >= 0"):
-        monomial(k, 4)
 
 
 @pytest.mark.parametrize("call", [
@@ -141,8 +126,21 @@ def test_negative_monomial_exponent_is_refused(k):
     # a negative table size would return rows with no coefficients
     lambda: r_enumeration(2, 3, -1, 1),
     lambda: r_enumeration(2, -1, 3, 1),
+    lambda: BiSeries([], -1, 2),
+    lambda: BiSeries([], 2, -1),
+    # m = 0 would zero the list or double it; m < 0 would index it from
+    # its end
+    lambda: mul_one_minus_qm([1, 2, 3], 0),
+    lambda: div_one_minus_qm([1, 2, 3], 0),
+    lambda: mul_one_minus_qm([1, 2, 3], -1),
+    lambda: div_one_minus_qm([1, 2, 3], -1),
+    lambda: BiSeries.one(3, 1).divide_one_minus_qm(0),
+    # a negative power would put a*q^e at q^0
+    lambda: BiSeries.one(3, 1).times_a_power(-2),
 ], ids=["dp_largest_part", "partition_bits", "div_zero_step", "div_negative_step",
-        "r_enumeration_n_max", "r_enumeration_j"])
+        "r_enumeration_n_max", "r_enumeration_j", "BiSeries_n_max",
+        "BiSeries_m_max", "mul_zero_m", "div_zero_m", "mul_negative_m",
+        "div_negative_m", "BiSeries_divide_zero_m", "times_a_power_negative"])
 def test_negative_bound_or_step_is_refused(call):
     with pytest.raises(PreconditionViolated):
         call()
@@ -165,9 +163,8 @@ BOX = dict(max_rules=1, a_range=(1, 1), b_range=(2, 2), d_range=(2, 2))
 # one call per integer argument, taking the value to pass
 INTEGER_ARGUMENTS = {
     "order": lambda v: one(v),
-    "shift": lambda v: one(4).shift(v),
-    "monomial": lambda v: monomial(v, 4),
-    "geom": lambda v: geom(v, 5),
+    "mul_one_minus_qm": lambda v: mul_one_minus_qm([1, 2, 3], v),
+    "div_one_minus_qm": lambda v: div_one_minus_qm([1, 2, 3], v),
     "spec_modulus": lambda v: ProductSpec(v, {0: 1}),
     "spec_exponent": lambda v: ProductSpec(3, {1: v}),
     "exponents": lambda v: product_from_exponents([v], 5),
@@ -190,6 +187,11 @@ INTEGER_ARGUMENTS = {
     "bijection_n_max": lambda v: verify_bijection("FAM2", 1, v),
     "count_A": lambda v: count_A(v, 5, 2),
     "biseries_n_max": lambda v: product_biseries(3, v, 2),
+    "BiSeries_n_max": lambda v: BiSeries([[1, 2]], v, 1),
+    "BiSeries_m_max": lambda v: BiSeries([[1, 2]], 2, v),
+    "times_a_power": lambda v: BiSeries.one(3, 1).times_a_power(v),
+    "coeff_m": lambda v: BiSeries.one(3, 1).coeff(v, 1),
+    "coeff_n": lambda v: BiSeries.one(3, 1).coeff(0, v),
     "r_series_m_max": lambda v: r_series(3, 4, 4, v),
     "r_enumeration_k": lambda v: r_enumeration(v, 3, 3, 1),
     "r_enumeration_j": lambda v: r_enumeration(2, v, 3, 1),
@@ -216,6 +218,7 @@ INTEGER_ARGUMENTS = {
     pytest.param(lambda: (kth_flattest(1, 2, 3), kth_flattest(True, 2, 3)),
                  id="kth_flattest-bool-cached"),
     pytest.param(lambda: as_partition((2, True)), id="as_partition-bool-part"),
+    pytest.param(lambda: Overpartition((3,), 5), id="Overpartition-int-overlined"),
     # a condition set is refused unless it is a ConditionSet, before any cache
     pytest.param(lambda: sum_series_brute("1:2:1:2", 5), id="brute-set-text"),
     pytest.param(lambda: sum_series_brute(None, 5), id="brute-set-none"),
@@ -320,3 +323,10 @@ def test_integer_arguments_and_partitions_are_checked(call):
 def test_detect_period_reads_any_iterable_of_exponents(exponents):
     # with no order, all the exponents given are read
     assert detect_period(exponents, 1) == PeriodicVerdict(True, 1, ((0, 1),))
+
+
+def test_a_biseries_adds_only_a_biseries():
+    with pytest.raises(TypeError):
+        BiSeries.one(3, 1) + 5
+    with pytest.raises(PreconditionViolated, match="mismatched truncations"):
+        BiSeries.one(3, 1) + BiSeries.one(4, 1)

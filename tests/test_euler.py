@@ -14,7 +14,7 @@ from flatpart.errors import (InsufficientOrder, NonUnitConstantTerm,
 from flatpart.euler import (_BLOCK, EulerFactorization, PeriodicVerdict,
                             detect_period, euler_exponents, exponent_stream)
 from flatpart.families import get_identity
-from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm, geom,
+from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
                              mul_one_minus_qm, one, product_from_exponents,
                              product_series)
 
@@ -69,7 +69,8 @@ def detect_period_by_definition(exps, d_max, e_max):
 
 
 def test_single_geometric_factor():
-    fac = euler_exponents(geom(3, 24))
+    # 1/(1 - q^3), written out
+    fac = euler_exponents(IntSeries([1, 0, 0] * 8 + [1]))
     assert fac.exponents[2] == 1          # the m=3 slot
     assert all(e == 0 for i, e in enumerate(fac.exponents) if i != 2)
 
@@ -110,18 +111,17 @@ def test_minimal_period_is_preferred():
 
 
 def test_aperiodic_series_is_rejected():
-    # a single extra factor breaks every small period
-    f = product_series(ProductSpec.from_residues(2, [1]), 40) * geom(8, 40)
+    # a single extra factor 1/(1 - q^8) on 1/(q;q^2) breaks every small period
+    f = product_from_exponents([m % 2 + (m == 8) for m in range(1, 41)], 40)
     verdict = detect_period(euler_exponents(f), d_max=6)
     assert not verdict.periodic
 
 
 def test_negative_exponents_fail_the_screen():
-    # (1-q) * 1/(q;q^2)-style series has exponent -1 at m=1
-    f = product_from_exponents([-1], 40)
-    fac = euler_exponents(f * f)
-    verdict = detect_period(fac, d_max=4)
-    assert not verdict.periodic or any(fac.exponents)
+    # (1-q)^2 has exponent -2 at m=1
+    fac = euler_exponents(IntSeries([1, -2, 1] + [0] * 38))
+    assert fac.exponents == (-2,) + (0,) * 39
+    assert not detect_period(fac, d_max=4).periodic
 
 
 def test_exponent_cap_is_enforced():

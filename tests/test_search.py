@@ -81,6 +81,20 @@ def test_enumeration_is_sorted_and_deterministic():
     assert keys == sorted(keys)
 
 
+def test_allow_neq_enumerates_each_rule_negated():
+    bounds = SearchBounds(max_rules=1, a_range=(1, 1), b_range=(2, 2),
+                          d_range=(2, 2), n_check=24, allow_neq=True)
+    assert [str(cs) for cs in enumerate_condition_sets(bounds)] == [
+        "1:2:0:2", "1:2:0:2:n", "1:2:1:2", "1:2:1:2:n"]
+    # mod 2 a sum not congruent to 1 is congruent to 0, so the two rules
+    # forbid the same windows
+    verdicts = {str(r.condition_set): r.verdict
+                for r in search(bounds, nontrivial=False)}
+    assert verdicts["1:2:1:2:n"] == verdicts["1:2:0:2"]
+    assert verdicts["1:2:0:2"].period == 2
+    assert verdicts["1:2:0:2"].class_exponents == ((0, 0), (1, 1))
+
+
 def test_screening_keeps_periodic_emits_none_otherwise():
     hit = screen_condition_set(parse_condition_set("1:2:1:2", zeros=1),
                                n_check=25, d_max=8, e_max=4)
