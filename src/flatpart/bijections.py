@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
 
-from .errors import NotInProductClass, PreconditionViolated, UnknownFamily, require_int
+from .errors import (NotInProductClass, PreconditionViolated, UnknownFamily, require_int,
+                     require_type)
 from .families import family_row, normalize_name, row_conj_pred, row_product
 from .partitions import as_partition, frequency_profile, partitions_of
 
@@ -233,9 +234,9 @@ def wrapper_map(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> tuple
     image = tuple(sorted(split + replicated, reverse=True))
     if trace is not None:
         split_name, mapped_name, _piles = _TRACE_NAMES[m]
-        trace.update({split_name: tuple(sorted(split, reverse=True)),
-                      mapped_name: small, "mu": mu,
-                      "replicated": tuple(sorted(replicated, reverse=True))})
+        require_type(trace, dict, "trace").update({
+            split_name: tuple(sorted(split, reverse=True)), mapped_name: small,
+            "mu": mu, "replicated": tuple(sorted(replicated, reverse=True))})
     return image
 
 
@@ -270,7 +271,8 @@ def wrapper_inverse(spec: WrapperSpec, parts, trace: Optional[dict] = None) -> t
     merged = [m * v for v in spilled[0::m]]
     result = tuple(sorted(merged + list(unmapped), reverse=True))
     if trace is not None:
-        trace.update(("pi_%d" % j, tuple(pile)) for j, pile in piles.items())
+        require_type(trace, dict, "trace").update(
+            ("pi_%d" % j, tuple(pile)) for j, pile in piles.items())
         trace["pi_1_prime"] = tuple(spilled)
         trace.update(("pi_%d_prime" % j, tuple(kept[j]))
                      for j in _TRACE_NAMES[m][2])

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionViolated, require_int, require_iterable
+from .errors import PreconditionViolated, require_int, require_iterable, require_type
 from .partitions import _kth_flattest, as_partition
 
 CONGRUENT = "congruent"
@@ -66,14 +66,8 @@ class FlatRule:
         return text
 
 
-def _require_text(text, what: str) -> str:
-    if not isinstance(text, str):
-        raise PreconditionViolated("%s text must be a str, got %r" % (what, text))
-    return text
-
-
 def parse_rule(text: str) -> FlatRule:
-    text = _require_text(text, "rule").strip()  # every message quotes this
+    text = require_type(text, str, "rule text").strip()  # every message quotes this
     fields = text.split(":")
     if len(fields) == 5 and fields[4] == "n":
         mode = NOT_CONGRUENT
@@ -91,35 +85,27 @@ def parse_rule(text: str) -> FlatRule:
     return FlatRule(a, b, c, d, mode)
 
 
-def _require_rule(rule) -> FlatRule:
-    if not isinstance(rule, FlatRule):
-        raise PreconditionViolated("a rule must be a FlatRule, got %r" % (rule,))
-    return rule
-
-
 def matches_at(rule: FlatRule, window: Sequence[int]) -> bool:
     """Does this window (one entry per position, zeros allowed) match the rule?"""
-    _require_rule(rule)
-    try:
-        window = tuple(window)
-    except TypeError:
-        raise PreconditionViolated("a window must be an iterable of ints, got %r"
-                                   % (window,)) from None
-    if len(window) != rule.width:
-        return False
-    if not any(window):
+    require_type(rule, FlatRule, "rule")
+    return _matches(rule, tuple(require_int(x, "a window entry")
+                                for x in require_iterable(window, "window", "ints")))
+
+
+def _matches(rule: FlatRule, window: tuple) -> bool:
+    # matches_at on a window known to be a tuple of ints
+    if len(window) != rule.width or not any(window):
         return False  # fictitious-zero windows are exempt
     total = sum(window)
-    if not rule.sum_matches(total):
-        return False
-    return window == _kth_flattest(rule.flatness_index, rule.width, total)
+    return (rule.sum_matches(total)
+            and window == _kth_flattest(rule.flatness_index, rule.width, total))
 
 
 def matching_windows(rule: FlatRule, order: int) -> frozenset:
     """Every window of weight at most order that matches_at accepts: the
     A-th flattest B-tuple of each weight 1..order whose weight passes the
     congruence, so at most order windows."""
-    a, b = _require_rule(rule).flatness_index, rule.width
+    a, b = require_type(rule, FlatRule, "rule").flatness_index, rule.width
     found = (_kth_flattest(a, b, t) for t in range(1, require_int(order, "order", 0) + 1)
              if rule.sum_matches(t))
     return frozenset(w for w in found if w is not None)
@@ -139,9 +125,7 @@ class ConditionSet:
         require_int(self.min_part, "min_part", 1)
         seen = []
         for r in require_iterable(self.rules, "rules", "rules"):
-            if not isinstance(r, FlatRule):
-                raise PreconditionViolated("rules must be FlatRule instances")
-            if r not in seen:
+            if require_type(r, FlatRule, "a rule") not in seen:
                 seen.append(r)
         seen.sort(key=FlatRule.sort_key)
         object.__setattr__(self, "rules", tuple(seen))
@@ -190,7 +174,7 @@ def parse_condition_set(text: str, zeros: int = 0) -> ConditionSet:
     or "(no rules)", then an optional " +Nz" zero count and an optional
     " parts>=N" smallest-part bound.  `zeros` gives the zero count when
     the text has no "+Nz"; giving both is an error."""
-    text = _require_text(text, "condition set")
+    text = require_type(text, str, "condition set text")
     body, nz, bound = _SET_TEXT.fullmatch(" " + text.strip()).groups()
     if nz is not None:
         if zeros:
@@ -202,17 +186,11 @@ def parse_condition_set(text: str, zeros: int = 0) -> ConditionSet:
     return ConditionSet(tuple(rules), zeros, int(bound or 1))
 
 
-def _require_set(cs) -> ConditionSet:
-    if not isinstance(cs, ConditionSet):
-        raise PreconditionViolated("a ConditionSet is needed, got %r" % (cs,))
-    return cs
-
-
 def satisfies(cs: ConditionSet, parts: Sequence[int]) -> bool:
     """True when the smallest part is at least cs.min_part and no window
     of the zero-padded partition matches any rule; the parts must form a
     partition (positive, weakly decreasing)."""
-    _require_set(cs)
+    require_type(cs, ConditionSet, "cs")
     parts = as_partition(parts)
     if parts and parts[-1] < cs.min_part:
         return False
@@ -221,6 +199,6 @@ def satisfies(cs: ConditionSet, parts: Sequence[int]) -> bool:
     for rule in cs.rules:
         w = rule.width
         for i in range(n - w + 1):
-            if matches_at(rule, extended[i:i + w]):
+            if _matches(rule, extended[i:i + w]):
                 return False
     return True

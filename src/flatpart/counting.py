@@ -53,8 +53,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .automaton import automaton_rows
-from .conditions import ConditionSet, _require_set, matching_windows
-from .errors import CeilingExceeded, PreconditionViolated, require_int
+from .conditions import ConditionSet, matching_windows
+from .errors import CeilingExceeded, PreconditionViolated, require_int, require_type
 from .partitions import partitions_of
 from .series import IntSeries, partition_bits, require_order, unpack
 
@@ -91,7 +91,7 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     only.  Memory is O(order) per rule; nothing outlives the call."""
     counts = [0] * (_under_ceiling(order) + 1)
     tables = {}
-    for r in _require_set(cs).rules:
+    for r in require_type(cs, ConditionSet, "cs").rules:
         found = matching_windows(r, order)
         tables[r.width] = tables[r.width] | found if r.width in tables else found
     by_width = list(tables.items())
@@ -130,7 +130,8 @@ def packed_sum_series(cs: ConditionSet, order: int,
     order = require_order(order)
     start = (order if largest_part is None
              else min(order, require_int(largest_part, "largest_part", 0)))
-    rows = automaton_rows(_require_set(cs).rules, order, start, cs.min_part)
+    rows = automaton_rows(require_type(cs, ConditionSet, "cs").rules, order, start,
+                          cs.min_part)
     return rows[min(cs.zeros, len(rows) - 1)], partition_bits(order)
 
 

@@ -1,7 +1,8 @@
-"""Exception types shared across the library, and require_int, the one
+"""Exception types shared across the library; require_int, the one
 check of every integer argument (an order, a rule field, a zero count, a
 modulus, a family index): an int and not a bool, or PreconditionViolated
-naming the argument."""
+naming the argument; and require_type, the one refusal of an argument of
+the wrong type, naming the argument, the expected type and the given one."""
 
 
 class FlatpartError(Exception):
@@ -47,6 +48,19 @@ def require_int(value, name: str, least: int | None = None) -> int:
             or least is not None and value < least):
         kind = "an integer" if least is None else "an int >= %d" % least
         raise PreconditionViolated("%s must be %s, got %r" % (name, kind, value))
+    return value
+
+
+def require_type(value, kind, name: str):
+    """The value itself; one that is not an instance of kind (a type or a
+    tuple of types) raises PreconditionViolated naming the argument, the
+    expected types, and the type and repr of the value."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        wanted = " or ".join(("an %s" if k.__name__[0] in "AEIOU" else "a %s")
+                             % k.__name__ for k in kinds)
+        raise PreconditionViolated("%s must be %s, got %s %r"
+                                   % (name, wanted, type(value).__name__, value))
     return value
 
 

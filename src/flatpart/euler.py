@@ -36,7 +36,8 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (InsufficientOrder, NonUnitConstantTerm,
-                     PreconditionViolated, require_int, require_iterable)
+                     PreconditionViolated, require_int, require_iterable,
+                     require_type)
 from .series import IntSeries, ProductSpec, require_order
 
 
@@ -65,10 +66,7 @@ def exponent_stream(series: IntSeries) -> Iterator[int]:
     """c_1, c_2, .., c_N with series = prod (1-q^m)^(-c_m) + O(q^(N+1)),
     each yielded as soon as it is known.  The series is checked here,
     at the call, not at the first next()."""
-    if not isinstance(series, IntSeries):
-        raise PreconditionViolated(
-            "factorization needs an IntSeries, got %s" % type(series).__name__)
-    if series.coeffs[0] != 1:
+    if require_type(series, IntSeries, "series").coeffs[0] != 1:
         raise NonUnitConstantTerm(
             "factorization needs constant term 1, got %r" % (series.coeffs[0],))
     # sliced as a list: slices of the coefficient tuple stayed allocated

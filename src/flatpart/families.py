@@ -29,7 +29,7 @@ from .conditions import ConditionSet, condition_set
 # entry's sum_pred; count_series itself always takes the DP
 from .counting import count_by_predicate  # noqa: F401
 from .counting import packed_sum_series, sum_series_dp
-from .errors import PreconditionViolated, UnknownFamily, require_int
+from .errors import PreconditionViolated, UnknownFamily, require_int, require_type
 from .partitions import as_partition, frequency_profile
 from .series import (IntSeries, ProductSpec, first_mismatch, first_split,
                      packed_product, require_order, unpack)
@@ -42,7 +42,7 @@ PRODUCT = "product"
 @dataclass(frozen=True)
 class Statement:
     """The claim that the sum side, counted by the window form, equals
-    the product (None is stored as the empty product, ProductSpec(1, ())).
+    the product.
 
     first_mismatch compares the two sides packed: the DP's row
     (packed_sum_series) and the product's divisions (packed_product),
@@ -58,15 +58,8 @@ class Statement:
     product: ProductSpec
 
     def __post_init__(self):
-        if not isinstance(self.flat, ConditionSet):
-            raise PreconditionViolated(
-                "a statement's flat must be a ConditionSet, got %r" % (self.flat,))
-        if self.product is None:
-            object.__setattr__(self, "product", ProductSpec(1, ()))
-        elif not isinstance(self.product, ProductSpec):
-            raise PreconditionViolated(
-                "a statement's product must be a ProductSpec or None, got %r"
-                % (self.product,))
+        require_type(self.flat, ConditionSet, "flat")
+        require_type(self.product, ProductSpec, "product")
 
     def count_series(self, order: int) -> IntSeries:
         """Sum-side counting series by the DP over the window form."""
@@ -662,9 +655,7 @@ def registered_names() -> list:
 def normalize_name(name: str) -> str:
     """A user-typed family or identity name, stripped and upper-cased; a
     name that is not a str raises PreconditionViolated."""
-    if not isinstance(name, str):
-        raise PreconditionViolated("a name must be a str, got %r" % (name,))
-    return name.strip().upper()
+    return require_type(name, str, "name").strip().upper()
 
 
 def canonical_name(name: str) -> str:

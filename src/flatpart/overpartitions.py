@@ -53,7 +53,8 @@ class Overpartition:
         return sum(self.parts)
 
     def satisfies(self, k: int) -> bool:
-        """The two adjacency prohibitions triggered by overlines."""
+        """The two adjacency prohibitions triggered by overlines, k >= 2."""
+        require_int(k, "k", 2)
         freq = {}
         for p in self.parts:
             freq[p] = freq.get(p, 0) + 1
@@ -96,8 +97,11 @@ class BiSeries:
     def __init__(self, rows, n_max: int, m_max: int):
         require_int(n_max, "n_max", 0)
         require_int(m_max, "m_max", 0)
-        self.rows = [list(r[:n_max + 1]) + [0] * (n_max + 1 - len(r))
-                     for r in rows[:m_max + 1]]
+        self.rows = []
+        for r in itertools.islice(require_iterable(rows, "rows", "rows"), m_max + 1):
+            row = [require_int(c, "a coefficient") for c in
+                   itertools.islice(require_iterable(r, "a row", "ints"), n_max + 1)]
+            self.rows.append(row + [0] * (n_max + 1 - len(row)))
         while len(self.rows) < m_max + 1:
             self.rows.append([0] * (n_max + 1))
         self.n_max = n_max

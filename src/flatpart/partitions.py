@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import PreconditionViolated, require_int
+from .errors import PreconditionViolated, require_int, require_type
 
 
 def as_partition(parts) -> tuple:
@@ -49,9 +49,7 @@ def render_partition(parts: Sequence[int]) -> str:
 
 def parse_partition(text: str) -> tuple:
     """Inverse of render_partition.  Accepts "-" or "" for the empty partition."""
-    if not isinstance(text, str):
-        raise PreconditionViolated("partition text must be a str, got %r" % (text,))
-    text = text.strip()
+    text = require_type(text, str, "partition text").strip()
     if text in ("-", ""):
         return ()
     try:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, Optional
 
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
 from .counting import sum_series_dp
-from .errors import PreconditionViolated, require_int
+from .errors import PreconditionViolated, require_int, require_type
 from .euler import PeriodicVerdict, detect_period, exponent_stream
 # unused here, but perfbench/rep.py rebinds search.euler_exponents in
 # its traced runs, so the name stays bound
@@ -117,9 +117,7 @@ def enumerate_condition_sets(bounds: SearchBounds) -> Iterator[ConditionSet]:
     lexicographically.  Sets stream out depth first over the sorted
     rules: a prefix sorts before its extensions, and the zero count is
     the last key."""
-    if not isinstance(bounds, SearchBounds):
-        raise PreconditionViolated(
-            "bounds must be a SearchBounds, got %r" % (bounds,))
+    require_type(bounds, SearchBounds, "bounds")
     modes = (CONGRUENT, NOT_CONGRUENT) if bounds.allow_neq else (CONGRUENT,)
     rules = sorted(
         (FlatRule(a, b, c, d, mode)
@@ -156,10 +154,7 @@ class CandidateReport:
     def __post_init__(self):
         for name, kind in (("condition_set", ConditionSet),
                            ("verdict", PeriodicVerdict), ("status", str)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise PreconditionViolated("%s must be a %s, got %r"
-                                           % (name, kind.__name__, value))
+            require_type(getattr(self, name), kind, name)
         require_int(self.verified_to, "verified_to", 0)
         if self.failed_at is not None:
             require_int(self.failed_at, "failed_at")
@@ -205,6 +200,7 @@ def search(bounds: SearchBounds, nontrivial: bool = True) -> List[CandidateRepor
     """Screen every condition set in the box.  With the default
     nontrivial filter a candidate must exclude at least one residue
     class from its product, which drops the unrestricted-partition hit."""
+    require_type(nontrivial, bool, "nontrivial")
     reports = []
     for cs in enumerate_condition_sets(bounds):
         report = screen_condition_set(cs, bounds.n_check, bounds.d_max,
@@ -225,9 +221,7 @@ def verify_candidate(report: CandidateReport,
     verdict promises, and stamp the outcome.  An n_big below the order
     already screened to verifies to that order instead, so verified_to
     never drops."""
-    if not isinstance(report, CandidateReport):
-        raise PreconditionViolated(
-            "report must be a CandidateReport, got %r" % (report,))
+    require_type(report, CandidateReport, "report")
     n_big = max(require_order(n_big), report.verified_to)
     split = Statement(report.condition_set,
                       report.verdict.to_product_spec()).first_mismatch(n_big)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from typing import Iterable, Sequence
 
-from .errors import PreconditionViolated, require_int, require_iterable
+from .errors import PreconditionViolated, require_int, require_iterable, require_type
 
 
 def require_order(order: int) -> int:
@@ -89,11 +89,8 @@ def one(order: int) -> IntSeries:
 def first_mismatch(a: IntSeries, b: IntSeries) -> tuple | None:
     """(n, a[n], b[n]) at the first index where the coefficients differ,
     compared over the shorter series; None when they agree there."""
-    for name, s in (("a", a), ("b", b)):
-        if not isinstance(s, IntSeries):
-            raise PreconditionViolated(
-                "%s must be an IntSeries, got %r" % (name, s))
-    for n, (x, y) in enumerate(zip(a, b)):
+    for n, (x, y) in enumerate(zip(require_type(a, IntSeries, "a"),
+                                   require_type(b, IntSeries, "b"))):
         if x != y:
             return n, x, y
     return None
@@ -199,9 +196,7 @@ class ProductSpec:
 
 def product_series(spec: ProductSpec, order: int) -> IntSeries:
     """Expand the product exactly to the given order."""
-    if not isinstance(spec, ProductSpec):
-        raise PreconditionViolated(
-            "a product must be a ProductSpec, got %r" % (spec,))
+    require_type(spec, ProductSpec, "spec")
     return unpack(*packed_product(spec.exponents(order), order), order)
 
 
@@ -275,11 +270,8 @@ def load_series(path) -> IntSeries:
     are skipped, and any other line that is not an integer raises
     PreconditionViolated naming it.  The path is a str or an os.PathLike:
     an int would name an open file descriptor."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise PreconditionViolated(
-            "a series path must be a str or an os.PathLike, got %r" % (path,))
     coeffs = []
-    with open(path) as fh:
+    with open(require_type(path, (str, os.PathLike), "path")) as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:

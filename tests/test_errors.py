@@ -5,18 +5,19 @@ from functools import partial
 
 import pytest
 
-from flatpart.bijections import (alternating_sum_type, length_type,
-                                 stockhofe_inverse, stockhofe_map,
+from flatpart.bijections import (alternating_sum_type, family_maps,
+                                 length_type, stockhofe_inverse, stockhofe_map,
                                  verify_bijection)
 from flatpart.conditions import (ConditionSet, FlatRule, condition_set,
-                                 matches_at, parse_condition_set, parse_rule,
-                                 satisfies)
-from flatpart.counting import (count_by_predicate, sum_series_brute,
-                               sum_series_dp)
+                                 matches_at, matching_windows,
+                                 parse_condition_set, parse_rule, satisfies)
+from flatpart.counting import (count_by_predicate, packed_sum_series,
+                               sum_series_brute, sum_series_dp)
 from flatpart.errors import FlatpartError, PreconditionViolated
 from flatpart.euler import (EulerFactorization, PeriodicVerdict,
-                            detect_period, euler_exponents)
-from flatpart.families import Statement, family_row, get_identity, get_refuted
+                            detect_period, euler_exponents, exponent_stream)
+from flatpart.families import (Statement, family_row, get_identity, get_refuted,
+                               normalize_name)
 from flatpart.overpartitions import (BiSeries, Overpartition, count_A,
                                      product_biseries, r_enumeration, r_series,
                                      specialize)
@@ -24,8 +25,8 @@ from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
                                  parse_partition, partitions_of)
 from flatpart.recursions import recursion_values, verify_recursion
-from flatpart.search import (CandidateReport, SearchBounds, search,
-                             verify_candidate)
+from flatpart.search import (CandidateReport, SearchBounds,
+                             enumerate_condition_sets, search, verify_candidate)
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
                              first_mismatch, load_series, mul_one_minus_qm,
                              one, packed_div_one_minus_qm, packed_product,
@@ -192,6 +193,7 @@ INTEGER_ARGUMENTS = {
     "times_a_power": lambda v: BiSeries.one(3, 1).times_a_power(v),
     "coeff_m": lambda v: BiSeries.one(3, 1).coeff(v, 1),
     "coeff_n": lambda v: BiSeries.one(3, 1).coeff(0, v),
+    "overpartition_k": lambda v: Overpartition((3,), {3}).satisfies(v),
     "r_series_m_max": lambda v: r_series(3, 4, 4, v),
     "r_enumeration_k": lambda v: r_enumeration(v, 3, 3, 1),
     "r_enumeration_j": lambda v: r_enumeration(2, v, 3, 1),
@@ -247,7 +249,7 @@ INTEGER_ARGUMENTS = {
                  id="from_residues-list-residue"),
     pytest.param(lambda: product_from_exponents(5, 3),
                  id="product_from_exponents-int"),
-    # a statement pairs a ConditionSet with a ProductSpec or None
+    # a statement pairs a ConditionSet with a ProductSpec
     pytest.param(lambda: Statement(get_identity("RR1").flat, 5),
                  id="Statement-int-product"),
     pytest.param(lambda: Statement(get_identity("RR1").flat, {1: 1}),
@@ -311,6 +313,14 @@ INTEGER_ARGUMENTS = {
                  id="detect_period-float-exponents"),
     pytest.param(lambda: detect_period(iter([1.5] * 3), 1, order=3),
                  id="detect_period-float-stream"),
+    # a table's rows and their entries are checked, never kept as given
+    pytest.param(lambda: BiSeries(5, 2, 1), id="BiSeries-int-rows"),
+    pytest.param(lambda: BiSeries([[1, 2.5, True]], 2, 1),
+                 id="BiSeries-float-and-bool-entries"),
+    pytest.param(lambda: BiSeries(["ab"], 2, 1), id="BiSeries-str-row"),
+    # a str is iterable, but its characters are no window entries
+    pytest.param(lambda: matches_at(parse_rule("1:2:1:2"), "12"),
+                 id="matches_at-str-window"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):
@@ -330,3 +340,50 @@ def test_a_biseries_adds_only_a_biseries():
         BiSeries.one(3, 1) + 5
     with pytest.raises(PreconditionViolated, match="mismatched truncations"):
         BiSeries.one(3, 1) + BiSeries.one(4, 1)
+
+
+# one wrongly typed call per require_type check: (call, the argument the
+# message names, the type name it reports)
+RR1 = get_identity("RR1")
+TYPE_ARGUMENTS = {
+    "parse_rule": (lambda: parse_rule(5), "rule text", "int"),
+    "parse_condition_set": (lambda: parse_condition_set(5),
+                            "condition set text", "int"),
+    "matches_at": (lambda: matches_at(5, (1,)), "rule", "int"),
+    "matching_windows": (lambda: matching_windows("1:2:1:2", 5), "rule", "str"),
+    "ConditionSet": (lambda: ConditionSet(("1:2:1:2",)), "a rule", "str"),
+    "satisfies": (lambda: satisfies(5, (1,)), "cs", "int"),
+    "sum_series_brute": (lambda: sum_series_brute("1:2:1:2", 5), "cs", "str"),
+    "packed_sum_series": (lambda: packed_sum_series(None, 5), "cs", "NoneType"),
+    "exponent_stream": (lambda: exponent_stream([1, 2, 3]), "series", "list"),
+    "Statement-flat": (lambda: Statement("1:2:0:1", RR1.product), "flat", "str"),
+    # the empty product is ProductSpec(1, ()), never None
+    "Statement-product": (lambda: Statement(RR1.flat, None), "product", "NoneType"),
+    "normalize_name": (lambda: normalize_name(5), "name", "int"),
+    "parse_partition": (lambda: parse_partition(5), "partition text", "int"),
+    "enumerate_condition_sets": (lambda: enumerate_condition_sets(BOX), "bounds",
+                                 "dict"),
+    "CandidateReport": (lambda: CandidateReport(RR1.flat, None), "verdict",
+                        "NoneType"),
+    "verify_candidate": (lambda: verify_candidate(5), "report", "int"),
+    "first_mismatch": (lambda: first_mismatch(one(3), (1, 0)), "b", "tuple"),
+    "product_series": (lambda: product_series({1: 1}, 10), "spec", "dict"),
+    "load_series": (lambda: load_series(5), "path", "int"),
+    "wrapper_map": (lambda: family_maps("FAM2", 1)[0]((3,), trace=[]), "trace",
+                    "list"),
+    # (1, 1, 1) is the forward image of (3,)
+    "wrapper_inverse": (lambda: family_maps("FAM2", 1)[1]((1, 1, 1), trace=[]),
+                        "trace", "list"),
+    "search": (lambda: search(SearchBounds(**BOX), nontrivial="no"), "nontrivial",
+               "str"),
+}
+
+
+@pytest.mark.parametrize("call, name, given", TYPE_ARGUMENTS.values(),
+                         ids=TYPE_ARGUMENTS.keys())
+def test_a_wrongly_typed_argument_is_refused_by_name(call, name, given):
+    with pytest.raises(PreconditionViolated) as exc:
+        call()
+    message = str(exc.value)
+    assert message.startswith(name + " must be "), message
+    assert ", got %s " % given in message, message

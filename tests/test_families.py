@@ -205,8 +205,9 @@ def test_a_statement_pairs_any_window_form_with_any_product():
     rr1, rr2 = get_identity("RR1"), get_identity("RR2")
     assert Statement(rr1.flat, rr2.product).first_mismatch(10) == (1, 1, 0)
     assert Statement(rr1.flat, rr1.product).first_mismatch(10) is None
-    # no product is the empty product 1: only the empty partition
-    assert Statement(rr1.flat, None).product_series(4).coeffs == (1, 0, 0, 0, 0)
+    # the empty product 1 counts only the empty partition
+    assert Statement(rr1.flat, ProductSpec(1, ())).product_series(4).coeffs == (
+        1, 0, 0, 0, 0)
 
 
 @st.composite
@@ -224,7 +225,7 @@ def statements(draw):
     exponents = draw(st.lists(st.integers(0, 3), min_size=modulus,
                               max_size=modulus))
     product = (ProductSpec(modulus, enumerate(exponents)) if any(exponents)
-               else None)
+               else ProductSpec(1, ()))
     return Statement(flat, product)
 
 

@@ -1,7 +1,7 @@
 """Every name a library module imports is used in that module, the
 package imports nothing outside the standard library, only errors.py
-refuses an argument for not being an int, and the module attributes
-perfbench rebinds stay bound and reached.
+refuses an argument for not being an int or for its type, and the module
+attributes perfbench rebinds stay bound and reached.
 
 No linter ships with the test extra, so this guard reads each module's
 syntax tree with the standard library's ast.  A name counts as used if
@@ -86,6 +86,45 @@ def test_integer_checks_go_through_require_int(path):
                   and "must be an int" in text.value})
     assert not own, "%s refuses non-ints itself on lines %s; use require_int" % (
         path.name, own)
+
+
+# the one type refusal with its own words: test_search.py pins "bounds
+# must be a JSON object, got list"
+OWN_TYPE_CHECKS = {("search.py", "from_json")}
+
+
+def _type_refusals(tree):
+    """(enclosing function, line) of every `if not isinstance(...)` whose
+    body raises PreconditionViolated."""
+    within = {}
+    for func in ast.walk(tree):  # breadth first: an inner function wins
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            within.update((id(node), func.name) for node in ast.walk(func))
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if (isinstance(node, ast.If) and isinstance(test, ast.UnaryOp)
+                and isinstance(test.op, ast.Not) and isinstance(test.operand, ast.Call)
+                and getattr(test.operand.func, "id", None) == "isinstance"
+                and any(isinstance(raised, ast.Raise)
+                        and "PreconditionViolated" in ast.unparse(raised)
+                        for stmt in node.body for raised in ast.walk(stmt))):
+            yield within.get(id(node)), node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_type_checks_go_through_require_type(path):
+    # errors.require_type is the one place that refuses an argument's type
+    own = sorted(line for func, line in _type_refusals(ast.parse(path.read_text()))
+                 if (path.name, func) not in OWN_TYPE_CHECKS)
+    assert not own, "%s refuses a type itself on lines %s; use require_type" % (
+        path.name, own)
+
+
+def test_the_type_guard_sees_the_named_exception():
+    # the exception must stay a live check, or the guard would pass blind
+    tree = ast.parse((SRC / "search.py").read_text())
+    assert [func for func, _line in _type_refusals(tree)] == ["from_json"]
 
 
 # perfbench/rep.py times layers by rebinding these module attributes, so
