@@ -10,6 +10,11 @@ entirely of fictitious zeros never match.  A set may also bound its
 smallest part (min_part): Capparelli's first identity has an initial
 condition that no window rule, with any zero count, can state.
 
+One rule implies another (FlatRule.implies) when both have the same A
+and B and the first fires on every sum the second fires on; a set's
+irredundant rules, those no other rule of it implies, forbid exactly
+the windows all its rules forbid.
+
 Rules have a one-line text form "A:B:C:D" (append ":n" for the negated
 congruence).  A condition set joins its rules with ";" ("(no rules)"
 when there are none) and appends " +Nz" for N zeros and " parts>=N" for
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import PreconditionViolated, require_int, require_iterable, require_type
@@ -53,6 +59,17 @@ class FlatRule:
     def sum_matches(self, total: int) -> bool:
         hit = (total % self.modulus) == self.residue
         return hit if self.mode == CONGRUENT else not hit
+
+    def implies(self, other: "FlatRule") -> bool:
+        """True when this rule forbids every window that `other` forbids:
+        both have the same A and B, and every total `other` fires on fires
+        this rule too.  Totals that agree mod lcm(D, D') fire both rules
+        alike, so one such period of totals decides."""
+        require_type(other, FlatRule, "other")
+        if (self.flatness_index, self.width) != (other.flatness_index, other.width):
+            return False
+        return all(self.sum_matches(t) for t in range(lcm(self.modulus, other.modulus))
+                   if other.sum_matches(t))
 
     def sort_key(self):
         return (self.width, self.modulus, self.residue,
@@ -132,6 +149,16 @@ class ConditionSet:
 
     def max_width(self) -> int:
         return max((r.width for r in self.rules), default=1)
+
+    def irredundant_rules(self) -> tuple:
+        """The rules that no other rule of the set implies, in canonical
+        order; of rules that forbid the same totals, only the first is
+        kept.  They forbid the same windows as all the rules, and, since a
+        rule implies only rules of its own width, the widest width stays."""
+        rules = self.rules
+        return tuple(y for j, y in enumerate(rules)
+                     if not any(x.implies(y) and (i < j or not y.implies(x))
+                                for i, x in enumerate(rules) if i != j))
 
     def render(self) -> str:
         return ";".join(r.render() for r in self.rules)

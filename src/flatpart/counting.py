@@ -7,11 +7,15 @@ dropped at its first forbidden window.  A window is forbidden when it
 lies in its width's table, built afresh at each call by
 conditions.matching_windows from matches_at's definition: the windows
 of weight at most the order that some rule of that width forbids, at
-most order per rule.  It shares no table, automaton or walk with the
-DP; it stops above BRUTE_CEILING.
+most order per rule.  It reads every rule of the set, and it shares no
+table, automaton or walk with the DP; it stops above BRUTE_CEILING.
 
 sum_series_dp chooses the multiplicity of every part value and counts
-the choices that complete no forbidden window.  It counts on the minimal
+the choices that complete no forbidden window.  It reads only the
+irredundant rules (ConditionSet.irredundant_rules): a rule that another
+rule of the set implies forbids no window that rule does not, so
+dropping it changes no series, and a set such as {x, y} with y implied
+by x shares the automaton and the walk of {x}.  It counts on the minimal
 automaton of the sum side (automaton.py), built once per rule set and
 smallest-part bound as the product of its prefix's automaton and its
 last rule's, both read from the one automaton cache.
@@ -124,14 +128,17 @@ def packed_sum_series(cs: ConditionSet, order: int,
                       largest_part: int | None = None) -> tuple:
     """(row, b): the walk's row for cs.zeros, the counting series packed
     high-first in b-bit fields, b = partition_bits(order), parts at most
-    largest_part >= 0 when that is given.  The arguments are checked
+    largest_part >= 0 when that is given.  The walk reads the set's
+    irredundant rules, where the brute oracle reads every rule; an
+    implied rule has its implier's width, so the widest width, and with
+    it the clamp of the zero count, stays.  The arguments are checked
     before the walk's cache is read, so an unhashable one is refused
     like any other."""
     order = require_order(order)
     start = (order if largest_part is None
              else min(order, require_int(largest_part, "largest_part", 0)))
-    rows = automaton_rows(require_type(cs, ConditionSet, "cs").rules, order, start,
-                          cs.min_part)
+    rows = automaton_rows(require_type(cs, ConditionSet, "cs").irredundant_rules(),
+                          order, start, cs.min_part)
     return rows[min(cs.zeros, len(rows) - 1)], partition_bits(order)
 
 

@@ -1,8 +1,12 @@
 """Exception types shared across the library; require_int, the one
 check of every integer argument (an order, a rule field, a zero count, a
 modulus, a family index): an int and not a bool, or PreconditionViolated
-naming the argument; and require_type, the one refusal of an argument of
-the wrong type, naming the argument, the expected type and the given one."""
+naming the argument; require_type, the one refusal of an argument of
+the wrong type, naming the argument, the expected type and the given one;
+and require_iterable, which refuses a value that is not iterable, or is a
+mapping, whose iteration would read its keys as the items."""
+
+from collections.abc import Mapping
 
 
 class FlatpartError(Exception):
@@ -65,8 +69,12 @@ def require_type(value, kind, name: str):
 
 
 def require_iterable(value, name: str, of: str):
-    """An iterator over the value; one that is not iterable raises
+    """An iterator over the value; one that is not iterable, or is a
+    mapping, whose iterator would hand out its keys as the items, raises
     PreconditionViolated naming the argument and what it should hold."""
+    if isinstance(value, Mapping):
+        raise PreconditionViolated("%s must be an iterable of %s, not a mapping, "
+                                   "got %r" % (name, of, value))
     try:
         return iter(value)
     except TypeError:

@@ -19,18 +19,14 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .errors import PreconditionViolated, require_int, require_type
+from .errors import PreconditionViolated, require_int, require_iterable, require_type
 
 
 def as_partition(parts) -> tuple:
     """The parts as a tuple, checked to be positive ints in weakly
     decreasing order.  Input is never repaired: anything else raises
     PreconditionViolated."""
-    try:
-        parts = tuple(parts)
-    except TypeError:
-        raise PreconditionViolated(
-            "a partition is a sequence of ints, got %r" % (parts,)) from None
+    parts = tuple(require_iterable(parts, "a partition", "positive ints"))
     if not all(isinstance(p, int) and not isinstance(p, bool) and p > 0
                for p in parts):
         raise PreconditionViolated("parts must be positive ints: %r" % (parts,))
@@ -41,10 +37,9 @@ def as_partition(parts) -> tuple:
 
 
 def render_partition(parts: Sequence[int]) -> str:
-    """Text form used by the command line tools: "5,3,3,1", "-" if empty."""
-    if not parts:
-        return "-"
-    return ",".join(str(p) for p in parts)
+    """Text form used by the command line tools: "5,3,3,1", "-" if empty.
+    The parts are checked by as_partition."""
+    return ",".join(map(str, as_partition(parts))) or "-"
 
 
 def parse_partition(text: str) -> tuple:

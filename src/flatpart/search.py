@@ -11,10 +11,14 @@ The screen feeds Euler's exponents into the period test as they are
 computed, so it stops at the first exponent that decides the verdict; a
 rejected set never computes its tail exponents.
 
-Identical series reached through different rule sets are still
-reported separately.  The per-set minimal automaton (refined without
-the phase seed) is an exact key for the sum side at every weight, but
-the search does not use it yet.
+The verdict depends only on the packed n_check row, so one search call
+screens each distinct row once: a set whose row an earlier set of the
+same call already had reuses that verdict, with no unpacking and no
+Euler pass.  A set with a rule that another of its rules implies is
+counted on its irredundant rules (counting.packed_sum_series), so it
+shares their automaton and walk and builds no product of its own.
+Reports stay per set: identical series reached through different rule
+sets are still reported separately, each under its own rules.
 """
 
 from __future__ import annotations
@@ -24,14 +28,15 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Iterable, Iterator, List, Optional
 
 from .conditions import CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule
-from .counting import sum_series_dp
+from .counting import packed_sum_series
+# unused here, but perfbench/rep.py rebinds search.sum_series_dp and
+# search.euler_exponents in its traced runs, so the names stay bound
+from .counting import sum_series_dp  # noqa: F401
 from .errors import PreconditionViolated, require_int, require_type
 from .euler import PeriodicVerdict, detect_period, exponent_stream
-# unused here, but perfbench/rep.py rebinds search.euler_exponents in
-# its traced runs, so the name stays bound
 from .euler import euler_exponents  # noqa: F401
 from .families import Statement
-from .series import require_order
+from .series import require_order, unpack
 
 DEFAULT_SCREEN_ORDER = 25
 DEFAULT_VERIFY_ORDER = 200
@@ -90,7 +95,7 @@ class SearchBounds:
     @classmethod
     def from_json(cls, text: str) -> "SearchBounds":
         try:
-            raw = json.loads(text)
+            raw = json.loads(require_type(text, str, "bounds text"))
         except json.JSONDecodeError as exc:
             raise PreconditionViolated("bounds are not valid JSON: %s" % exc) from None
         if not isinstance(raw, dict):
@@ -182,12 +187,19 @@ def reports_to_json(reports: Iterable[CandidateReport]) -> str:
 
 
 def screen_condition_set(cs: ConditionSet, n_check: int, d_max: int,
-                         e_max: int) -> Optional[CandidateReport]:
+                         e_max: int, verdicts: Optional[dict] = None
+                         ) -> Optional[CandidateReport]:
     """One screening pass; None when the series does not look like a
-    congruence-class product."""
-    series = sum_series_dp(cs, n_check)
-    verdict = detect_period(exponent_stream(series), d_max, e_max,
-                            order=series.order)
+    congruence-class product.  The verdict depends only on the packed
+    n_check row, so verdicts, when given, maps each row already screened
+    to its verdict, and a row met again is neither unpacked nor
+    factored.  One dict serves one n_check, d_max and e_max."""
+    row, b = packed_sum_series(cs, n_check)
+    verdicts = {} if verdicts is None else require_type(verdicts, dict, "verdicts")
+    verdict = verdicts.get(row)
+    if verdict is None:
+        verdict = verdicts[row] = detect_period(
+            exponent_stream(unpack(row, b, n_check)), d_max, e_max, order=n_check)
     if not verdict.periodic:
         return None
     # detect_period has bounded |c_m| by e_max; a product needs c_m >= 0
@@ -197,14 +209,16 @@ def screen_condition_set(cs: ConditionSet, n_check: int, d_max: int,
 
 
 def search(bounds: SearchBounds, nontrivial: bool = True) -> List[CandidateReport]:
-    """Screen every condition set in the box.  With the default
-    nontrivial filter a candidate must exclude at least one residue
-    class from its product, which drops the unrestricted-partition hit."""
+    """Screen every condition set in the box, each distinct sum-side row
+    once.  With the default nontrivial filter a candidate must exclude
+    at least one residue class from its product, which drops the
+    unrestricted-partition hit."""
     require_type(nontrivial, bool, "nontrivial")
-    reports = []
+    reports, verdicts = [], {}
     for cs in enumerate_condition_sets(bounds):
+        # positional: a caller may wrap the screen as f(*args)
         report = screen_condition_set(cs, bounds.n_check, bounds.d_max,
-                                      bounds.e_max)
+                                      bounds.e_max, verdicts)
         if report is None:
             continue
         exponents = [e for _r, e in report.verdict.class_exponents]

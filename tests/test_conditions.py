@@ -10,6 +10,7 @@ from flatpart.conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet,
                                  matching_windows, parse_condition_set,
                                  parse_rule, satisfies)
 from flatpart.errors import PreconditionViolated
+from flatpart.families import get_identity, registered_names
 from flatpart.partitions import flat_patterns
 
 
@@ -133,6 +134,57 @@ def test_satisfies_with_fictitious_zeros():
 def test_condition_set_max_width():
     cs = parse_condition_set("1:2:1:2;1:4:3:6")
     assert cs.max_width() == 4
+
+
+def test_an_always_firing_rule_implies_every_rule_of_its_window():
+    x = parse_rule("1:2:0:1")
+    for d in range(1, 7):
+        for c in range(d):
+            for mode in (CONGRUENT, NOT_CONGRUENT):
+                assert x.implies(FlatRule(1, 2, c, d, mode))
+
+
+@pytest.mark.parametrize("x, y, implied", [
+    ("1:2:1:2", "1:2:3:4", True),     # odd totals include 3 mod 4
+    ("1:2:1:2", "1:2:2:4", False),
+    ("2:2:0:1", "1:2:0:2", False),    # another flatness index
+    ("1:2:0:1", "1:3:0:2", False),    # another width
+    ("1:2:0:2:n", "1:2:1:4", True),   # not even: odd
+    ("1:2:0:2", "1:2:1:2:n", True),   # the same totals, both ways
+    ("1:2:1:2:n", "1:2:0:2", True),
+])
+def test_implication_hand_cases(x, y, implied):
+    assert parse_rule(x).implies(parse_rule(y)) is implied
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(flat_rules, flat_rules)
+def test_implication_is_containment_of_forbidden_windows(x, y):
+    # y takes x's A and B; every residue class mod 30 has a total in
+    # 6..60 that has a window, unless B = 1 and A > 1 leave no window
+    y = FlatRule(x.flatness_index, x.width, y.residue, y.modulus, y.mode)
+    if x.width == 1 and x.flatness_index > 1:
+        return
+    assert x.implies(y) == (matching_windows(y, 60) <= matching_windows(x, 60))
+
+
+@pytest.mark.parametrize("text, kept", [
+    ("1:2:0:1;1:2:1:2;1:2:1:3:n", "1:2:0:1"),
+    ("1:2:1:2;1:2:3:4;1:2:2:4", "1:2:1:2;1:2:2:4"),
+    ("1:2:0:2:n;1:2:1:4;2:2:1:4", "1:2:0:2:n;2:2:1:4"),
+    # of two rules that forbid the same totals, the first in canonical order
+    ("1:2:1:2:n;1:2:0:2", "1:2:0:2"),
+    ("1:2:1:2;1:3:0:2", "1:2:1:2;1:3:0:2"),
+])
+def test_irredundant_rules_drop_each_implied_rule(text, kept):
+    assert (parse_condition_set(text).irredundant_rules()
+            == parse_condition_set(kept).rules)
+
+
+def test_no_registered_statement_has_an_implied_rule():
+    for name in registered_names():
+        flat = get_identity(name).flat
+        assert flat.irredundant_rules() == flat.rules, name
 
 
 def test_set_sort_key_is_by_rule_then_zeros():

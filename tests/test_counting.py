@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from flatpart import automaton, conditions, counting
 from flatpart.automaton import _build, automaton_rows, minimal_automaton
-from flatpart.conditions import (ConditionSet, condition_set, matching_windows,
+from flatpart.conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule,
+                                 condition_set, matching_windows,
                                  parse_condition_set, satisfies)
 from flatpart.counting import (count_by_predicate, sum_series_brute,
                                sum_series_dp)
@@ -150,6 +151,37 @@ def test_product_automaton_equals_the_direct_build(cs, min_part):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
         assert automaton_rows.__wrapped__(cs.rules, order, order, min_part) == rows
+
+
+@st.composite
+def sets_with_implied_rules(draw):
+    """One to two rules x, each with a rule y of its own A and B that x
+    implies, and at most one other rule; some zeros and a smallest part."""
+    rules = []
+    for _ in range(draw(st.integers(1, 2))):
+        a, b, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        # x:n with D = 1 fires on no total and implies only itself
+        mode = draw(st.sampled_from((CONGRUENT, NOT_CONGRUENT) if d > 1 else (CONGRUENT,)))
+        x = FlatRule(a, b, draw(st.integers(0, d - 1)), d, mode)
+        implied = [y for e in range(1, 2 * d + 1) for c in range(e)
+                   for y in (FlatRule(a, b, c, e), FlatRule(a, b, c, e, NOT_CONGRUENT))
+                   if y != x and x.implies(y)]
+        rules += [x, draw(st.sampled_from(implied))]
+    rules += draw(st.lists(wide_condition_sets().map(lambda cs: cs.rules[0]),
+                           max_size=1))
+    return ConditionSet(tuple(rules), draw(st.integers(0, 4)), draw(st.integers(1, 3)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sets_with_implied_rules())
+# two rules that forbid the same totals: one of them stays
+@example(parse_condition_set("1:2:1:2:n;1:2:0:2;2:3:1:3", zeros=1))
+def test_dropping_implied_rules_changes_no_series(cs):
+    # the DP counts on the irredundant rules; the automaton of every rule
+    # and the brute oracle read them all
+    assert cs.irredundant_rules() != cs.rules
+    assert sum_series_dp(cs, 60) == automaton_series(cs, 60)
+    assert sum_series_dp(cs, 30) == sum_series_brute(cs, 30)
 
 
 def test_brute_shares_nothing_with_the_dp_or_the_partition_cache(monkeypatch):

@@ -23,10 +23,12 @@ from flatpart.overpartitions import (BiSeries, Overpartition, count_A,
                                      specialize)
 from flatpart.partitions import (as_partition, conjugate, flat_patterns,
                                  frequency_profile, kth_flattest,
-                                 parse_partition, partitions_of)
+                                 parse_partition, partitions_of,
+                                 render_partition)
 from flatpart.recursions import recursion_values, verify_recursion
 from flatpart.search import (CandidateReport, SearchBounds,
-                             enumerate_condition_sets, search, verify_candidate)
+                             enumerate_condition_sets, screen_condition_set,
+                             search, verify_candidate)
 from flatpart.series import (IntSeries, ProductSpec, div_one_minus_qm,
                              first_mismatch, load_series, mul_one_minus_qm,
                              one, packed_div_one_minus_qm, packed_product,
@@ -321,6 +323,22 @@ INTEGER_ARGUMENTS = {
     # a str is iterable, but its characters are no window entries
     pytest.param(lambda: matches_at(parse_rule("1:2:1:2"), "12"),
                  id="matches_at-str-window"),
+    # a mapping iterates its keys, which are no coefficients or parts
+    pytest.param(lambda: IntSeries({0: 1, 1: 5}), id="IntSeries-dict"),
+    pytest.param(lambda: as_partition({3: 1}), id="as_partition-dict"),
+    # a partition is printed only once as_partition has checked it
+    pytest.param(lambda: render_partition(5), id="render_partition-int"),
+    pytest.param(lambda: render_partition("ab"), id="render_partition-str"),
+    pytest.param(lambda: render_partition((1, 3)), id="render_partition-unsorted"),
+    # bounds come as JSON text, not as the object it would decode to
+    pytest.param(lambda: SearchBounds.from_json(
+        {"max_rules": 1, "a_range": [1, 1], "b_range": [2, 2], "d_range": [2, 2]}),
+        id="from_json-dict"),
+    pytest.param(lambda: parse_rule("1:2:1:2").implies("1:2:3:4"),
+                 id="implies-text"),
+    pytest.param(lambda: screen_condition_set(parse_condition_set("1:2:0:1"),
+                                              30, 10, 4, []),
+                 id="screen_condition_set-list-verdicts"),
 ])
 def test_integer_arguments_and_partitions_are_checked(call):
     with pytest.raises(PreconditionViolated):

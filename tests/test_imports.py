@@ -1,7 +1,9 @@
 """Every name a library module imports is used in that module, the
 package imports nothing outside the standard library, only errors.py
 refuses an argument for not being an int or for its type, and the module
-attributes perfbench rebinds stay bound and reached.
+attributes perfbench rebinds stay bound and reached.  The rebound names
+are read from perfbench/rep.py's syntax tree, so the list cannot lag
+behind the script.
 
 No linter ships with the test extra, so this guard reads each module's
 syntax tree with the standard library's ast.  A name counts as used if
@@ -127,12 +129,52 @@ def test_the_type_guard_sees_the_named_exception():
     assert [func for func, _line in _type_refusals(tree)] == ["from_json"]
 
 
-# perfbench/rep.py times layers by rebinding these module attributes, so
-# each must stay bound, and be called through its module
-REBOUND = [("families", "sum_series_dp"), ("families", "count_by_predicate"),
-           ("search", "sum_series_dp"), ("search", "euler_exponents"),
-           ("search", "detect_period"), ("series", "product_series"),
-           ("verify", "registered_names")]
+REP = SRC.parent.parent / "perfbench" / "rep.py"
+
+
+def _rebound(path) -> list:
+    """(module, name) for every flatpart module attribute the script
+    rebinds: each tracer.rebind(module, "name", ...) call, with a loop
+    variable read as each module of the tuple it runs over, and each
+    module.name = ... assignment.  Read from the syntax tree, so numpy,
+    which the script imports, is not needed."""
+    tree = ast.parse(path.read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "flatpart"
+               for alias in node.names}
+    over = {}  # a loop variable's node -> the modules it runs over
+    for loop in ast.walk(tree):
+        if (isinstance(loop, ast.For) and isinstance(loop.target, ast.Name)
+                and isinstance(loop.iter, ast.Tuple)):
+            names = [elt.id for elt in loop.iter.elts]
+            over.update((id(node), names) for stmt in loop.body
+                        for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name) and node.id == loop.target.id)
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "rebind"):
+            module, name = node.args[0], node.args[1].value
+            found.update((m, name) for m in over.get(id(module), [module.id]))
+        elif isinstance(node, ast.Assign):
+            found.update((t.value.id, t.attr) for t in node.targets
+                         if isinstance(t, ast.Attribute)
+                         and isinstance(t.value, ast.Name) and t.value.id in modules)
+    return sorted(found)
+
+
+# perfbench/rep.py times layers by rebinding module attributes, so each
+# must stay bound on its module
+REBOUND = _rebound(REP)
+
+
+def test_the_rebound_names_are_read_from_the_script():
+    # the reader must see the loops and the assignments, or the test
+    # below would pass on a list that misses them
+    assert {("search", "sum_series_dp"), ("families", "sum_series_dp"),
+            ("counting", "sum_series_dp"), ("search", "euler_exponents"),
+            ("search", "screen_condition_set"),
+            ("verify", "registered_names")} <= set(REBOUND)
 
 
 @pytest.mark.parametrize("module, name", REBOUND,

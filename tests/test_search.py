@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+from flatpart import search as search_module
 from flatpart.conditions import parse_condition_set
 from flatpart.counting import sum_series_dp
 from flatpart.errors import PreconditionViolated
@@ -12,6 +14,9 @@ from flatpart.euler import detect_period, euler_exponents
 from flatpart.search import (CandidateReport, SearchBounds,
                              enumerate_condition_sets, reports_to_json,
                              screen_condition_set, search, verify_candidate)
+
+
+SCREEN_BOXES = Path(__file__).resolve().parent.parent / "perfbench" / "screen_boxes.json"
 
 
 def small_bounds(**kw):
@@ -226,3 +231,40 @@ def test_box_a_verified_report_is_pinned():
     digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
     assert digest == (
         "196cd3d0b914c6b1d6fa79ef57034808971f841ea19301fd148fe7a378ee7215")
+
+
+def test_screen_box_factors_each_distinct_row_once(monkeypatch):
+    # screen box 0's 1,640 sets are each screened, positionally, but
+    # their rows at n_check 30 take 1,243 distinct values, and only
+    # those are factored; the report does not change
+    with open(SCREEN_BOXES) as fh:
+        box = json.load(fh)[0]
+    screens, factored = [], []
+    screen, detect = search_module.screen_condition_set, search_module.detect_period
+
+    def counted_screen(*args):
+        screens.append(args[0])
+        return screen(*args)
+
+    def counted_detect(*args, **kwargs):
+        factored.append(1)
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "screen_condition_set", counted_screen)
+    monkeypatch.setattr(search_module, "detect_period", counted_detect)
+    reports = search(SearchBounds.from_json(json.dumps(box["bounds"])))
+    assert (len(screens), len(factored)) == (1640, 1243)
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == box["sha256"]
+
+
+def test_a_shared_verdict_is_the_verdict_of_the_row():
+    # two sets with one sum side: the second reads the first's verdict
+    base = parse_condition_set("1:2:0:1", zeros=1)
+    implied = parse_condition_set("1:2:0:1;1:2:1:2", zeros=1)
+    verdicts = {}
+    first = screen_condition_set(base, 30, 10, 4, verdicts)
+    second = screen_condition_set(implied, 30, 10, 4, verdicts)
+    assert len(verdicts) == 1
+    assert second.verdict is first.verdict
+    assert second == screen_condition_set(implied, 30, 10, 4)
+    assert second.condition_set == implied
