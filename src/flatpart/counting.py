@@ -7,8 +7,15 @@ dropped at its first forbidden window.  A window is forbidden when it
 lies in its width's table, built afresh at each call by
 conditions.matching_windows from matches_at's definition: the windows
 of weight at most the order that some rule of that width forbids, at
-most order per rule.  It reads every rule of the set, and it shares no
-table, automaton or walk with the DP; it stops above BRUTE_CEILING.
+most order per rule.  The windows a prefix closes lie in its last
+max(W - 1, 1) parts and the next part, W the widest width, so a suffix
+table, also built per call, keeps for each distinct suffix whether its
+windows into the zeros pass and which parts may follow it: at most one
+entry per distinct suffix, each at most order parts, and SUFFIX_ENTRIES
+in all.  It never holds a count, so every counted partition is still
+visited once, and nothing of the call survives it.  The oracle reads
+every rule of the set, and it shares no table, automaton or walk with
+the DP; it stops above BRUTE_CEILING.
 
 sum_series_dp chooses the multiplicity of every part value and counts
 the choices that complete no forbidden window.  It reads only the
@@ -63,6 +70,9 @@ from .partitions import partitions_of
 from .series import IntSeries, partition_bits, require_order, unpack
 
 BRUTE_CEILING = 60
+# the most suffix entries sum_series_brute keeps at once; past it, an
+# entry is worked out at each visit and dropped
+SUFFIX_ENTRIES = 1 << 15
 
 
 def _under_ceiling(order: int) -> int:
@@ -91,8 +101,22 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     once its windows into the fictitious zeros pass too: its last k
     parts, then width - k >= 1 zeros; no window of zeros alone is read.
     Each window is one set lookup in its width's table, the union of
-    matching_windows over the rules of that width, built for this call
-    only.  Memory is O(order) per rule; nothing outlives the call."""
+    matching_windows over the rules of that width.
+
+    Both verdicts read only the prefix's suffix: its last max(W - 1, 1)
+    parts, W the widest width, so at least the last part, which bounds
+    the next.  The suffix table maps a suffix to whether its closing
+    windows pass and the parts that may follow it, largest first, worked
+    out at its first visit; a later prefix ending in it makes one lookup
+    and tests only that each part fits the order.  A suffix is keyed as
+    one int, its parts the digits in base order + 1.  No part is 0, so a
+    shorter suffix, which is a whole prefix, has a key of its own; it is
+    not kept, since no prefix is visited twice.  The table holds verdicts
+    on windows, never a count, so every counted partition is still
+    visited.  Both tables are built for this call only: O(order) windows
+    per rule, and at most one entry per distinct suffix, each at most
+    order parts, SUFFIX_ENTRIES entries in all.  No object of the call
+    refers to itself, so nothing survives it."""
     counts = [0] * (_under_ceiling(order) + 1)
     tables = {}
     for r in require_type(cs, ConditionSet, "cs").rules:
@@ -101,27 +125,57 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     by_width = list(tables.items())
     ends = [(table, w - z, (0,) * z) for w, table in by_width
             for z in range(1, min(w - 1, cs.zeros) + 1)]
-    parts = []
+    base = order + 1
+    # the place of a full suffix's first part: suffix % first drops it
+    first = base ** (max(cs.max_width() - 1, 1) - 1)
+    suffixes = {}
+    stack = [(0, 0)]
+    while stack:
+        suffix, total = stack.pop()
+        entry = suffixes.get(suffix)
+        if entry is None:
+            entry = _suffix_entry(suffix, base, cs.min_part, by_width, ends)
+            # a shorter suffix is a whole prefix, and every prefix is visited once
+            if suffix >= first and len(suffixes) < SUFFIX_ENTRIES:
+                suffixes[suffix] = entry
+        closes, nexts = entry
+        if closes:
+            counts[total] += 1
+        room = order - total
+        head = suffix % first * base
+        for part in nexts:
+            if part <= room:
+                stack.append((head + part, total + part))
+    return IntSeries(counts)
 
-    def grow(total, top):
-        n = len(parts)
-        for table, k, pad in ends:
-            if k <= n and tuple(parts[n - k:]) + pad in table:
+
+def _suffix_entry(suffix: int, base: int, min_part: int,
+                  by_width: list, ends: list) -> tuple:
+    """(closes, nexts) for the prefixes that end in suffix, its parts the
+    digits of an int in base order + 1 (the empty prefix is 0): whether
+    its windows into the zeros pass, and the parts, largest first, that
+    are at most its last, fit the order after it, are at least min_part
+    and close no forbidden window."""
+    parts = []
+    while suffix:
+        suffix, part = divmod(suffix, base)
+        parts.append(part)
+    parts = tuple(reversed(parts))
+    n = len(parts)
+    closes = not any(k <= n and parts[n - k:] + pad in table
+                     for table, k, pad in ends)
+    # each width's window ending at the next part, but for that part
+    heads = [(parts[n + 1 - w:], table) for w, table in by_width if w <= n + 1]
+    nexts = []
+    top = min(parts[-1], base - 1 - sum(parts)) if parts else base - 1
+    for part in range(top, min_part - 1, -1):
+        last = (part,)
+        for head, table in heads:
+            if head + last in table:
                 break
         else:
-            counts[total] += 1
-        n += 1
-        for part in range(min(top, order - total), cs.min_part - 1, -1):
-            parts.append(part)
-            for w, table in by_width:
-                if w <= n and tuple(parts[n - w:]) in table:
-                    break
-            else:
-                grow(total + part, part)
-            parts.pop()
-
-    grow(0, order)
-    return IntSeries(counts)
+            nexts.append(part)
+    return closes, tuple(nexts)
 
 
 def packed_sum_series(cs: ConditionSet, order: int,

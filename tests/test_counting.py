@@ -6,7 +6,10 @@ never sees a partition.  Their agreement on randomized condition sets is
 the main correctness evidence for both.
 """
 
+import gc
 import random
+import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -97,6 +100,9 @@ def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
 @example(parse_condition_set("2:1:1:4;2:2:1:2 +2z"), 20, 1)
 # more zeros than any rule is wide
 @example(parse_condition_set("1:3:0:1;2:2:1:2 +5z"), 20, 2)
+# every rule of width 1: a suffix of no parts would lose the bound that
+# the last part puts on the next
+@example(parse_condition_set("1:1:0:2;2:1:1:3;1:1:2:3 +2z"), 22, 1)
 def test_pruned_brute_equals_the_definition(cs, order, min_part):
     # the pruned walk against filtering every partition with satisfies
     cs = replace(cs, min_part=min_part)
@@ -226,6 +232,77 @@ def test_brute_reads_only_real_windows(monkeypatch, text):
     monkeypatch.setattr(counting, "matching_windows", spy)
     assert sum_series_brute(cs, 20) == expected
     assert read and all(len(w) == width and sum(w) > 0 for width, w in read)
+
+
+def test_brute_leaves_nothing_alive_after_the_call(monkeypatch):
+    # the window tables and the suffix table's entries die at return,
+    # without the cyclic collector: the call makes no reference cycle
+    cs = parse_condition_set("1:2:1:2;2:3:0:2 +2z")
+    tables, entries = [], []
+    suffix_entry = counting._suffix_entry
+
+    class Table(frozenset):
+        pass
+
+    class Entry(list):
+        pass
+
+    def table_spy(rule, order):
+        table = Table(matching_windows(rule, order))
+        tables.append(weakref.ref(table))
+        return table
+
+    def entry_spy(*args):
+        entry = Entry(suffix_entry(*args))
+        entries.append(weakref.ref(entry))
+        return entry
+
+    monkeypatch.setattr(counting, "matching_windows", table_spy)
+    monkeypatch.setattr(counting, "_suffix_entry", entry_spy)
+    expected = sum_series_dp(cs, 30)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum_series_brute(cs, 30) == expected
+        assert len(tables) == len(cs.rules) and entries
+        assert all(ref() is None for ref in tables + entries)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# the slowest set of the brute's tests: four parts wide, three of them in
+# each suffix
+CEILING_SET = "1:4:0:1;2:4:1:2 +2z"
+
+
+def test_brute_agrees_with_the_dp_at_its_ceiling():
+    cs = parse_condition_set(CEILING_SET)
+    assert sum_series_brute(cs, counting.BRUTE_CEILING) == sum_series_dp(
+        cs, counting.BRUTE_CEILING)
+
+
+def test_brute_memory_stays_bounded_at_its_ceiling():
+    # the suffix table holds one entry per distinct suffix, each at most
+    # order parts; at the ceiling the call peaks at 0.9-1.3 MB
+    cs = parse_condition_set(CEILING_SET)
+    tracemalloc.start()
+    try:
+        sum_series_brute(cs, counting.BRUTE_CEILING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("limit", [0, 5])
+def test_brute_past_its_suffix_limit_counts_the_same(monkeypatch, limit):
+    # past SUFFIX_ENTRIES an entry is worked out at each visit and dropped
+    cs = parse_condition_set("1:2:1:2;2:3:0:2 +2z")
+    expected = sum_series_brute(cs, 30)
+    monkeypatch.setattr(counting, "SUFFIX_ENTRIES", limit)
+    assert sum_series_brute(cs, 30) == expected
 
 
 def test_zero_counts_share_one_walk():
