@@ -57,20 +57,28 @@ set's own window table would give, at a fraction of the cost.  One cache
 holds every automaton, a rule's or a set's, and _minimize explores and
 refines the raw machine that _build or _product states.
 
-automaton_rows counts on it by a downward pull: r = 1 on every class at
-the largest part, then r(s) = sum over m of q**(m*u) r(next(s, m)) for
-each value u going down, packed as in counting.py.  _fold splits a row
-into a head row[:k] and a tail (k, t), k the least index from which every
-move goes to t, and once per walk each phase's classes become a stage
-table of entries (class, head[0], the heads (mu, target) for 0 < mu < k,
-the tail).  At value u the walk reads stages[phase(u)]: r(s) is
-r(head[0]), unshifted, plus each shifted head up to the first mu*u past
-the order, plus r(t) q**(k*u) / (1 - q**u), which is divided once per
-value u and distinct (k, t).  Each new r(s) is written in place, and the
-reads come from prev, a copy of r's references taken before value u,
-since a period-1 automaton's classes past U0 move within their own
-phase.  Row z is r at the class the start, class 0, reaches after z
-zeros.  These rows are the package's one series cache.
+automaton_rows counts on it by a downward pull: r = 1 on every class
+past the order, then r(s) = sum over m of q**(m*u) r(next(s, m)) for
+each value u from the order down to 1, packed as in counting.py.  _fold
+splits a row into a head row[:k] and a tail (k, t), k the least index
+from which every move goes to t, and once per walk _stages makes each
+phase's classes a stage table of entries (class, head[0], the heads
+(mu, target) for 0 < mu < k, the tail).  At value u the walk reads
+stages[phase(u)]: r(s) is r(head[0]), unshifted, plus each shifted head
+up to the first mu*u past the order, plus r(t) q**(k*u) / (1 - q**u),
+which is divided once per value u and distinct (k, t).  Each new r(s)
+is written in place, and the reads come from prev, a copy of r's
+references taken before value u, since a period-1 automaton's classes
+past U0 move within their own phase.  Row z is r at the class the
+start, class 0, reaches after z zeros.  These rows are the package's
+one series cache.
+
+pushed_rows reads the same stage tables upward, for the truncations P_j
+(parts at most j): v = 1 on the class the start reaches after the
+zeros, then at each value u = 1, 2, ... each class s of phase(u) sends
+q**(m*u) v(s) to next(s, m), with one division by (1 - q**u) per
+distinct tail, and P_u is the sum of v, since every live class accepts.
+It keeps no cache.
 """
 
 from __future__ import annotations
@@ -278,19 +286,10 @@ def _fold(row: tuple, more: int) -> tuple:
     return row[:k], (k, row[more])
 
 
-@lru_cache(maxsize=128)
-def automaton_rows(rules: tuple, order: int, start: int, min_part: int) -> tuple:
-    """sum_series_dp's rows, cached for every zero count: row z holds the
-    partitions with parts in min_part..start that no window forbids when
-    z fictitious zeros sit below the smallest part, packed high-first in
-    b-bit fields, b = partition_bits(order), as counting.py describes.
-
-    Each phase's stage table is folded once from the move rows; each value
-    u pulls its stage's rows from prev, the snapshot of the rows of u + 1,
-    into r."""
-    auto = minimal_automaton(rules, min_part)
-    b = partition_bits(order)
-    top = order * b
+def _stages(auto: Automaton) -> list:
+    """Each phase's stage table, read by the pull and the push: per class
+    (class, head[0] or None, the heads (mu, target) for 0 < mu < k, the
+    tail (k, t) or None)."""
     stages = []
     for cls in auto.classes:
         stage = []
@@ -299,8 +298,24 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int) -> tuple
             stage.append((c, head[0] if head else None,
                           tuple(enumerate(head))[1:], tail))
         stages.append(stage)
+    return stages
+
+
+@lru_cache(maxsize=128)
+def automaton_rows(rules: tuple, order: int, min_part: int) -> tuple:
+    """sum_series_dp's rows, cached for every zero count: row z holds the
+    partitions with parts in min_part..order that no window forbids when
+    z fictitious zeros sit below the smallest part, packed high-first in
+    b-bit fields, b = partition_bits(order), as counting.py describes.
+
+    Each value u pulls its stage's rows from prev, the snapshot of the
+    rows of u + 1, into r."""
+    auto = minimal_automaton(rules, min_part)
+    b = partition_bits(order)
+    top = order * b
+    stages = _stages(auto)
     r = [1 << top] * len(auto.moves)
-    for u in range(start, 0, -1):
+    for u in range(order, 0, -1):
         step, most = u * b, order // u  # m*u <= order iff m <= most
         prev, tails = r[:], {}
         for c, h0, heads, tail in stages[auto.phase(u)]:
@@ -318,3 +333,38 @@ def automaton_rows(rules: tuple, order: int, start: int, min_part: int) -> tuple
             r[c] = vec
     zeros = auto.moves[0]
     return tuple(r[zeros[z]] if z < len(zeros) else 0 for z in range(auto.more))
+
+
+def pushed_rows(rules: tuple, order: int, zeros: int, min_part: int,
+                largest: int) -> tuple:
+    """P_0..P_largest, packed as automaton_rows packs its rows: P_j holds
+    the partitions with parts in min_part..j that no window forbids after
+    zeros fictitious zeros; from the order on it is the pull's row.  The
+    tails that lead to one class are summed before their one division."""
+    auto = minimal_automaton(rules, min_part)
+    b = partition_bits(order)
+    top = order * b
+    stages = _stages(auto)
+    r = [0] * len(auto.moves)
+    z = min(zeros, auto.more - 1)  # the pull's clamp of the zero count
+    if z < len(auto.moves[0]):  # else the zeros alone complete a window
+        r[auto.moves[0][z]] = 1 << top
+    rows = [sum(r)]
+    for u in range(1, largest + 1):
+        step, most = u * b, order // u
+        nxt, tails = [0] * len(r), {}
+        for c, h0, heads, tail in stages[auto.phase(u)]:
+            vec = r[c]
+            if h0 is not None:
+                nxt[h0] += vec
+            for mu, t in heads:
+                if mu > most:
+                    break
+                nxt[t] += vec >> mu * step
+            if tail is not None and tail[0] <= most:
+                tails[tail] = tails.get(tail, 0) + vec
+        for (k, t), vec in tails.items():  # vec * q**(k*u) / (1 - q**u)
+            nxt[t] += packed_div_one_minus_qm(vec >> k * step, step, top)
+        r = nxt
+        rows.append(sum(r))
+    return tuple(rows)

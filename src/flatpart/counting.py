@@ -26,18 +26,17 @@ by x shares the automaton and the walk of {x}.  It counts on the minimal
 automaton of the sum side (automaton.py), built once per rule set and
 smallest-part bound as the product of its prefix's automaton and its
 last rule's, both read from the one automaton cache.
-The walk (automaton.automaton_rows) goes from the largest allowed value
-down to 1.  A period lemma shows that past a bound U that depends
-only on the rules, the windows whose top value is u repeat at u + L, L
-the lcm of D/gcd(B, D) over the rules.  So the automaton reads values by
-phase, and at each value only the few classes of its phase are live.
+The walk (automaton.automaton_rows) goes from the order down to 1.  A
+period lemma shows that past a bound U that depends only on the rules,
+the windows whose top value is u repeat at u + L, L the lcm of
+D/gcd(B, D) over the rules.  So the automaton reads values by phase,
+and at each value only the few classes of its phase are live.
 
 Only the fictitious zeros below the smallest part read the zero count.
 So the walk, automaton_rows, the only series cache (an lru_cache of 128),
 ends with one row per zero count 0..cap, read at the class that the
 start, class 0, reaches after that many zeros; packed_sum_series picks
-its row, and sum_series_dp unpacks it.  It is keyed by the largest part
-it reads, min(order, largest_part), so a search box that tries several
+its row, and sum_series_dp unpacks it.  A search box that tries several
 zero counts on one rule set, as every box does, walks once for all of
 them.
 
@@ -65,7 +64,7 @@ from typing import Callable
 
 from .automaton import automaton_rows
 from .conditions import ConditionSet, matching_windows
-from .errors import CeilingExceeded, PreconditionViolated, require_int, require_type
+from .errors import CeilingExceeded, PreconditionViolated, require_type
 from .partitions import partitions_of
 from .series import IntSeries, partition_bits, require_order, unpack
 
@@ -178,30 +177,24 @@ def _suffix_entry(suffix: int, base: int, min_part: int,
     return closes, tuple(nexts)
 
 
-def packed_sum_series(cs: ConditionSet, order: int,
-                      largest_part: int | None = None) -> tuple:
+def packed_sum_series(cs: ConditionSet, order: int) -> tuple:
     """(row, b): the walk's row for cs.zeros, the counting series packed
-    high-first in b-bit fields, b = partition_bits(order), parts at most
-    largest_part >= 0 when that is given.  The walk reads the set's
-    irredundant rules, where the brute oracle reads every rule; an
-    implied rule has its implier's width, so the widest width, and with
-    it the clamp of the zero count, stays.  The arguments are checked
-    before the walk's cache is read, so an unhashable one is refused
-    like any other."""
+    high-first in b-bit fields, b = partition_bits(order).  The walk
+    reads the set's irredundant rules, where the brute oracle reads every
+    rule; an implied rule has its implier's width, so the widest width,
+    and with it the clamp of the zero count, stays.  The arguments are
+    checked before the walk's cache is read, so an unhashable one is
+    refused like any other."""
     order = require_order(order)
-    start = (order if largest_part is None
-             else min(order, require_int(largest_part, "largest_part", 0)))
     rows = automaton_rows(require_type(cs, ConditionSet, "cs").irredundant_rules(),
-                          order, start, cs.min_part)
+                          order, cs.min_part)
     return rows[min(cs.zeros, len(rows) - 1)], partition_bits(order)
 
 
-def sum_series_dp(cs: ConditionSet, order: int,
-                  largest_part: int | None = None) -> IntSeries:
-    """Exact counting series of satisfying partitions, parts at most
-    largest_part >= 0 when that is given: packed_sum_series unpacked.
-    Handles orders well beyond the brute ceiling (hundreds)."""
-    row, b = packed_sum_series(cs, order, largest_part)
+def sum_series_dp(cs: ConditionSet, order: int) -> IntSeries:
+    """Exact counting series of satisfying partitions: packed_sum_series
+    unpacked.  Handles orders well beyond the brute ceiling (hundreds)."""
+    row, b = packed_sum_series(cs, order)
     return unpack(row, b, order)
 
 

@@ -6,12 +6,13 @@ recursion below has one form (see Recursion): P_j is a sum of terms
 sign * q^shift * prod(1 - q^up) / prod(1 - q^down) * P_{j-k}, each
 exponent affine in j.  One loop replays all nine with the in-place
 (1 - q^m) multiplications and divisions of the product side, and
-verify_recursion compares every computed P_j against the
-window-condition DP with the same largest-part bound, reporting the
-first (j, n) disagreement.  The offset tables advance j by 1, FAM2_K1
-by 2 and the mod-9 class-pair recursions by 3, each of the last five
-in one term, telescoped from its printed sum; values of j a recursion
-never defines are skipped in the comparison.
+verify_recursion compares every computed P_j against the truncations
+that one upward push over the sum side's automaton gives
+(automaton.pushed_rows), reporting the first (j, n) disagreement.  The
+offset tables advance j by 1, FAM2_K1 by 2 and the mod-9 class-pair
+recursions by 3, each of the last five in one term, telescoped from its
+printed sum; values of j a recursion never defines are skipped in the
+comparison.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .counting import sum_series_dp
+from .automaton import pushed_rows
 from .errors import UnknownRecursion, require_int
 from .families import canonical_name, get_identity
 from .series import (IntSeries, div_one_minus_qm, first_mismatch,
-                     mul_one_minus_qm, one, require_order)
+                     mul_one_minus_qm, one, partition_bits, require_order,
+                     unpack)
 
 
 def _combine(terms, order: int) -> IntSeries:
@@ -163,16 +165,22 @@ def recursion_values(name: str, j_max: int, order: int) -> dict:
 
 
 def verify_recursion(name: str, j_max: int, order: int) -> RecursionReport:
+    """The recursion's levels up to j_max, at least its first level,
+    against one push over the sum side's irredundant rules."""
     key = _resolve(name)
-    ident = get_identity(key)
+    row = _RECURSIONS[key]
+    require_int(j_max, "j_max", row.first)
     values = recursion_values(key, j_max, order)
-    printed = _RECURSIONS[key].bases(order)
+    printed = row.bases(order)
     bases_ok = all(values[j] == p for j, p in printed.items() if j in values)
 
     levels = tuple(sorted(values))
+    flat = get_identity(key).flat
+    pushed = pushed_rows(flat.irredundant_rules(), order, flat.zeros,
+                         flat.min_part, levels[-1])
+    b = partition_bits(order)
     for j in levels:
-        via_dp = sum_series_dp(ident.flat, order, largest_part=j)
-        split = first_mismatch(values[j], via_dp)
+        split = first_mismatch(values[j], unpack(pushed[j], b, order))
         if split is not None:
             return RecursionReport(key, order, levels, False, (j,) + split,
                                    bases_ok)

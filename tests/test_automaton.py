@@ -1,13 +1,15 @@
 """The period lemma behind the minimal automaton, the product of
 per-rule automata against the build from a set's own window table, the
 fold of each class's moves into a head and a shared tail, and the
-automaton's rows against a walk over capped profiles.
+automaton's rows, pulled past the order and pushed to every largest
+part, against a walk over capped profiles.
 
 The lemma is checked on the patterns themselves, with no automaton: past
 T = (A+1)B(B-1) - B, adding B to a total adds 1 to every entry of each
 of the first A flattest patterns.
 """
 
+import hashlib
 import json
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -17,12 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from flatpart import automaton
 from flatpart.automaton import (_build, _checks_by_top, _fold, automaton_rows,
-                                minimal_automaton, period_bound)
+                                minimal_automaton, period_bound, pushed_rows)
 from flatpart.conditions import ConditionSet, parse_condition_set
+from flatpart.counting import packed_sum_series
 from flatpart.families import get_identity, registered_names
-from flatpart.partitions import kth_flattest
+from flatpart.partitions import kth_flattest, partitions_of
 from flatpart.search import SearchBounds, enumerate_condition_sets, search
-from flatpart.series import partition_bits
+from flatpart.series import partition_bits, unpack
 
 SCREEN_BOXES = Path(__file__).resolve().parent.parent / "perfbench" / "screen_boxes.json"
 
@@ -86,10 +89,10 @@ def _lowest_completion(prof, checks, more: int) -> int:
 
 
 def _profile_walk(rules: tuple, order: int, start: int, min_part: int) -> tuple:
-    """automaton_rows' rows by a value walk with no automaton: from start
-    down to 1 it carries every capped profile, the multiplicities of the
-    last few values, that some partition reaches, with parts in
-    min_part..start."""
+    """The automaton's rows for every zero count, parts in min_part..start,
+    by a value walk with no automaton: from start down to 1 it carries
+    every capped profile, the multiplicities of the last few values, that
+    some partition reaches."""
     cap = ConditionSet(rules).max_width()
     more = cap + 1  # capped multiplicity meaning "more than any window uses"
     windows, window_span = _window_table(rules, start)
@@ -146,17 +149,22 @@ def screen_box_sets():
 
 def assert_product_equals_direct_build(rules, min_part, orders):
     """minimal_automaton's product against the build from the set's own
-    window table: the same class count, phases and rows."""
+    window table: the same class count, phases, pulled rows and pushed
+    rows, the push to a third of the order for every zero count."""
     direct, product = _build(rules, min_part), minimal_automaton(rules, min_part)
     assert ((len(product.moves), product.first, product.period, product.more)
             == (len(direct.moves), direct.first, direct.period, direct.more)), rules
+
+    def rows(order):
+        return (automaton_rows.__wrapped__(rules, order, min_part),
+                [pushed_rows(rules, order, z, min_part, order // 3)
+                 for z in range(direct.more)])
+
     for order in orders:
-        for start in (order // 3, order):
-            rows = automaton_rows(rules, order, start, min_part)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
-                assert (automaton_rows.__wrapped__(rules, order, start, min_part)
-                        == rows), rules
+        expected = rows(order)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
+            assert rows(order) == expected, rules
 
 
 @pytest.mark.parametrize("width", range(1, 6))
@@ -188,7 +196,7 @@ def test_checks_repeat_with_the_period_past_the_bound():
 @pytest.mark.parametrize("order", [200, 600])
 def test_automaton_equals_the_profile_walk_on_the_registry(order):
     for rules, min_part in registry_forms():
-        assert (automaton_rows(rules, order, order, min_part)
+        assert (automaton_rows(rules, order, min_part)
                 == _profile_walk(rules, order, order, min_part)), (rules, order)
 
 
@@ -198,7 +206,7 @@ def test_no_row_is_wider_than_its_fields():
     order = 200
     width = (order + 1) * partition_bits(order)
     for rules, min_part in registry_forms():
-        rows = automaton_rows(rules, order, order, min_part)
+        rows = automaton_rows(rules, order, min_part)
         assert max(row.bit_length() for row in rows) <= width, rules
 
 
@@ -295,10 +303,55 @@ def rule_sets(draw):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(rule_sets(), st.integers(1, 3), st.integers(0, 2))
 def test_automaton_equals_the_profile_walk_below_the_order(rules, min_part, which):
-    # a largest part below the order leaves tails that start past it:
+    # the push to a largest part below the order, at every zero count:
     # k*u > order on the high values, k*u <= order on the low ones
     order = 150
     bound, period = period_bound(rules, min_part)
     start = min((1, bound + period - 1, order // 3)[which], order - 1)
-    assert (automaton_rows(rules, order, start, min_part)
-            == _profile_walk(rules, order, start, min_part)), (rules, start)
+    walk = _profile_walk(rules, order, start, min_part)
+    assert (tuple(pushed_rows(rules, order, z, min_part, start)[start]
+                  for z in range(len(walk))) == walk), (rules, start)
+
+
+def test_push_without_rules_counts_partitions_by_largest_part():
+    order = 20
+    b = partition_bits(order)
+    rows = pushed_rows((), order, 0, 1, order + 2)
+    for j, row in enumerate(rows):
+        assert unpack(row, b, order).coeffs == tuple(
+            len(partitions_of(n, max_part=j)) for n in range(order + 1)), j
+
+
+def test_push_to_largest_part_zero_is_the_empty_partition():
+    for text in ("", "1:2:1:2", "1:3:0:1;2:2:1:2 +5z"):
+        cs = parse_condition_set(text)
+        for order in (0, 7):
+            assert (pushed_rows(cs.rules, order, cs.zeros, 2, 0)
+                    == (1 << order * partition_bits(order),)), (text, order)
+
+
+@pytest.mark.parametrize("text", ["1:2:1:2 +1z", "1:3:0:1;2:2:1:2 +5z",
+                                  "2:1:1:4;2:2:1:2 +2z"])
+def test_push_past_the_order_is_the_pull(text):
+    # more zeros than any rule is wide take the pull's clamp; every
+    # largest part from the order up gives the pull's row
+    cs = parse_condition_set(text)
+    for order in (0, 1, 20):
+        row = packed_sum_series(cs, order)[0]
+        rows = pushed_rows(cs.irredundant_rules(), order, cs.zeros, cs.min_part,
+                           order + 3)
+        assert rows[order:] == (row,) * 4, (text, order)
+
+
+def test_push_reproduces_the_walk_on_the_registry():
+    # the walk's rows to largest part j <= 30 at order 150 on every
+    # registry entry, as "name j row" lines, hashed before the walk lost
+    # its largest part
+    lines = []
+    for name in registered_names():
+        cs = get_identity(name).flat
+        rows = pushed_rows(cs.irredundant_rules(), 150, cs.zeros, cs.min_part, 30)
+        lines += ["%s %d %d" % (name, j, row) for j, row in enumerate(rows)]
+    assert len(lines) == 2635
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "32ebe3e359ef57ce7bf342637fd1dc7b6bfa64479b3fa6b157ad3508b5ce590e")

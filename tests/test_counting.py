@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from flatpart import automaton, conditions, counting
-from flatpart.automaton import _build, automaton_rows, minimal_automaton
+from flatpart.automaton import (_build, automaton_rows, minimal_automaton,
+                                pushed_rows)
 from flatpart.conditions import (CONGRUENT, NOT_CONGRUENT, ConditionSet, FlatRule,
                                  condition_set, matching_windows,
                                  parse_condition_set, satisfies)
@@ -27,7 +28,7 @@ from flatpart.errors import CeilingExceeded
 from flatpart.families import get_identity
 from flatpart.partitions import partitions_of
 from flatpart.series import (IntSeries, ProductSpec, partition_bits,
-                             product_series)
+                             product_series, unpack)
 
 
 def random_condition_set(rng):
@@ -79,18 +80,28 @@ def wide_condition_sets(draw, fewest_rules=1):
     return parse_condition_set(";".join(rules), zeros=draw(st.integers(0, 5)))
 
 
+def truncation(cs, order, largest_part, rules=None):
+    """P_largest_part, the partitions with parts at most largest_part, by
+    one push over the automaton of rules, cs's own when none are given."""
+    rules = cs.rules if rules is None else rules
+    rows = pushed_rows(rules, order, cs.zeros, cs.min_part, largest_part)
+    return unpack(rows[largest_part], partition_bits(order), order)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(wide_condition_sets(), st.integers(0, 24),
        st.none() | st.integers(0, 24), st.integers(1, 3))
 # largest part 0: the empty partition only
 @example(parse_condition_set("1:2:1:2"), 5, 0, 1)
 def test_dp_matches_brute_with_part_bounds(cs, order, largest_part, min_part):
+    # the push on the DP's irredundant rules; no largest part is the order
     top = order if largest_part is None else largest_part
 
     def pred(p):
         return all(min_part <= x <= top for x in p) and satisfies(cs, p)
 
-    assert (sum_series_dp(replace(cs, min_part=min_part), order, largest_part)
+    bounded = replace(cs, min_part=min_part)
+    assert (truncation(bounded, order, top, bounded.irredundant_rules())
             == count_by_predicate(pred, order))
 
 
@@ -110,12 +121,11 @@ def test_pruned_brute_equals_the_definition(cs, order, min_part):
                                                             order)
 
 
-def automaton_series(cs, order, largest_part=None):
+def automaton_series(cs, order):
     """sum_series_dp's series counted on the automaton, past every cache
     of counting."""
-    start = order if largest_part is None else min(order, largest_part)
     b = partition_bits(order)
-    rows = automaton_rows.__wrapped__(cs.rules, order, start, cs.min_part)
+    rows = automaton_rows.__wrapped__(cs.rules, order, cs.min_part)
     packed = rows[min(cs.zeros, len(rows) - 1)]
     # packed high-first: coefficient n in bits [(order-n)*b, (order-n+1)*b)
     return IntSeries([packed >> (order - n) * b & (1 << b) - 1
@@ -139,8 +149,7 @@ def test_automaton_matches_brute_with_a_largest_part(cs, order, largest_part,
     def pred(p):
         return all(x <= largest_part for x in p) and satisfies(cs, p)
 
-    assert (automaton_series(cs, order, largest_part)
-            == count_by_predicate(pred, order))
+    assert truncation(cs, order, largest_part) == count_by_predicate(pred, order)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -153,10 +162,10 @@ def test_product_automaton_equals_the_direct_build(cs, min_part):
     assert ((len(product.moves), product.first, product.period, product.more)
             == (len(direct.moves), direct.first, direct.period, direct.more))
     order = 24
-    rows = automaton_rows(cs.rules, order, order, min_part)
+    rows = automaton_rows(cs.rules, order, min_part)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
-        assert automaton_rows.__wrapped__(cs.rules, order, order, min_part) == rows
+        assert automaton_rows.__wrapped__(cs.rules, order, min_part) == rows
 
 
 @st.composite
@@ -307,7 +316,8 @@ def test_brute_past_its_suffix_limit_counts_the_same(monkeypatch, limit):
 
 def test_zero_counts_share_one_walk():
     # every zero count after the first reads the walk of the first;
-    # sum_series_dp keeps no cache of its own and reads the walk's
+    # sum_series_dp keeps no cache of its own and reads the walk's, and
+    # the push to a largest part reads no walk
     assert automaton_rows.cache_info().maxsize is not None
     count = sum_series_dp
     rng = random.Random(808)
@@ -330,20 +340,11 @@ def test_zero_counts_share_one_walk():
                 return (all(min_part <= x <= largest_part for x in p)
                         and satisfies(cs, p))
 
-            assert (count(ConditionSet(rules, zeros, min_part), order, largest_part)
+            bounded = ConditionSet(rules, zeros, min_part)
+            assert (truncation(bounded, order, largest_part,
+                               bounded.irredundant_rules())
                     == count_by_predicate(pred, order)), (cs, largest_part, min_part)
-        assert automaton_rows.cache_info().hits - hits >= 2 * (cap + 2)
-
-
-def test_walk_is_keyed_by_the_part_bound_it_reads():
-    # no largest part and any largest part at or above the order read
-    # parts up to the order, so they share one walk
-    cs = parse_condition_set("1:2:1:2;2:3:0:2", zeros=1)
-    automaton_rows.cache_clear()
-    free = sum_series_dp(cs, 30)
-    assert sum_series_dp(cs, 30, largest_part=30) == free
-    assert sum_series_dp(cs, 30, largest_part=45) == free
-    assert automaton_rows.cache_info().misses == 1
+        assert automaton_rows.cache_info().hits - hits >= cap + 2
 
 
 def test_dp_is_exact_at_every_order():
@@ -354,23 +355,24 @@ def test_dp_is_exact_at_every_order():
     assert deep == product_series(ident.product, 600)
     for order in (300, 301, 405, 406):
         assert deep.coeffs[:order + 1] == sum_series_dp(ident.flat, order).coeffs
-    # every walk counts on the automaton: a sweep over largest parts
-    # builds the set's product once (one entry per nonempty prefix of its
-    # rules and one per later rule, in the one automaton cache) and reads
-    # it from the cache after that
+    # the push and the walk count on one automaton: the push to every
+    # largest part builds the set's product (one entry per nonempty
+    # prefix of its rules and one per later rule, in the one automaton
+    # cache), and the walk reads it from the cache
     ident = get_identity("FAM1_1_K3")
     rules, order = ident.flat.rules, 40
     product = product_series(ident.product, order)
     automaton.minimal_automaton.cache_clear()
-    for j in range(1, order + 1):
-        automaton_rows.__wrapped__(rules, order, j, 1)
+    rows = pushed_rows(rules, order, ident.flat.zeros, 1, order)
+    automaton_rows.__wrapped__(rules, order, 1)
     info = automaton.minimal_automaton.cache_info()
-    assert (info.misses, info.hits) == (2 * len(rules) - 1, order - 1)
+    assert (info.misses, info.hits) == (2 * len(rules) - 1, 1)
+    b = partition_bits(order)
     for j in range(1, order + 1):
-        capped = sum_series_dp(ident.flat, order, largest_part=j)
+        capped = unpack(rows[j], b, order)
         # partitions of n <= j have no part above j
         assert capped.coeffs[:j + 1] == product.coeffs[:j + 1]
-    assert capped == product
+    assert capped == product == sum_series_dp(ident.flat, order)
     # no rules: the counts are p(n), and p(600) > 2**78
     free = sum_series_dp(condition_set([]), 600)
     assert free == product_series(ProductSpec(1, {0: 1}), 600)
@@ -402,7 +404,7 @@ def test_brute_refuses_to_run_past_its_ceiling(monkeypatch):
 
 def test_largest_part_bound():
     cs = parse_condition_set("1:2:1:2", zeros=1)
-    capped = sum_series_dp(cs, 24, largest_part=5)
+    capped = truncation(cs, 24, 5)
     for n in range(25):
         direct = sum(1 for p in partitions_of(n, max_part=5)
                      if satisfies(cs, p))

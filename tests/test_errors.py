@@ -76,15 +76,13 @@ def test_negative_order_is_refused(call):
 
 @pytest.mark.parametrize("call", [
     lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 2.5),
-    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=2.5),
-    # unhashable arguments are checked before the cache reads them
+    # an unhashable argument is checked before the cache reads it
     lambda: sum_series_dp(parse_condition_set("1:2:1:2"), [6]),
-    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=[2]),
     lambda: sum_series_brute(parse_condition_set("1:2:1:2"), "3"),
     lambda: product_series(ProductSpec(5, {1: 1}), 4.0),
     lambda: partition_bits(2.5),
-], ids=["dp_order", "dp_largest_part", "dp_order_list", "dp_largest_part_list",
-        "brute_order", "product_order", "partition_bits"])
+], ids=["dp_order", "dp_order_list", "brute_order", "product_order",
+        "partition_bits"])
 def test_non_integer_order_or_bound_is_refused(call):
     with pytest.raises(PreconditionViolated, match="must be an int"):
         call()
@@ -120,7 +118,9 @@ def test_non_integer_field_is_refused(call):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: sum_series_dp(parse_condition_set("1:2:1:2"), 5, largest_part=-3),
+    # a recursion check below the first level would check nothing
+    lambda: verify_recursion("FAM2_K1", 0, 20),
+    lambda: verify_recursion("FAM8_MOD9_S37", 0, 20),
     lambda: partition_bits(-1),
     # a zero step never grows, so an unchecked loop would spin even
     # with a zero top
@@ -140,7 +140,8 @@ def test_non_integer_field_is_refused(call):
     lambda: BiSeries.one(3, 1).divide_one_minus_qm(0),
     # a negative power would put a*q^e at q^0
     lambda: BiSeries.one(3, 1).times_a_power(-2),
-], ids=["dp_largest_part", "partition_bits", "div_zero_step", "div_negative_step",
+], ids=["recursion_below_first_level", "recursion_below_first_level_mod9",
+        "partition_bits", "div_zero_step", "div_negative_step",
         "r_enumeration_n_max", "r_enumeration_j", "BiSeries_n_max",
         "BiSeries_m_max", "mul_zero_m", "div_zero_m", "mul_negative_m",
         "div_negative_m", "BiSeries_divide_zero_m", "times_a_power_negative"])
@@ -174,8 +175,6 @@ INTEGER_ARGUMENTS = {
     "period_d_max": lambda v: detect_period(euler_exponents(one(30)), v),
     "period_e_max": lambda v: detect_period(euler_exponents(one(30)), 3, v),
     "dp_order": lambda v: sum_series_dp(parse_condition_set("1:2:1:2"), v),
-    "dp_largest_part":
-        lambda v: sum_series_dp(parse_condition_set("1:2:1:2"), 6, largest_part=v),
     "rule_index": lambda v: FlatRule(v, 2, 0, 1),
     "rule_residue": lambda v: FlatRule(1, 2, v, 2),
     "set_zeros": lambda v: ConditionSet((), v),

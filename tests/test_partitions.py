@@ -90,7 +90,7 @@ def test_caches_are_bounded():
 PUBLIC_CACHED_CALLS = {
     "kth_flattest": (1, 1, 1),
     "partitions_of": (1, 1),
-    "sum_series_dp": (flatpart.parse_condition_set("1:2:1:2"), 1, 1),
+    "sum_series_dp": (flatpart.parse_condition_set("1:2:1:2"), 1),
 }
 
 

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from flatpart import recursions
+from flatpart.automaton import automaton_rows
 from flatpart.errors import PreconditionViolated, UnknownRecursion
 from flatpart.recursions import (RecursionReport, recursion_names,
                                  recursion_values, verify_recursion)
@@ -52,13 +53,24 @@ def test_no_level_above_j_max():
     # the builders seed P_0 or P_1 whatever j_max is
     assert recursion_values("FAM2_K1", 0, 10) == {}
     assert recursion_values("FAM8_MOD9_S37", 0, 10) == {}
-    assert verify_recursion("FAM2_K1", 0, 10).levels == ()
+    # a recursion check needs a level to check
+    with pytest.raises(PreconditionViolated, match="j_max must be an int >= 1"):
+        verify_recursion("FAM2_K1", 0, 10)
     for name in recursion_names():
         for j_max in range(6):
             levels = recursion_values(name, j_max, 10)
             assert max(levels, default=0) <= j_max, (name, j_max, sorted(levels))
     with pytest.raises(PreconditionViolated, match="j_max must be an int >= 0"):
         recursion_values("FAM3_K1", -1, 10)
+
+
+def test_recursion_checks_leave_the_walk_cache_alone():
+    # the push reads the automaton cache only; no level walks
+    automaton_rows.cache_clear()
+    for name in recursion_names():
+        assert verify_recursion(name, j_max=30, order=150).passed, name
+    info = automaton_rows.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
 
 
 def test_alias_resolution():
