@@ -57,6 +57,20 @@ set's own window table would give, at a fraction of the cost.  One cache
 holds every automaton, a rule's or a set's, and _minimize explores and
 refines the raw machine that _build or _product states.
 
+_minimize explores breadth first from the start, of phase 0, and gives
+a state first found from a state of phase p the phase follow[p] of the
+next value.  A raw state of _build carries its phase; one of _product
+is only the pair (a, b) of the factors' classes, since the pair fixes
+the phase.  Pair lemma.  Each factor class lies in one phase, as
+refinement is seeded by phase; let S = max(x.first, y.first) and f a
+factor with f.first = S.  At a value u < S, f's phase is u itself, so
+the pair gives u.  At u >= S, f's phase is at least S, so the pair
+tells this case apart, and x's and y's phases give u mod Lx and u mod
+Ly, so u mod lcm(Lx, Ly), which fixes the product's phase, since its
+U0 is at most S.  So no two states that the phase would keep apart
+share a pair.  Moore refinement reads each raw row through one
+itemgetter made for it, every round and at assembly.
+
 automaton_rows counts on it by a downward pull: r = 1 on every class
 past the order, then r(s) = sum over m of q**(m*u) r(next(s, m)) for
 each value u from the order down to 1, packed as in counting.py.  _fold
@@ -86,6 +100,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .partitions import _kth_flattest
@@ -159,29 +174,34 @@ def _phases(checks, first: int, period: int) -> tuple:
     return first, [p + 1 if p + 1 < phases else first for p in range(phases)]
 
 
-def _minimize(start, successors, first: int, period: int, more: int,
-              checks: tuple) -> Automaton:
+def _minimize(start, successors, follow: list, first: int, period: int,
+              more: int, checks: tuple) -> Automaton:
     """The one construction step: explore the raw automaton breadth first
-    from start, which becomes class 0, along successors(state), the states
-    reached on multiplicities 0, 1, .. (each state's first entry its
-    phase); then Moore refinement, seeded by phase, splits classes by the
-    classes they move to."""
-    index, states, moves = {start: 0}, [start], []
-    for state in states:  # grows as new states are found
-        row = []
+    from start, which becomes class 0 and has phase 0, along
+    successors(state), the states reached on multiplicities 0, 1, ..;
+    a state first found from a state of phase p has phase follow[p].
+    Then Moore refinement, seeded by phase, splits classes by the classes
+    they move to.  Each raw row is read through one itemgetter, made
+    once: a row of one move gives a bare label, which equals no longer
+    row's tuple, so the signatures part the states as the tuples would."""
+    index, states, phases, moves = {start: 0}, [start], [0], []
+    for s, state in enumerate(states):  # grows as new states are found
+        phase, row = follow[phases[s]], []
         for target in successors(state):
             i = index.get(target)
             if i is None:
                 i = index[target] = len(states)
                 states.append(target)
+                phases.append(phase)
             row.append(i)
         moves.append(row)
-    phases = label = [state[0] for state in states]
-    count = len(set(label))
+    reads = [itemgetter(*row) for row in moves]  # no row is empty: m = 0 ends no window
+    label, count = phases, len(set(phases))
     while True:
-        signatures, of = {}, label.__getitem__
-        label = [signatures.setdefault((of(s), tuple(map(of, row))), len(signatures))
-                 for s, row in enumerate(moves)]
+        signatures = {}
+        key = signatures.setdefault
+        label = [key((c, read(label)), len(signatures))
+                 for c, read in zip(label, reads)]
         if len(signatures) == count:
             break
         count = len(signatures)
@@ -189,10 +209,11 @@ def _minimize(start, successors, first: int, period: int, more: int,
             break
     class_moves = [None] * count
     classes = [[] for _ in range(first + period)]
-    for s, row in enumerate(moves):
+    for s, read in enumerate(reads):
         c = label[s]
         if class_moves[c] is None:
-            class_moves[c] = tuple(label[t] for t in row)
+            row = read(label)
+            class_moves[c] = row if len(moves[s]) > 1 else (row,)
             classes[phases[s]].append(c)
     return Automaton(first, period, more, tuple(map(tuple, classes)),
                      tuple(class_moves), checks)
@@ -225,30 +246,36 @@ def _build(rules: tuple, min_part: int) -> Automaton:
     more = max((r.width for r in rules), default=1) + 1
 
     def successors(state):
-        # a window that m completes is completed by every larger m too
+        # a window that m completes is completed by every larger m too;
+        # a longer pending window lives on only when m is its next count
         phase, pending = state
-        lowest = min([w[0] for w in pending if len(w) == 1] + list(ends[phase]),
-                     default=more + 1)
+        lowest, alive = min(ends[phase], default=more + 1), {}
+        for w in pending:
+            if len(w) == 1:
+                lowest = min(lowest, w[0])
+            else:
+                alive.setdefault(w[-1], []).append(w[:-1])
         return [(follow[phase],
-                 frozenset([w[:-1] for w in pending if len(w) > 1 and w[-1] == m]
-                           + [w for w, c0 in begins[phase] if m >= c0]))
+                 frozenset(alive.get(m, []) + [w for w, c0 in begins[phase] if m >= c0]))
                 for m in range(min(lowest, more + 1))]
 
-    return _minimize((0, frozenset()), successors, first, period, more,
+    return _minimize((0, frozenset()), successors, follow, first, period, more,
                      tuple(frozenset(groups[p]) for p in range(phases)))
 
 
 def _product(x: Automaton, y: Automaton) -> Automaton:
     """The minimal automaton of the intersection of x's and y's sum
     sides: read both in lockstep from value 0, and complete a window
-    when either does.  The period is the lcm of theirs, and the first
-    phase is placed on the union of their checks as _build places it."""
+    when either does.  A state is the pair (a, b) of x's and y's classes,
+    its phase found by the exploration (see the module docstring for why
+    the pair fixes it).  The period is the lcm of theirs, and the first
+    phase is placed on the union of their checks as _build places it;
+    each union is formed once."""
     period = lcm(x.period, y.period)
-
-    def checks(u):
-        return x.checks[x.phase(u)] | y.checks[y.phase(u)]
-
-    first, follow = _phases(checks, max(x.first, y.first), period)
+    bound = max(x.first, y.first)
+    checks = [x.checks[x.phase(u)] | y.checks[y.phase(u)]
+              for u in range(bound + period)]
+    first, follow = _phases(checks.__getitem__, bound, period)
     more = max(x.more, y.more)
 
     # a multiplicity at or above a factor's more takes its tail move
@@ -256,11 +283,11 @@ def _product(x: Automaton, y: Automaton) -> Automaton:
                          for row in f.moves] for f in (x, y))
 
     def successors(state):
-        phase, a, b = state
-        return [(follow[phase], s, t) for s, t in zip(x_moves[a], y_moves[b])]
+        a, b = state
+        return zip(x_moves[a], y_moves[b])
 
-    return _minimize((0, 0, 0), successors, first, period, more,
-                     tuple(checks(p) for p in range(first + period)))
+    return _minimize((0, 0), successors, follow, first, period, more,
+                     tuple(checks[:first + period]))
 
 
 @lru_cache(maxsize=256)

@@ -156,8 +156,11 @@ class ConditionSet:
         kept.  They forbid the same windows as all the rules, and, since a
         rule implies only rules of its own width, the widest width stays."""
         rules = self.rules
+        # only rules of one (A, B) can imply each other
+        shapes = [(r.flatness_index, r.width) for r in rules]
         return tuple(y for j, y in enumerate(rules)
-                     if not any(x.implies(y) and (i < j or not y.implies(x))
+                     if not any(shapes[i] == shapes[j] and x.implies(y)
+                                and (i < j or not y.implies(x))
                                 for i, x in enumerate(rules) if i != j))
 
     def render(self) -> str:

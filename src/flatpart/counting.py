@@ -114,8 +114,10 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     on windows, never a count, so every counted partition is still
     visited.  Both tables are built for this call only: O(order) windows
     per rule, and at most one entry per distinct suffix, each at most
-    order parts, SUFFIX_ENTRIES entries in all.  No object of the call
-    refers to itself, so nothing survives it."""
+    order parts, SUFFIX_ENTRIES entries in all.  Many suffixes share one
+    entry, so a stored entry is interned through a third dict of this
+    call, which holds only stored entries.  No object of the call refers
+    to itself, so nothing survives it."""
     counts = [0] * (_under_ceiling(order) + 1)
     tables = {}
     for r in require_type(cs, ConditionSet, "cs").rules:
@@ -127,7 +129,7 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
     base = order + 1
     # the place of a full suffix's first part: suffix % first drops it
     first = base ** (max(cs.max_width() - 1, 1) - 1)
-    suffixes = {}
+    suffixes, shared = {}, {}
     stack = [(0, 0)]
     while stack:
         suffix, total = stack.pop()
@@ -136,7 +138,7 @@ def sum_series_brute(cs: ConditionSet, order: int) -> IntSeries:
             entry = _suffix_entry(suffix, base, cs.min_part, by_width, ends)
             # a shorter suffix is a whole prefix, and every prefix is visited once
             if suffix >= first and len(suffixes) < SUFFIX_ENTRIES:
-                suffixes[suffix] = entry
+                suffixes[suffix] = shared.setdefault(entry, entry)
         closes, nexts = entry
         if closes:
             counts[total] += 1

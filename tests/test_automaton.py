@@ -1,8 +1,8 @@
-"""The period lemma behind the minimal automaton, the product of
-per-rule automata against the build from a set's own window table, the
-fold of each class's moves into a head and a shared tail, and the
-automaton's rows, pulled past the order and pushed to every largest
-part, against a walk over capped profiles.
+"""The period lemma behind the minimal automaton, the pair lemma behind
+its product states, the product of per-rule automata against the build
+from a set's own window table, the fold of each class's moves into a
+head and a shared tail, and the automaton's rows, pulled past the order
+and pushed to every largest part, against a walk over capped profiles.
 
 The lemma is checked on the patterns themselves, with no automaton: past
 T = (A+1)B(B-1) - B, adding B to a total adds 1 to every entry of each
@@ -21,7 +21,7 @@ from flatpart import automaton
 from flatpart.automaton import (_build, _checks_by_top, _fold, automaton_rows,
                                 minimal_automaton, period_bound, pushed_rows)
 from flatpart.conditions import ConditionSet, parse_condition_set
-from flatpart.counting import packed_sum_series
+from flatpart.counting import packed_sum_series, sum_series_brute, sum_series_dp
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import kth_flattest, partitions_of
 from flatpart.search import SearchBounds, enumerate_condition_sets, search
@@ -226,14 +226,16 @@ def test_screen_box_builds_each_rule_once_and_each_pair_once(monkeypatch):
     # one rule implies the other: those are counted on the one rule
     with open(SCREEN_BOXES) as fh:
         bounds = SearchBounds.from_json(json.dumps(json.load(fh)[0]["bounds"]))
-    calls = Counter()
+    calls, classes = Counter(), []
 
     def counted(name):
         original = getattr(automaton, name)
 
         def wrapper(*args):
             calls[name] += 1
-            return original(*args)
+            auto = original(*args)
+            classes.append(len(auto.moves))
+            return auto
         return wrapper
 
     for name in ("_build", "_product"):
@@ -242,6 +244,63 @@ def test_screen_box_builds_each_rule_once_and_each_pair_once(monkeypatch):
     minimal_automaton.cache_clear()
     search(bounds)
     assert calls == {"_build": 40, "_product": 728}
+    # Moore refinement's classes over all 768 automata, pinned
+    assert sum(classes) == 9970
+
+
+def explore_pairs(x, y, first: int, period: int, keyed) -> dict:
+    """Breadth first over x's and y's move rows in lockstep from (0, 0),
+    each row padded with its tail move to the wider more, following each
+    state's phase; returns {keyed(phase, a, b): phase}."""
+    more = max(x.more, y.more)
+    x_moves, y_moves = ([row + (row[-1],) * (more - f.more) if len(row) > f.more else row
+                         for row in f.moves] for f in (x, y))
+    found, queue = {keyed(0, 0, 0): 0}, [(0, 0, 0)]
+    for phase, a, b in queue:
+        nxt = phase + 1 if phase + 1 < first + period else first
+        for s, t in zip(x_moves[a], y_moves[b]):
+            key = keyed(nxt, s, t)
+            if key not in found:
+                found[key] = nxt
+                queue.append((nxt, s, t))
+    return found
+
+
+def test_a_pair_of_classes_fixes_the_phase():
+    # the product explores pairs (a, b) only: keyed with the phase too,
+    # the exploration reaches no more states, and each pair at one phase
+    forms = [(rules, 1) for rules in screen_box_sets()] + registry_forms()
+    pairs = {(rules[:k], min_part) for rules, min_part in forms
+             for k in range(2, len(rules) + 1)}
+    assert len(pairs) > 100
+    for rules, min_part in sorted(pairs, key=str):
+        x = minimal_automaton(rules[:-1], min_part)
+        y = minimal_automaton(rules[-1:], 1)
+        product = minimal_automaton(rules, min_part)
+        triples = explore_pairs(x, y, product.first, product.period,
+                                lambda p, a, b: (p, a, b))
+        by_pair = explore_pairs(x, y, product.first, product.period,
+                                lambda p, a, b: (a, b))
+        # as many states either way, so each pair occurs at one phase
+        assert sorted((a, b) for _, a, b in triples) == sorted(by_pair), rules
+        assert all(by_pair[a, b] == p for p, a, b in triples), rules
+
+
+@pytest.mark.parametrize("text, lengths", [
+    ("1:1:0:1", {1, 3}),  # past value 0 every class has one move
+    ("1:1:0:2;2:3:1:3 +1z", {1, 2, 5}),
+])
+def test_one_move_rows_refine_like_longer_ones(text, lengths):
+    # Moore reads a one-move row as a bare label, a longer one as a tuple
+    cs = parse_condition_set(text)
+    auto = minimal_automaton(cs.rules, cs.min_part)
+    assert {len(row) for row in auto.moves} == lengths
+    assert_product_equals_direct_build(cs.rules, cs.min_part, (30,))
+    assert _build(cs.rules, cs.min_part) == auto
+    # with the automaton of no rules on either side, the product is itself
+    none = minimal_automaton((), 1)
+    assert automaton._product(auto, none) == auto == automaton._product(none, auto)
+    assert sum_series_dp(cs, 30) == sum_series_brute(cs, 30)
 
 
 def test_minimization_merges_profiles():

@@ -181,6 +181,25 @@ def test_irredundant_rules_drop_each_implied_rule(text, kept):
             == parse_condition_set(kept).rules)
 
 
+def test_irredundant_rules_ask_implies_only_within_one_shape(monkeypatch):
+    # rules of different (A, B) never imply each other, so implies is
+    # asked only of ordered pairs that share A and B; the result stands
+    cs = parse_condition_set("1:2:0:1;1:2:1:2;2:2:1:2;1:3:0:2;1:3:0:4;2:3:1:3")
+    kept = cs.irredundant_rules()
+    asked = []
+    implies = FlatRule.implies
+
+    def counted(self, other):
+        asked.append((self, other))
+        return implies(self, other)
+
+    monkeypatch.setattr(FlatRule, "implies", counted)
+    assert cs.irredundant_rules() == kept == parse_condition_set(
+        "1:2:0:1;2:2:1:2;1:3:0:2;2:3:1:3").rules
+    assert asked and all((x.flatness_index, x.width) == (y.flatness_index, y.width)
+                         for x, y in asked)
+
+
 def test_no_registered_statement_has_an_implied_rule():
     for name in registered_names():
         flat = get_identity(name).flat

@@ -253,8 +253,9 @@ def test_brute_leaves_nothing_alive_after_the_call(monkeypatch):
     class Table(frozenset):
         pass
 
-    class Entry(list):
-        pass
+    class Entry(list):  # hashable, as the call interns its stored entries
+        def __hash__(self):
+            return hash(tuple(self))
 
     def table_spy(rule, order):
         table = Table(matching_windows(rule, order))
@@ -303,6 +304,29 @@ def test_brute_memory_stays_bounded_at_its_ceiling():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_brute_keeps_one_object_per_distinct_entry(monkeypatch):
+    # equal stored entries are one object; at any moment the loop holds
+    # at most one more, the last entry it worked out and did not store
+    cs = parse_condition_set("1:4:0:1;2:4:1:2 +2z")
+    entries, surplus = [], []
+    suffix_entry = counting._suffix_entry
+
+    class Entry(list):
+        def __hash__(self):
+            return hash(tuple(self))
+
+    def entry_spy(*args):
+        alive = [e for e in (ref() for ref in entries) if e is not None]
+        surplus.append(len(alive) - len({tuple(e) for e in alive}))
+        entry = Entry(suffix_entry(*args))
+        entries.append(weakref.ref(entry))
+        return entry
+
+    monkeypatch.setattr(counting, "_suffix_entry", entry_spy)
+    assert sum_series_brute(cs, 24) == sum_series_dp(cs, 24)
+    assert len(entries) > 100 and max(surplus) <= 1
 
 
 @pytest.mark.parametrize("limit", [0, 5])
