@@ -23,9 +23,10 @@ irredundant rules (ConditionSet.irredundant_rules): a rule that another
 rule of the set implies forbids no window that rule does not, so
 dropping it changes no series, and a set such as {x, y} with y implied
 by x shares the automaton and the walk of {x}.  It counts on the minimal
-automaton of the sum side (automaton.py), built once per rule set and
-smallest-part bound as the product of its prefix's automaton and its
-last rule's, both read from the one automaton cache.
+automaton of the sum side (automaton.py), made once per rule set and
+smallest-part bound and kept in the one automaton cache: the product of
+its prefix's automaton and its last rule's when those are cached, else
+built from the set's own window table.
 The walk (automaton.automaton_rows) goes from the order down to 1.  A
 period lemma shows that past a bound U that depends only on the rules,
 the windows whose top value is u repeat at u + L, L the lcm of

@@ -134,10 +134,13 @@ def first_split(x: int, y: int, b: int, order: int) -> tuple | None:
 def packed_div_one_minus_qm(x: int, step: int, top: int) -> int:
     """Divide a series packed high-first in b-bit fields by (1 - q^m), with
     step = m*b and top = order*b: multiply by (1+q^m)(1+q^(2m))(1+q^(4m))..,
-    each factor a right shift that drops what passes the order."""
+    each factor a right shift that drops what passes the order.  The
+    doubling ends once step > min(top, x.bit_length() - 1): a shift by
+    x's bit length or more adds 0, and top keeps a top field wider than
+    b bits from leaking into the low fields."""
     if step < 1:  # the doubling below would never end
         raise PreconditionViolated("step must be >= 1, got %r" % (step,))
-    while step <= top:
+    while step <= top and step < x.bit_length():
         x += x >> step
         step <<= 1
     return x

@@ -12,6 +12,7 @@ of the first A flattest patterns.
 import hashlib
 import json
 from collections import Counter, defaultdict
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,10 @@ from flatpart.conditions import ConditionSet, parse_condition_set
 from flatpart.counting import packed_sum_series, sum_series_brute, sum_series_dp
 from flatpart.families import get_identity, registered_names
 from flatpart.partitions import kth_flattest, partitions_of
-from flatpart.search import SearchBounds, enumerate_condition_sets, search
+from flatpart.search import (SearchBounds, enumerate_condition_sets, reports_to_json,
+                             search)
 from flatpart.series import partition_bits, unpack
+from flatpart.verify import verify_all
 
 SCREEN_BOXES = Path(__file__).resolve().parent.parent / "perfbench" / "screen_boxes.json"
 
@@ -147,24 +150,12 @@ def screen_box_sets():
                        SearchBounds.from_json(json.dumps(box["bounds"])))})
 
 
-def assert_product_equals_direct_build(rules, min_part, orders):
-    """minimal_automaton's product against the build from the set's own
-    window table: the same class count, phases, pulled rows and pushed
-    rows, the push to a third of the order for every zero count."""
-    direct, product = _build(rules, min_part), minimal_automaton(rules, min_part)
-    assert ((len(product.moves), product.first, product.period, product.more)
-            == (len(direct.moves), direct.first, direct.period, direct.more)), rules
-
-    def rows(order):
-        return (automaton_rows.__wrapped__(rules, order, min_part),
-                [pushed_rows(rules, order, z, min_part, order // 3)
-                 for z in range(direct.more)])
-
-    for order in orders:
-        expected = rows(order)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
-            assert rows(order) == expected, rules
+def folded(rules, min_part):
+    """The product construction, chained by hand: the first rule's
+    automaton with the bound, then each later rule's, every factor built
+    from its own window table."""
+    return reduce(automaton._product, (_build((rule,), 1) for rule in rules[1:]),
+                  _build(rules[:1], min_part))
 
 
 @pytest.mark.parametrize("width", range(1, 6))
@@ -211,12 +202,13 @@ def test_no_row_is_wider_than_its_fields():
 
 
 def test_product_equals_the_direct_build():
-    sets = screen_box_sets()
-    assert sets
-    for rules in sets:
-        assert_product_equals_direct_build(rules, 1, (30,))
-    for rules, min_part in registry_forms():
-        assert_product_equals_direct_build(rules, min_part, (30, 200))
+    # minimal_automaton folds only on cached factors, so the fold is
+    # chained here on every set of both screen boxes and every registry
+    # form, multi-rule or not, and must give the very same automaton
+    forms = [(rules, 1) for rules in screen_box_sets()] + registry_forms()
+    assert (len(forms), sum(len(rules) > 1 for rules, _ in forms)) == (887, 836)
+    for rules, min_part in forms:
+        assert folded(rules, min_part) == _build(rules, min_part), rules
 
 
 def test_screen_box_builds_each_rule_once_and_each_pair_once(monkeypatch):
@@ -246,6 +238,64 @@ def test_screen_box_builds_each_rule_once_and_each_pair_once(monkeypatch):
     assert calls == {"_build": 40, "_product": 728}
     # Moore refinement's classes over all 768 automata, pinned
     assert sum(classes) == 9970
+
+
+def count_constructions(monkeypatch) -> list:
+    """Clear the walk and automaton caches, and log the rules of every
+    _build call and None for every _product call."""
+    log = []
+    build, product = automaton._build, automaton._product
+
+    def logged_build(rules, min_part):
+        log.append(rules)
+        return build(rules, min_part)
+
+    def logged_product(x, y):
+        log.append(None)
+        return product(x, y)
+
+    monkeypatch.setattr(automaton, "_build", logged_build)
+    monkeypatch.setattr(automaton, "_product", logged_product)
+    automaton_rows.cache_clear()
+    minimal_automaton.cache_clear()
+    return log
+
+
+def test_a_cold_registry_check_builds_most_sets_once(monkeypatch):
+    # each registry form is a set no other form shares: from a cold cache
+    # its 56 multi-rule forms are made once each, 52 built from their own
+    # window tables and 4 folded on rules already cached; the fold of
+    # every form would make 78 builds and 91 products
+    log = count_constructions(monkeypatch)
+    assert all(report.passed for report in verify_all(200))
+    info = minimal_automaton.cache_info()
+    assert (info.builds, info.folds) == (66, 4)
+    assert (len(log) - log.count(None), log.count(None)) == (66, 4)
+    assert sum(rules is not None and len(rules) > 1 for rules in log) == 52
+    assert info.misses == info.currsize == 70
+
+
+GOLDEN_BOX = Path(__file__).resolve().parent / "golden" / "search_box0_max_rules3.json"
+
+
+def test_the_many_rule_box_folds_every_set_of_more_than_one_rule(monkeypatch):
+    # screen box 0 with up to three rules per set: every set of two or
+    # three rules is a fold, as its rules or its prefix are cached by the
+    # depth-first enumeration, and the report keeps its recorded digest
+    golden = json.loads(GOLDEN_BOX.read_text())
+    with open(SCREEN_BOXES) as fh:
+        box = json.load(fh)[golden["box"]]
+    bounds = SearchBounds.from_json(json.dumps(dict(box["bounds"],
+                                                    max_rules=golden["max_rules"])))
+    log = count_constructions(monkeypatch)
+    reports = search(bounds)
+    assert len(reports) == golden["hits"]
+    digest = hashlib.sha256(reports_to_json(reports).encode()).hexdigest()
+    assert digest == golden["sha256"]
+    assert max(len(rules) for rules in log if rules is not None) == 1
+    info = minimal_automaton.cache_info()
+    assert (info.builds, info.folds) == (187, 8879)
+    assert info.maxsize == 256 and info.currsize == 256
 
 
 def explore_pairs(x, y, first: int, period: int, keyed) -> dict:
@@ -295,8 +345,7 @@ def test_one_move_rows_refine_like_longer_ones(text, lengths):
     cs = parse_condition_set(text)
     auto = minimal_automaton(cs.rules, cs.min_part)
     assert {len(row) for row in auto.moves} == lengths
-    assert_product_equals_direct_build(cs.rules, cs.min_part, (30,))
-    assert _build(cs.rules, cs.min_part) == auto
+    assert folded(cs.rules, cs.min_part) == _build(cs.rules, cs.min_part) == auto
     # with the automaton of no rules on either side, the product is itself
     none = minimal_automaton((), 1)
     assert automaton._product(auto, none) == auto == automaton._product(none, auto)

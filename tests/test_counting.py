@@ -11,7 +11,7 @@ import random
 import tracemalloc
 import weakref
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -158,14 +158,10 @@ def test_automaton_matches_brute_with_a_largest_part(cs, order, largest_part,
 # late for the set: the product must place it on the union of checks
 @example(parse_condition_set("1:1:0:1"), 3)
 def test_product_automaton_equals_the_direct_build(cs, min_part):
-    direct, product = _build(cs.rules, min_part), minimal_automaton(cs.rules, min_part)
-    assert ((len(product.moves), product.first, product.period, product.more)
-            == (len(direct.moves), direct.first, direct.period, direct.more))
-    order = 24
-    rows = automaton_rows(cs.rules, order, min_part)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(automaton, "minimal_automaton", lambda *_: direct)
-        assert automaton_rows.__wrapped__(cs.rules, order, min_part) == rows
+    # the fold chained by hand, whatever minimal_automaton's cache holds
+    folded = reduce(automaton._product, (_build((r,), 1) for r in cs.rules[1:]),
+                    _build(cs.rules[:1], min_part))
+    assert folded == _build(cs.rules, min_part) == minimal_automaton(cs.rules, min_part)
 
 
 @st.composite
@@ -380,9 +376,9 @@ def test_dp_is_exact_at_every_order():
     for order in (300, 301, 405, 406):
         assert deep.coeffs[:order + 1] == sum_series_dp(ident.flat, order).coeffs
     # the push and the walk count on one automaton: the push to every
-    # largest part builds the set's product (one entry per nonempty
-    # prefix of its rules and one per later rule, in the one automaton
-    # cache), and the walk reads it from the cache
+    # largest part, from a cold cache, builds the set once from its own
+    # window table (no factor of a fold is cached), and the walk reads
+    # it from the cache
     ident = get_identity("FAM1_1_K3")
     rules, order = ident.flat.rules, 40
     product = product_series(ident.product, order)
@@ -390,7 +386,7 @@ def test_dp_is_exact_at_every_order():
     rows = pushed_rows(rules, order, ident.flat.zeros, 1, order)
     automaton_rows.__wrapped__(rules, order, 1)
     info = automaton.minimal_automaton.cache_info()
-    assert (info.misses, info.hits) == (2 * len(rules) - 1, 1)
+    assert (info.misses, info.hits, info.builds, info.folds) == (1, 1, 1, 0)
     b = partition_bits(order)
     for j in range(1, order + 1):
         capped = unpack(rows[j], b, order)
